@@ -41,6 +41,17 @@ def _fail(message: str) -> int:
     return DOMAIN_EXIT
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit 64 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _frac_str(value: Fraction) -> str:
     return str(value)
 
@@ -196,7 +207,7 @@ def _cmd_saddle(args) -> int:
         },
         "expected": expected,
         "matches": matches,
-        "a0_equivalent": residues.a0_equivalence_check(form),
+        "a0_equivalent": result == residues.inertia(form.with_constant_term_only()),
         "saddle_contribution_nu": {
             "nu": args.nu,
             "value": residues.saddle_index_at_cusp(args.k, args.l, args.nu),
@@ -422,7 +433,7 @@ def build_parser() -> _Parser:
     p_node.add_argument(
         "--check", choices=("volume", "gluing", "radius", "metric"), default="volume"
     )
-    p_node.add_argument("--grid", type=int, default=200)
+    p_node.add_argument("--grid", type=_positive_int, default=200)
     p_node.add_argument("--z", default="0.5+0i", help="sample point for --check metric")
     p_node.add_argument("--json", action="store_true")
     p_node.set_defaults(func=_cmd_node)
@@ -456,7 +467,7 @@ def build_parser() -> _Parser:
         "--suite", default="all", help=f"one of {sorted(verify.SUITES)} or 'all'"
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cases", type=int, default=None)
+    p_verify.add_argument("--cases", type=_positive_int, default=None)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 

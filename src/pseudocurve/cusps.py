@@ -62,10 +62,6 @@ class DivisorSequence:
 
     divisors: tuple[int, ...]
 
-    @property
-    def d0(self) -> int:
-        return self.divisors[0]
-
 
 @dataclass(frozen=True)
 class AdmissibleExponentData:

@@ -92,17 +92,6 @@ class CylinderMap:
         kept = tuple((m, v) for m, v in self.modes if keep(m))
         return CylinderMap(kept, self.domain)
 
-    def evaluate(self, t: float, theta: float) -> tuple[complex, ...]:
-        dim = len(self.modes[0][1]) if self.modes else 0
-        out = [0j] * dim
-        for m, vec in self.modes:
-            factor = math.exp(-m * t) * complex(
-                math.cos(m * theta), math.sin(m * theta)
-            )
-            for i, c in enumerate(vec):
-                out[i] += factor * c
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class DecayReport:

@@ -15,7 +15,11 @@ form is used for.
 The inertia is computed by exact symmetric Gaussian elimination over the
 rationals with 1x1 and 2x2 pivots (2x2 hyperbolic blocks avoid square
 roots), so the expected signature ``ind_+ = ind_- = k - l`` is checked with
-zero tolerance.
+zero tolerance.  The matrix is sparse (w_i and w_j couple only when
+i + j <= k - l - 1), so each elimination step updates only the rows and
+columns where the pivot column is nonzero; the pivot order is unchanged by
+this, still the first nonzero diagonal entry, else the first nonzero
+off-diagonal pair.
 """
 
 from __future__ import annotations
@@ -50,11 +54,6 @@ class ResidueForm:
         if len(coeffs) - 1 > self.k - self.l - 1:
             raise ValueError("deg P must be <= k - l - 1")
         object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def variable_count(self) -> int:
-        """Complex variables w_0..w_k."""
-        return self.k + 1
 
     def with_constant_term_only(self) -> "ResidueForm":
         return ResidueForm(self.k, self.l, (self.coefficients[0],))
@@ -123,16 +122,21 @@ def residue_form_matrix(f: ResidueForm) -> list[list[Fraction]]:
 def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
     """Exact inertia of a rational symmetric matrix.
 
-    Symmetric congruence elimination: 1x1 pivots on nonzero diagonal
-    entries; when the active diagonal is entirely zero, a nonzero
-    off-diagonal entry yields a hyperbolic 2x2 block contributing (+1, -1).
+    Symmetric congruence elimination: 1x1 pivots on the first active nonzero
+    diagonal entry; when the active diagonal is entirely zero, the first
+    nonzero off-diagonal entry yields a hyperbolic 2x2 block contributing
+    (+1, -1).  Each step updates only the block of active rows and columns
+    where the pivot column (either column, for a 2x2 pivot) is nonzero; the
+    update elsewhere is exactly zero, so skipping it changes neither the
+    pivot order nor any entry.  The update term is symmetric in row and
+    column, so it is computed once per pair.
     """
-    a = [list(map(Fraction, row)) for row in matrix]
+    a = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in matrix]
     active = list(range(len(a)))
     plus = minus = zero = 0
 
     while active:
-        pivot = next((i for i in active if a[i][i] != 0), None)
+        pivot = next((i for i in active if a[i][i]), None)
         if pivot is not None:
             d = a[pivot][pivot]
             if d > 0:
@@ -140,20 +144,22 @@ def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
             else:
                 minus += 1
             active.remove(pivot)
-            col = {r: a[r][pivot] for r in active}
-            for r in active:
-                if col[r] == 0:
-                    continue
-                factor = col[r] / d
-                for c in active:
-                    a[r][c] -= factor * col[c]
+            support = [(r, a[r][pivot]) for r in active if a[r][pivot]]
+            for idx, (r, cr) in enumerate(support):
+                factor = cr / d
+                row = a[r]
+                row[r] -= factor * cr
+                for c, cc in support[idx + 1 :]:
+                    term = factor * cc
+                    row[c] -= term
+                    a[c][r] -= term
             continue
         pair = next(
             (
                 (i, j)
                 for idx, i in enumerate(active)
                 for j in active[idx + 1 :]
-                if a[i][j] != 0
+                if a[i][j]
             ),
             None,
         )
@@ -166,14 +172,15 @@ def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
         minus += 1
         active.remove(i)
         active.remove(j)
-        col_i = {r: a[r][i] for r in active}
-        col_j = {r: a[r][j] for r in active}
-        for r in active:
-            ci, cj = col_i[r], col_j[r]
-            if ci == 0 and cj == 0:
-                continue
-            for c in active:
-                a[r][c] -= (ci * col_j[c] + cj * col_i[c]) / b
+        support = [(r, a[r][i], a[r][j]) for r in active if a[r][i] or a[r][j]]
+        for idx, (r, ci, cj) in enumerate(support):
+            fi, fj = ci / b, cj / b
+            row = a[r]
+            row[r] -= fi * cj + fj * ci
+            for c, di, dj in support[idx + 1 :]:
+                term = fi * dj + fj * di
+                row[c] -= term
+                a[c][r] -= term
     return InertiaResult(plus, minus, zero)
 
 

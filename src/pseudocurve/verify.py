@@ -10,7 +10,6 @@ expected and the computed value, and a formula anchor string.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,7 +54,8 @@ class VerificationCertificate:
 
     @property
     def passed(self) -> bool:
-        return self.cases_failed == 0
+        """A certificate that ran no case proves nothing and does not pass."""
+        return self.cases_run > 0 and self.cases_failed == 0
 
     def to_json(self) -> dict:
         return {
@@ -118,11 +118,9 @@ def suite_saddle(seed: int = 0, cases: int = 50) -> VerificationCertificate:
                 cert.check(
                     key + " s_ind", k - l, result.s_ind, ANCHOR_SADDLE
                 )
+                a0_result = residues.inertia(form.with_constant_term_only())
                 cert.check(
-                    key + " a0-equivalence",
-                    True,
-                    residues.a0_equivalence_check(form),
-                    ANCHOR_SADDLE,
+                    key + " a0-equivalence", True, result == a0_result, ANCHOR_SADDLE
                 )
     return cert.finalize()
 
@@ -339,13 +337,4 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> Verificatio
 
 def run_all(seed: int = 0, cases: int | None = None) -> list[VerificationCertificate]:
     """Run every suite; order of results is fixed by suite name."""
-    names = sorted(SUITES)
-    jobs = int(os.environ.get("PSEUDOCURVE_JOBS", "1") or "1")
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda n: run_suite(n, seed, cases), names))
-    else:
-        results = [run_suite(n, seed, cases) for n in names]
-    return sorted(results, key=lambda c: c.suite)
+    return [run_suite(name, seed, cases) for name in sorted(SUITES)]

@@ -217,3 +217,28 @@ def test_verify_deterministic_output(capsys):
     _, third, _ = run(["verify", "--suite", "saddle", "--seed", "4",
                        "--cases", "5"], capsys)
     assert json.loads(third)["cases_run"] == json.loads(first)["cases_run"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "saddle", "--cases", "-3"],
+        ["verify", "--suite", "all", "--cases", "0"],
+        ["node", "--lambda", "0.1", "--check", "gluing", "--grid", "0"],
+        ["node", "--lambda", "0.1", "--check", "volume", "--grid", "-1"],
+    ],
+)
+def test_nonpositive_counts_exit_64(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 64
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_zero_case_certificate_fails():
+    from pseudocurve import verify
+
+    cert = verify.suite_saddle(cases=0)
+    assert cert.cases_run == 0
+    assert not cert.passed
+    assert verify.VerificationCertificate("empty").passed is False

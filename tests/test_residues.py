@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pseudocurve import residues
+from pseudocurve import residues, verify
 from pseudocurve.gaussian import GaussianRational as GR
 from pseudocurve.residues import InertiaResult, ResidueForm
 
@@ -122,6 +125,133 @@ def test_rational_inertia_on_known_matrices():
     assert residues.rational_inertia(
         [[Fraction(4), Fraction(2)], [Fraction(2), Fraction(1)]]
     ) == InertiaResult(1, 0, 1)
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+sparse_entries = st.one_of(st.just(Fraction(0)), small_rationals)
+
+
+@st.composite
+def symmetric_matrices(draw, entries=sparse_entries, max_size=7):
+    n = draw(st.integers(1, max_size))
+    # a zero diagonal forces 2x2 pivots first
+    first = 1 if draw(st.booleans()) else 0
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + first, n):
+            a[i][j] = a[j][i] = draw(entries)
+    return a
+
+
+def _congruent(b, d):
+    """B^T diag(d) B, exact."""
+    n = len(d)
+    return [
+        [sum(b[t][i] * d[t] * b[t][j] for t in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def congruent_diagonals(draw, max_size=8):
+    """(B^T D B, D) with B unit upper triangular, hence invertible."""
+    n = draw(st.integers(1, max_size))
+    d = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    b = [
+        [1 if i == j else draw(st.integers(-3, 3)) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return _congruent(b, d), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_rational_inertia_matches_float_on_well_conditioned(matrix):
+    eig = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in matrix]))
+    # well conditioned: every eigenvalue is clearly nonzero or rounding noise
+    assume(all(abs(e) > 1e-6 or abs(e) < 1e-12 for e in eig))
+    assert residues.rational_inertia(matrix) == residues.float_inertia_check(matrix)
+
+
+def _dense_reference_inertia(matrix):
+    """The plain elimination: same pivot rule, every active entry updated."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    active = list(range(len(a)))
+    plus = minus = 0
+    while active:
+        pivot = next((i for i in active if a[i][i] != 0), None)
+        if pivot is not None:
+            d = a[pivot][pivot]
+            plus, minus = (plus + 1, minus) if d > 0 else (plus, minus + 1)
+            active.remove(pivot)
+            col = {r: a[r][pivot] for r in active}
+            for r in active:
+                for c in active:
+                    a[r][c] -= col[r] * col[c] / d
+            continue
+        pair = next(
+            ((i, j) for i in active for j in active if i < j and a[i][j] != 0), None
+        )
+        if pair is None:
+            break
+        i, j = pair
+        b = a[i][j]
+        plus, minus = plus + 1, minus + 1
+        active.remove(i)
+        active.remove(j)
+        col_i = {r: a[r][i] for r in active}
+        col_j = {r: a[r][j] for r in active}
+        for r in active:
+            for c in active:
+                a[r][c] -= (col_i[r] * col_j[c] + col_j[r] * col_i[c]) / b
+    return InertiaResult(plus, minus, len(active))
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_rational_inertia_matches_dense_elimination(matrix):
+    assert residues.rational_inertia(matrix) == _dense_reference_inertia(matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(congruent_diagonals())
+def test_rational_inertia_of_congruent_diagonal(case):
+    # Sylvester's law of inertia: B^T D B has the signs of D
+    matrix, d = case
+    expected = InertiaResult(
+        sum(x > 0 for x in d), sum(x < 0 for x in d), sum(x == 0 for x in d)
+    )
+    assert residues.rational_inertia(matrix) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices(entries=st.integers(-4, 4)))
+def test_rational_inertia_int_entries_match_fractions(matrix):
+    ints = [[int(x) for x in row] for row in matrix]
+    fractions = [[Fraction(x) for x in row] for row in ints]
+    assert residues.rational_inertia(ints) == residues.rational_inertia(fractions)
+
+
+def test_rational_inertia_int_entries_stay_exact():
+    # B^T D B with det B = -2; float elimination finds no null direction here
+    matrix = _congruent([[-2, 4, -3], [-1, -2, 2], [-2, -2, 2]], [1, 1, 0])
+    assert all(isinstance(x, int) for row in matrix for x in row)
+    assert residues.rational_inertia(matrix) == InertiaResult(2, 0, 1)
+
+
+def test_suite_saddle_makes_two_inertia_calls_per_case(monkeypatch):
+    calls = []
+    kernel = residues.rational_inertia
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return kernel(matrix)
+
+    monkeypatch.setattr(residues, "rational_inertia", counting)
+    cert = verify.suite_saddle(cases=2)
+    saddle_cases = sum(k for k in range(1, 7)) * 2  # (k, l) pairs x cases
+    assert cert.passed and cert.cases_run == 3 * saddle_cases
+    assert len(calls) == 2 * saddle_cases
 
 
 def test_saddle_index_at_cusp():
