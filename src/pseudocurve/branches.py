@@ -194,11 +194,19 @@ class Branch:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Branch":
-        terms = tuple(
-            (int(item["exp"]), tuple(GR.from_quad(q) for q in item["coeff"]))
-            for item in payload["terms"]
-        )
-        return cls(int(payload["ambient_dim"]), terms, int(payload["truncation_order"]))
+        """Inverse of :meth:`to_json`; a malformed payload raises InvalidBranch."""
+        try:
+            terms = tuple(
+                (int(item["exp"]), tuple(GR.from_quad(q) for q in item["coeff"]))
+                for item in payload["terms"]
+            )
+            ambient_dim = int(payload["ambient_dim"])
+            truncation_order = int(payload["truncation_order"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidBranch(
+                f"malformed branch JSON: {type(exc).__name__}: {exc}"
+            ) from exc
+        return cls(ambient_dim, terms, truncation_order)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from pseudocurve.errors import InvalidBranch
+
 
 RationalLike = Rational | int | str
 
@@ -115,7 +117,13 @@ class GaussianRational:
 
     @classmethod
     def from_quad(cls, quad) -> "GaussianRational":
+        """Inverse of :meth:`to_quad`, the coefficient encoding of branch JSON.
+
+        A zero denominator raises :class:`InvalidBranch`.
+        """
         rn, rd, im, id_ = (int(part) for part in quad)
+        if rd == 0 or id_ == 0:
+            raise InvalidBranch(f"zero denominator in coefficient {quad!r}")
         return cls(Fraction(rn, rd), Fraction(im, id_))
 
 

@@ -12,20 +12,27 @@ i.e. the real part of the coefficient of ``z^{k-l-1}`` in
 scalar rescaling leaves the inertia unchanged, which is the only claim the
 form is used for.
 
-The inertia is computed by exact symmetric Gaussian elimination over the
-rationals with 1x1 and 2x2 pivots (2x2 hyperbolic blocks avoid square
-roots), so the expected signature ``ind_+ = ind_- = k - l`` is checked with
-zero tolerance.  The matrix is sparse (w_i and w_j couple only when
-i + j <= k - l - 1), so each elimination step updates only the rows and
-columns where the pivot column is nonzero; the pivot order is unchanged by
-this, still the first nonzero diagonal entry, else the first nonzero
-off-diagonal pair.
+The inertia is computed by exact symmetric Gaussian elimination with 1x1 and
+2x2 pivots (2x2 hyperbolic blocks avoid square roots), so the expected
+signature ``ind_+ = ind_- = k - l`` is checked with zero tolerance.  The
+elimination is fraction-free: the matrix is scaled by the positive lcm of its
+denominators, and after each pivot the active block is kept as the primitive
+integer multiple of the current Schur complement (multiply by |pivot|,
+subtract, divide out the content), so all arithmetic is on Python ints and
+coefficient growth is no worse than Bareiss elimination.  Positive scalars do
+not change signs, so the pivot order is exactly that of the rational
+elimination: the first nonzero diagonal entry, else the first nonzero
+off-diagonal pair.  The matrix is sparse (w_i and w_j couple only when
+i + j <= k - l - 1), so each step updates only the rows and columns where
+the pivot column is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Sequence
 
 from pseudocurve.gaussian import GaussianRational
@@ -80,42 +87,26 @@ class InertiaResult:
 def residue_form_matrix(f: ResidueForm) -> list[list[Fraction]]:
     """Symmetric matrix of the form in real variables (x_0, y_0, ..., x_k, y_k).
 
-    Entries are exact rationals; ``Q(v) = v^T A v``.
+    Entries are exact rationals; ``Q(v) = v^T A v``.  Since
+    ``Re(a_s w_i w_j) = alpha (x_i x_j - y_i y_j) - beta (x_i y_j + y_i x_j)``
+    with ``a_s = alpha + i beta`` and ``s = k - l - 1 - i - j`` fixed by
+    ``(i, j)``, every real cell receives exactly one term, assigned once per
+    ordered pair ``(i, j)``.
     """
     size = 2 * (f.k + 1)
     a = [[Fraction(0)] * size for _ in range(size)]
-
-    def add_sym(p: int, q: int, c: Fraction) -> None:
-        if p == q:
-            a[p][p] += c
-        else:
-            half = c / 2
-            a[p][q] += half
-            a[q][p] += half
-
     target = f.k - f.l - 1
     for s, coeff in enumerate(f.coefficients):
         if coeff.is_zero():
             continue
-        alpha, beta = coeff.re, coeff.im
+        alpha, minus_alpha, minus_beta = coeff.re, -coeff.re, -coeff.im
         rest = target - s
-        for i in range(0, f.k + 1):
-            j = rest - i
-            if j < i or j > f.k:
-                continue
+        for i in range(max(0, rest - f.k), min(rest, f.k) + 1):
             xi, yi = 2 * i, 2 * i + 1
-            xj, yj = 2 * j, 2 * j + 1
-            if i == j:
-                # Re(a_s * w_i^2) = alpha*(x^2 - y^2) - 2*beta*x*y
-                add_sym(xi, xi, alpha)
-                add_sym(yi, yi, -alpha)
-                add_sym(xi, yi, -2 * beta)
-            else:
-                # the square counts w_i*w_j twice
-                add_sym(xi, xj, 2 * alpha)
-                add_sym(yi, yj, -2 * alpha)
-                add_sym(xi, yj, -2 * beta)
-                add_sym(xj, yi, -2 * beta)
+            xj, yj = 2 * (rest - i), 2 * (rest - i) + 1
+            a[xi][xj] = alpha
+            a[yi][yj] = minus_alpha
+            a[xi][yj] = a[yi][xj] = minus_beta
     return a
 
 
@@ -125,15 +116,30 @@ def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
     Symmetric congruence elimination: 1x1 pivots on the first active nonzero
     diagonal entry; when the active diagonal is entirely zero, the first
     nonzero off-diagonal entry yields a hyperbolic 2x2 block contributing
-    (+1, -1).  Each step updates only the block of active rows and columns
-    where the pivot column (either column, for a 2x2 pivot) is nonzero; the
-    update elsewhere is exactly zero, so skipping it changes neither the
-    pivot order nor any entry.  The update term is symmetric in row and
-    column, so it is computed once per pair.
+    (+1, -1).  Rows that are entirely zero are counted as nullity up front;
+    they never enter a pivot or a support, so the pivot order is unchanged.
+
+    The elimination runs over the integers.  The matrix is first scaled by
+    the lcm of its denominators.  Invariant: the active block is the
+    primitive integer multiple of the current Schur complement.  A 1x1 pivot
+    ``d`` with column ``v`` replaces it by ``|d| S - sign(d) v v^T`` and a 2x2
+    pivot ``b`` with columns ``c_i, c_j`` by
+    ``|b| S - sign(b) (c_i c_j^T + c_j c_i^T)``, then the content is divided
+    out.  Only a positive scalar separates this from the rational
+    elimination, so every pivot has the same position and sign.  The update
+    is nonzero only where the pivot column is (either column, for a 2x2
+    pivot); it is symmetric, so each term is computed once per pair.
+    Entries that are neither ``int`` nor ``Fraction`` are read through
+    ``Fraction(x)``.
     """
-    a = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in matrix]
-    active = list(range(len(a)))
-    plus = minus = zero = 0
+    if not set(map(type, chain.from_iterable(matrix))) <= {int, Fraction}:
+        matrix = [[Fraction(x) for x in row] for row in matrix]
+    ratios = [[x.as_integer_ratio() for x in row] for row in matrix]
+    scale = lcm(*{den for row in ratios for _, den in row})
+    a = [[num * (scale // den) if num else 0 for num, den in row] for row in ratios]
+    active = [r for r in range(len(a)) if any(a[r])]
+    zero = len(a) - len(active)
+    plus = minus = 0
 
     while active:
         pivot = next((i for i in active if a[i][i]), None)
@@ -145,14 +151,17 @@ def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
                 minus += 1
             active.remove(pivot)
             support = [(r, a[r][pivot]) for r in active if a[r][pivot]]
+            _scale_rows(a, active, abs(d))
             for idx, (r, cr) in enumerate(support):
-                factor = cr / d
+                sr = cr if d > 0 else -cr
                 row = a[r]
-                row[r] -= factor * cr
+                row[r] -= sr * cr
+                row[pivot] = 0
                 for c, cc in support[idx + 1 :]:
-                    term = factor * cc
+                    term = sr * cc
                     row[c] -= term
                     a[c][r] -= term
+            _remove_content(a, active)
             continue
         pair = next(
             (
@@ -173,15 +182,40 @@ def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
         active.remove(i)
         active.remove(j)
         support = [(r, a[r][i], a[r][j]) for r in active if a[r][i] or a[r][j]]
+        _scale_rows(a, active, abs(b))
         for idx, (r, ci, cj) in enumerate(support):
-            fi, fj = ci / b, cj / b
+            si, sj = (ci, cj) if b > 0 else (-ci, -cj)
             row = a[r]
-            row[r] -= fi * cj + fj * ci
+            row[r] -= 2 * si * cj
+            row[i] = row[j] = 0
             for c, di, dj in support[idx + 1 :]:
-                term = fi * dj + fj * di
+                term = si * dj + sj * di
                 row[c] -= term
                 a[c][r] -= term
+        _remove_content(a, active)
     return InertiaResult(plus, minus, zero)
+
+
+def _scale_rows(a: list[list[int]], active: list[int], factor: int) -> None:
+    if factor != 1:
+        for r in active:
+            a[r] = [x * factor for x in a[r]]
+
+
+def _remove_content(a: list[list[int]], active: list[int]) -> None:
+    """Divide the active rows by their common gcd.
+
+    Eliminated columns are zero in active rows, so whole-row gcds are the
+    content of the active block.
+    """
+    g = 0
+    for r in active:
+        g = gcd(g, *a[r])
+        if g == 1:
+            return
+    if g > 1:
+        for r in active:
+            a[r] = [x // g for x in a[r]]
 
 
 def inertia(f: ResidueForm) -> InertiaResult:

@@ -2,8 +2,11 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudocurve import branches, cusps
 from pseudocurve.branches import Branch
@@ -47,6 +50,69 @@ def test_json_roundtrip():
     exps = [item["exp"] for item in payload["terms"]]
     assert exps == sorted(exps)
     assert payload["terms"][1]["coeff"][1] == ["1", "2", "0", "1"]
+
+
+_rationals = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 50))
+gaussians = st.builds(GR.of, _rationals, _rationals)
+
+
+_vectors = {n: st.lists(gaussians, min_size=n, max_size=n).filter(any) for n in (2, 3, 4)}
+_exponents = st.sets(st.integers(1, 20), min_size=1, max_size=6)
+
+
+@st.composite
+def branches_(draw):
+    n = draw(st.integers(2, 4))
+    exps = sorted(draw(_exponents))
+    terms = tuple((e, tuple(draw(_vectors[n]))) for e in exps)
+    return Branch(n, terms, exps[-1] + draw(st.integers(0, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(branches_())
+def test_json_roundtrip_property(b):
+    assert Branch.from_json(json.loads(json.dumps(b.to_json()))) == b
+
+
+ONE, ZERO = ["1", "1", "0", "1"], ["0", "1", "0", "1"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # zero denominator in the real part
+        {"ambient_dim": 2, "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [["1", "0", "0", "1"], ZERO]}]},
+        # zero denominator in the imaginary part
+        {"ambient_dim": 2, "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [ONE, ["0", "1", "1", "0"]]}]},
+        {"ambient_dim": 2, "truncation_order": 3, "terms": [{"exp": 2}]},
+        {"ambient_dim": 2, "truncation_order": 3, "terms": [{"coeff": [ONE, ZERO]}]},
+        {"ambient_dim": 2, "truncation_order": 3},
+        {"ambient_dim": 2, "terms": [{"exp": 2, "coeff": [ONE, ZERO]}]},
+        {"ambient_dim": 2, "truncation_order": 3, "terms": 5},
+        {"ambient_dim": 2, "truncation_order": 3, "terms": [7]},
+        {"ambient_dim": 2, "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [["1", "1", "0"], ZERO]}]},
+        {"ambient_dim": "two", "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [ONE, ZERO]}]},
+        {"ambient_dim": 2, "truncation_order": None,
+         "terms": [{"exp": 2, "coeff": [ONE, ZERO]}]},
+        [2, 3],
+        "branch",
+        None,
+    ],
+)
+def test_from_json_rejects_malformed_payloads(payload):
+    with pytest.raises(InvalidBranch):
+        Branch.from_json(payload)
+
+
+def test_from_quad_rejects_zero_denominator():
+    with pytest.raises(InvalidBranch):
+        GR.from_quad(["1", "0", "0", "1"])
+    with pytest.raises(InvalidBranch):
+        GR.from_quad(["1", "1", "2", "0"])
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pseudocurve import cli
 
@@ -186,6 +188,82 @@ def test_branch_command_file_and_intersection(tmp_path, capsys):
     assert out["multiplicity"] == 1
     # the parabola and the cusp share the tangent line: contact order 3
     assert out["intersection_multiplicity"] == 3
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"ambient_dim": 2, "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [["1", "0", "0", "1"], ["0", "1", "0", "1"]]},
+                   {"exp": 3, "coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]]}]},
+        {"ambient_dim": 2, "truncation_order": 3, "terms": [{"exp": 2}]},
+        {"ambient_dim": 2, "truncation_order": 3, "terms": 5},
+        [1, 2],
+    ],
+)
+def test_branch_file_malformed_gives_json_error(payload, tmp_path, capsys):
+    branch_file = tmp_path / "branch.json"
+    branch_file.write_text(json.dumps(payload))
+    code, out, err = run(["branch", "--file", str(branch_file)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
+_quad_parts = st.one_of(st.integers(-3, 3), st.sampled_from(["0", "1", "-2", "x", ""]))
+_terms = st.fixed_dictionaries(
+    {"exp": st.integers(-1, 8), "coeff": st.lists(st.lists(_quad_parts, max_size=5), max_size=3)}
+)
+_branch_like = st.fixed_dictionaries(
+    {"ambient_dim": st.integers(0, 3), "truncation_order": st.integers(-1, 9),
+     "terms": st.lists(_terms, max_size=4)}
+)
+
+
+_quads = st.tuples(*[st.integers(-3, 3)] * 4).map(
+    lambda q: [str(q[0]), str(q[1] or 1), str(q[2]), str(q[3] or 1)]
+)
+
+
+@st.composite
+def _valid_branch_payloads(draw):
+    n = draw(st.integers(2, 3))
+    exps = sorted(draw(st.sets(st.integers(1, 8), min_size=1, max_size=4)))
+    return {
+        "ambient_dim": n,
+        "truncation_order": exps[-1] + draw(st.integers(0, 3)),
+        "terms": [{"exp": e, "coeff": draw(st.lists(_quads, min_size=n, max_size=n))}
+                  for e in exps],
+    }
+
+
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 9), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(
+            st.sampled_from(["ambient_dim", "truncation_order", "terms", "exp", "coeff"]),
+            inner,
+            max_size=4,
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.one_of(_json_values, _branch_like, _valid_branch_payloads()))
+def test_branch_file_never_raises(tmp_path, capsys, payload):
+    branch_file = tmp_path / "branch.json"
+    branch_file.write_text(json.dumps(payload))
+    code, out, err = run(["branch", "--file", str(branch_file)], capsys)
+    assert code in (0, 1, 64)
+    if code == 0:
+        assert json.loads(out)["multiplicity"] >= 1
+    else:
+        assert "error" in json.loads(err)
 
 
 def test_branch_requires_source(capsys):

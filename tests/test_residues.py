@@ -239,6 +239,104 @@ def test_rational_inertia_int_entries_stay_exact():
     assert residues.rational_inertia(matrix) == InertiaResult(2, 0, 1)
 
 
+def _add_sym_reference_matrix(f):
+    """The accumulating construction: each unordered pair adds its halves."""
+    size = 2 * (f.k + 1)
+    a = [[Fraction(0)] * size for _ in range(size)]
+
+    def add_sym(p, q, c):
+        if p == q:
+            a[p][p] += c
+        else:
+            a[p][q] += c / 2
+            a[q][p] += c / 2
+
+    target = f.k - f.l - 1
+    for s, coeff in enumerate(f.coefficients):
+        alpha, beta = coeff.re, coeff.im
+        for i in range(f.k + 1):
+            j = target - s - i
+            if j < i or j > f.k:
+                continue
+            xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+            if i == j:
+                add_sym(xi, xi, alpha)
+                add_sym(yi, yi, -alpha)
+                add_sym(xi, yi, -2 * beta)
+            else:
+                add_sym(xi, xj, 2 * alpha)
+                add_sym(yi, yj, -2 * alpha)
+                add_sym(xi, yj, -2 * beta)
+                add_sym(xj, yi, -2 * beta)
+    return a
+
+
+gaussians = st.builds(GR.of, small_rationals, small_rationals)
+
+
+@st.composite
+def residue_forms(draw, max_k=8):
+    k = draw(st.integers(1, max_k))
+    l = draw(st.integers(0, k - 1))
+    a0 = draw(gaussians.filter(bool))
+    rest = draw(st.lists(gaussians, max_size=k - l - 1))
+    return ResidueForm(k, l, (a0, *rest))
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_forms())
+def test_residue_form_matrix_matches_accumulating_construction(f):
+    m = residues.residue_form_matrix(f)
+    assert m == _add_sym_reference_matrix(f)
+    assert all(type(x) is Fraction for row in m for x in row)
+    assert all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
+
+
+def _big_rational(rng):
+    return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+
+
+@pytest.mark.parametrize("n,rank", [(16, 16), (16, 9), (20, 13), (24, 24), (24, 17)])
+def test_rational_inertia_large_entries_match_dense_elimination(n, rank):
+    # large numerators and denominators exercise the content removal; the
+    # low-rank cases B^T D B end in a nonzero nullity
+    rng = random.Random(1000 * n + rank)
+    if rank == n:
+        matrix = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                matrix[i][j] = matrix[j][i] = _big_rational(rng)
+    else:
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+        d = [_big_rational(rng) or Fraction(1) for _ in range(rank)]
+        matrix = [
+            [sum(b[t][i] * d[t] * b[t][j] for t in range(rank)) for j in range(n)]
+            for i in range(n)
+        ]
+    expected = _dense_reference_inertia(matrix)
+    assert residues.rational_inertia(matrix) == expected
+    assert expected.dimension == n
+
+
+def test_rational_inertia_float_and_str_entries_are_read_exactly():
+    assert residues.rational_inertia([[0.5, 0], [0, -2.0]]) == InertiaResult(1, 1, 0)
+    assert residues.rational_inertia([["1/3", "1/2"], ["1/2", "3/4"]]) == InertiaResult(
+        1, 0, 1
+    )
+
+
+def test_rational_inertia_counts_zero_rows_as_nullity():
+    assert residues.rational_inertia([[0, 0, 0], [0, 1, 2], [0, 2, 1]]) == InertiaResult(
+        1, 1, 1
+    )
+    assert residues.rational_inertia([[0, 0], [0, 0]]) == InertiaResult(0, 0, 2)
+    # a zero row between two coupled rows: the 2x2 pivot still finds them
+    assert residues.rational_inertia(
+        [[0, 0, 5], [0, 0, 0], [5, 0, 0]]
+    ) == InertiaResult(1, 1, 1)
+    assert residues.rational_inertia([]) == InertiaResult(0, 0, 0)
+
+
 def test_suite_saddle_makes_two_inertia_calls_per_case(monkeypatch):
     calls = []
     kernel = residues.rational_inertia
