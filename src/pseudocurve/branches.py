@@ -17,7 +17,6 @@ exact resultant, with an independent series-substitution path for graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -29,11 +28,9 @@ from pseudocurve.errors import (
     NotPreparedBranch,
     TruncationTooShort,
 )
-from pseudocurve.gaussian import GaussianRational
+from pseudocurve.gaussian import ONE, ZERO, GaussianRational, json_int
 
 GR = GaussianRational
-_ZERO = GR()
-_ONE = GR(Fraction(1))
 
 
 def _as_gr(value) -> GR:
@@ -55,7 +52,7 @@ def _trim(coeffs: list[GR]) -> list[GR]:
 
 
 def _add(a: Sequence[GR], b: Sequence[GR]) -> list[GR]:
-    out = [_ZERO] * max(len(a), len(b))
+    out = [ZERO] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] = out[i] + c
     for i, c in enumerate(b):
@@ -69,7 +66,7 @@ def _neg(a: Sequence[GR]) -> list[GR]:
 
 def _mul_trunc(a: Sequence[GR], b: Sequence[GR], order: int) -> list[GR]:
     """Product keeping degrees <= order."""
-    out = [_ZERO] * (order + 1)
+    out = [ZERO] * (order + 1)
     for i, ca in enumerate(a):
         if ca.is_zero() or i > order:
             continue
@@ -86,7 +83,7 @@ def _compose_trunc(outer: Sequence[GR], inner: Sequence[GR], order: int) -> list
     if inner and not inner[0].is_zero():
         raise ValueError("inner series must vanish at 0")
     result: list[GR] = []
-    power: list[GR] = [_ONE]
+    power: list[GR] = [ONE]
     for coeff in outer:
         if not coeff.is_zero():
             result = _add(result, _mul_trunc([coeff], power, order))
@@ -101,10 +98,10 @@ def _series_inverse(coeffs: Sequence[GR], order: int) -> list[GR]:
     if len(coeffs) < 2 or not coeffs[0].is_zero() or coeffs[1].is_zero():
         raise ValueError("series must have order exactly 1")
     inv_c1 = coeffs[1].inverse()
-    out = [_ZERO, inv_c1]
+    out = [ZERO, inv_c1]
     for k in range(2, order + 1):
-        composed = _compose_trunc(coeffs, out + [_ZERO], k)
-        defect = composed[k] if len(composed) > k else _ZERO
+        composed = _compose_trunc(coeffs, out + [ZERO], k)
+        defect = composed[k] if len(composed) > k else ZERO
         out.append(-defect * inv_c1)
     return out
 
@@ -170,8 +167,9 @@ class Branch:
         return cls(n, tuple(terms), truncation_order)
 
     def coordinate_series(self, index: int) -> list[GR]:
-        """Dense coefficient list of one coordinate, up to truncation order."""
-        out = [_ZERO] * (self.truncation_order + 1)
+        """Dense coefficient list of one coordinate, up to the highest stored
+        exponent (not the truncation order, which may be far larger)."""
+        out = [ZERO] * (self.terms[-1][0] + 1)
         for exp, vec in self.terms:
             out[exp] = vec[index]
         return out
@@ -194,14 +192,15 @@ class Branch:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Branch":
-        """Inverse of :meth:`to_json`; a malformed payload raises InvalidBranch."""
+        """Inverse of :meth:`to_json`; a malformed payload, or a number that
+        is not an integer, raises InvalidBranch."""
         try:
             terms = tuple(
-                (int(item["exp"]), tuple(GR.from_quad(q) for q in item["coeff"]))
+                (json_int(item["exp"]), tuple(GR.from_quad(q) for q in item["coeff"]))
                 for item in payload["terms"]
             )
-            ambient_dim = int(payload["ambient_dim"])
-            truncation_order = int(payload["truncation_order"])
+            ambient_dim = json_int(payload["ambient_dim"])
+            truncation_order = json_int(payload["truncation_order"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidBranch(
                 f"malformed branch JSON: {type(exc).__name__}: {exc}"
@@ -357,9 +356,9 @@ def jet_normal_form(b: Branch) -> BranchJetNormalForm:
         return BranchJetNormalForm(k, k, p1, ())
     q0 = y_exps[0]
     l = q0 - k - 2
-    y = b.coordinate_series(1)
-    p2 = tuple(y[q] for q in range(q0, jet_order + 1))
-    return BranchJetNormalForm(k, l, p1, tuple(_trim(list(p2))))
+    y = {exp: vec[1] for exp, vec in b.terms}
+    p2 = tuple(y.get(q, ZERO) for q in range(q0, y_exps[-1] + 1))
+    return BranchJetNormalForm(k, l, p1, p2)
 
 
 def secondary_cusp_index(b: Branch) -> int:
@@ -395,13 +394,13 @@ def _determinant(matrix: list[list[GR]]) -> GR:
     """Exact determinant by Gaussian elimination over the Gaussian rationals."""
     n = len(matrix)
     mat = [row[:] for row in matrix]
-    det = _ONE
+    det = ONE
     for col in range(n):
         pivot_row = next(
             (r for r in range(col, n) if not mat[r][col].is_zero()), None
         )
         if pivot_row is None:
-            return _ZERO
+            return ZERO
         if pivot_row != col:
             mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
             det = -det
@@ -422,8 +421,8 @@ def _sylvester_det(a: list[list[GR]], b: list[list[GR]], t_value: GR) -> GR:
     evaluated at t = t_value."""
 
     def eval_entry(poly: list[GR]) -> GR:
-        acc = _ZERO
-        power = _ONE
+        acc = ZERO
+        power = ONE
         for coeff in poly:
             acc = acc + coeff * power
             power = power * t_value
@@ -435,15 +434,15 @@ def _sylvester_det(a: list[list[GR]], b: list[list[GR]], t_value: GR) -> GR:
     n = len(bm) - 1
     size = m + n
     if size == 0:
-        return _ONE
+        return ONE
     rows: list[list[GR]] = []
     for shift in range(n):
-        row = [_ZERO] * size
+        row = [ZERO] * size
         for i, coeff in enumerate(reversed(am)):
             row[shift + i] = coeff
         rows.append(row)
     for shift in range(m):
-        row = [_ZERO] * size
+        row = [ZERO] * size
         for i, coeff in enumerate(reversed(bm)):
             row[shift + i] = coeff
         rows.append(row)
@@ -461,7 +460,7 @@ def _interpolate_ord(values: list[GR], points: list[GR]) -> int | None:
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) * denom.inverse()
     poly: list[GR] = []
     for i in reversed(range(n)):
-        poly = _mul_trunc(poly, [-points[i], _ONE], n) if poly else []
+        poly = _mul_trunc(poly, [-points[i], ONE], n) if poly else []
         poly = _add(poly, [coeffs[i]])
     return _ord(poly)
 

@@ -52,10 +52,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _gr_json(value: GaussianRational) -> list[str]:
     return [str(value.re), str(value.im)]
 
@@ -186,10 +182,7 @@ def _cmd_saddle(args) -> int:
     while len(coeffs_list) > 1 and coeffs_list[-1].is_zero():
         coeffs_list.pop()
     coeffs = tuple(coeffs_list)
-    try:
-        form = residues.ResidueForm(args.k, args.l, coeffs)
-    except ValueError as exc:
-        return _fail(str(exc))
+    form = residues.ResidueForm(args.k, args.l, coeffs)
     matrix = residues.residue_form_matrix(form)
     result = residues.inertia(form)
     expected = args.k - args.l
@@ -198,7 +191,7 @@ def _cmd_saddle(args) -> int:
         "k": args.k,
         "l": args.l,
         "poly": [_gr_json(c) for c in form.coefficients],
-        "matrix": [[_frac_str(x) for x in row] for row in matrix],
+        "matrix": [[str(x) for x in row] for row in matrix],
         "inertia": {
             "ind_plus": result.ind_plus,
             "ind_minus": result.ind_minus,
@@ -240,11 +233,7 @@ def _cmd_node(args) -> int:
     if check == "gluing":
         if lam == 0:
             return _fail("gluing check needs lambda != 0")
-        worst = 0.0
-        for i in range(args.grid + 1):
-            rho = -1.0 + 2.0 * i / args.grid
-            r = cylinders.r_of_rho(rho, lam)
-            worst = max(worst, abs(cylinders.rho_of_r(r, lam) - rho))
+        worst = cylinders.gluing_inverse_residual(lam, args.grid)
         endpoints = {
             "R(-1)": cylinders.r_of_rho(-1.0, lam),
             "R(0)": cylinders.r_of_rho(0.0, lam),
@@ -401,7 +390,6 @@ def build_parser() -> _Parser:
     p_cusp = sub.add_parser("cusp", help="cusp type combinatorics")
     p_cusp.add_argument("--type", required=True, help="comma list, e.g. 4,6,7")
     p_cusp.add_argument("--n", type=int, default=2, help="ambient complex dimension")
-    p_cusp.add_argument("--json", action="store_true")
     p_cusp.set_defaults(func=_cmd_cusp)
 
     p_index = sub.add_parser("index", help="moduli index calculators")
@@ -415,7 +403,6 @@ def build_parser() -> _Parser:
         "--complex", dest="use_complex", action="store_true",
         help="report complex dimensions (half of even real ones)",
     )
-    p_index.add_argument("--json", action="store_true")
     p_index.set_defaults(func=_cmd_index)
 
     p_saddle = sub.add_parser("saddle", help="residue form inertia")
@@ -425,7 +412,6 @@ def build_parser() -> _Parser:
         "--poly", required=True, help="comma list of rationals, e.g. 2,-1,0"
     )
     p_saddle.add_argument("--nu", type=int, default=0)
-    p_saddle.add_argument("--json", action="store_true")
     p_saddle.set_defaults(func=_cmd_saddle)
 
     p_node = sub.add_parser("node", help="node gluing geometry checks")
@@ -435,7 +421,6 @@ def build_parser() -> _Parser:
     )
     p_node.add_argument("--grid", type=_positive_int, default=200)
     p_node.add_argument("--z", default="0.5+0i", help="sample point for --check metric")
-    p_node.add_argument("--json", action="store_true")
     p_node.set_defaults(func=_cmd_node)
 
     p_decay = sub.add_parser("decay", help="cylinder band energies and decay")
@@ -445,7 +430,6 @@ def build_parser() -> _Parser:
     )
     p_decay.add_argument("--length", type=int, default=10)
     p_decay.add_argument("--k", type=int, default=1, help="band for the truncation")
-    p_decay.add_argument("--json", action="store_true")
     p_decay.set_defaults(func=_cmd_decay)
 
     p_branch = sub.add_parser("branch", help="branch invariants")
@@ -453,13 +437,11 @@ def build_parser() -> _Parser:
     p_branch.add_argument("--file", help="branch JSON file")
     p_branch.add_argument("--other-type", help="second branch for intersection")
     p_branch.add_argument("--other-file")
-    p_branch.add_argument("--json", action="store_true")
     p_branch.set_defaults(func=_cmd_branch)
 
     p_feas = sub.add_parser("feasibility", help="degree feasibility counts")
     p_feas.add_argument("--cp2-degree", type=int, required=True)
     p_feas.add_argument("--all-splittings", action="store_true")
-    p_feas.add_argument("--json", action="store_true")
     p_feas.set_defaults(func=_cmd_feasibility)
 
     p_verify = sub.add_parser("verify", help="run oracle cross-check suites")
@@ -468,9 +450,11 @@ def build_parser() -> _Parser:
     )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cases", type=_positive_int, default=None)
-    p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 
+    # every subcommand accepts --json (only feasibility reads it), last in usage
+    for subparser in sub.choices.values():
+        subparser.add_argument("--json", action="store_true")
     return parser
 
 
@@ -479,9 +463,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PseudocurveError as exc:
-        return _fail(str(exc))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PseudocurveError, ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from pseudocurve.errors import InvalidCuspType
 
@@ -100,7 +100,7 @@ def validate_cusp_type(exponents: Sequence[int]) -> bool:
     return d == 1
 
 
-def divisor_sequence(p: CuspType) -> DivisorSequence:
+def divisor_sequence(p: Iterable[int]) -> DivisorSequence:
     divisors = []
     d = 0
     for q in p:
@@ -125,15 +125,11 @@ def admissible_exponents(p: CuspType) -> AdmissibleExponentData:
     exponents.append(ps[-1])
     exponents.sort()
 
-    divisors = []
-    d = 0
-    for q in exponents:
-        d = gcd(d, q)
-        divisors.append(d)
+    divisors = divisor_sequence(exponents).divisors
     mask = tuple(
         j == 0 or divisors[j] < divisors[j - 1] for j in range(len(exponents))
     )
-    return AdmissibleExponentData(tuple(exponents), tuple(divisors), mask)
+    return AdmissibleExponentData(tuple(exponents), divisors, mask)
 
 
 def nodal_number_formula(p: CuspType) -> int:

@@ -186,9 +186,6 @@ def r_of_rho_derivative(rho: float, lam: complex) -> float:
     return du / (2.0 * math.sqrt(u))
 
 
-VOLUME_CONSTANT_DOC = "(1 - |lambda|^2) / 2"
-
-
 def volume_identity_residual(lam: complex, grid: int = 100) -> float:
     """Max pointwise residual of the constant-volume-form identity.
 
@@ -216,6 +213,19 @@ def volume_identity_residual(lam: complex, grid: int = 100) -> float:
         if residual > worst:
             worst = residual
     # the integrand is theta-independent; the theta grid adds nothing
+    return worst
+
+
+def gluing_inverse_residual(lam: complex, grid: int) -> float:
+    """Max |rho(R(x)) - x| over the grid + 1 equally spaced points x of
+    [-1, 1].  The two closed forms are exact inverses, so the residual
+    measures only floating-point error.
+    """
+    worst = 0.0
+    for i in range(grid + 1):
+        rho = -1.0 + 2.0 * i / grid
+        r = r_of_rho(rho, lam)
+        worst = max(worst, abs(rho_of_r(r, lam) - rho))
     return worst
 
 

@@ -8,6 +8,7 @@ be shared freely between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -16,6 +17,19 @@ from pseudocurve.errors import InvalidBranch
 
 
 RationalLike = Rational | int | str
+
+_DECIMAL_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def json_int(value) -> int:
+    """An integer read from JSON: a JSON integer (not a bool) or a string of
+    decimal digits with an optional sign.  Anything else, a float included,
+    raises InvalidBranch instead of being truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL_INT.fullmatch(value):
+        return int(value)
+    raise InvalidBranch(f"not an integer: {value!r}")
 
 
 def _frac(value: RationalLike) -> Fraction:
@@ -119,9 +133,10 @@ class GaussianRational:
     def from_quad(cls, quad) -> "GaussianRational":
         """Inverse of :meth:`to_quad`, the coefficient encoding of branch JSON.
 
-        A zero denominator raises :class:`InvalidBranch`.
+        A part that is not an integer (see :func:`json_int`) or a zero
+        denominator raises :class:`InvalidBranch`.
         """
-        rn, rd, im, id_ = (int(part) for part in quad)
+        rn, rd, im, id_ = (json_int(part) for part in quad)
         if rd == 0 or id_ == 0:
             raise InvalidBranch(f"zero denominator in coefficient {quad!r}")
         return cls(Fraction(rn, rd), Fraction(im, id_))
@@ -129,7 +144,6 @@ class GaussianRational:
 
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))
-I = GaussianRational(Fraction(0), Fraction(1))
 
 
 def _coerce(value) -> GaussianRational:

@@ -209,15 +209,6 @@ def _point_capacity(degree: int) -> int:
     return degree * (degree + 3) // 2
 
 
-def _two_part_splittings(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Splittings d = d1 + 2*d2 with d2 >= 1 into a simple and a double
-    component; the d1 = 0 part is omitted."""
-    for d2 in range(1, d // 2 + 1):
-        d1 = d - 2 * d2
-        parts = ((d1, 1), (d2, 2)) if d1 > 0 else ((d2, 2),)
-        yield parts
-
-
 def _all_splittings(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All multisets of components (degree_i, multiplicity_i) with
     sum deg*mult = d and at least one multiplicity >= 2.
@@ -254,22 +245,32 @@ def cp2_multiple_component_obstruction(
     worst_count < required: multiple components cannot occur for curves
     through 3d - 1 generic points.
 
-    all_splittings=True enumerates arbitrary multiplicity vectors instead of
-    the one-simple-plus-one-double case; this is a stricter check.
+    The worst case is the closed form (d-2)(d+1)/2 + 2, carried by a simple
+    component of degree d - 2 plus a double line (a double line alone at
+    d = 2; no splitting and count 0 at d = 1).  all_splittings=True checks
+    it by enumerating every multiplicity vector instead.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
     required = 3 * d - 1
-    worst = -1
-    worst_split: tuple[tuple[int, int], ...] = ()
-    splittings = _all_splittings(d) if all_splittings else _two_part_splittings(d)
-    for parts in splittings:
-        count = sum(_point_capacity(deg) for deg, _ in parts)
-        if count > worst:
-            worst = count
-            worst_split = parts
-    if worst < 0:
-        worst = 0  # no splitting with a multiple component exists
+    if all_splittings:
+        worst, worst_split = max(
+            (
+                (sum(_point_capacity(deg) for deg, _ in parts), parts)
+                for parts in _all_splittings(d)
+            ),
+            key=lambda pair: pair[0],
+            default=(0, ()),
+        )
+    else:
+        # The capacity d(d+3)/2 is convex (merging components of degrees a
+        # and b gains ab points), so one simple component of degree d - 2
+        # plus a double line is the worst case.
+        if d >= 3:
+            worst_split = ((d - 2, 1), (1, 2))
+        else:
+            worst_split = ((1, 2),) if d == 2 else ()
+        worst = sum(_point_capacity(deg) for deg, _ in worst_split)
     return ObstructionReport(
         obstructed=worst < required,
         worst_count=worst,

@@ -226,11 +226,7 @@ def suite_gluing(seed: int = 0, grid: int = 1000) -> VerificationCertificate:
     """Inverse-pair and endpoint identities of rho and R."""
     cert = VerificationCertificate("gluing", seed=seed)
     for lam in (0.5, 0.1, 0.01):
-        worst = 0.0
-        for i in range(grid + 1):
-            rho = -1.0 + 2.0 * i / grid
-            r = cylinders.r_of_rho(rho, lam)
-            worst = max(worst, abs(cylinders.rho_of_r(r, lam) - rho))
+        worst = cylinders.gluing_inverse_residual(lam, grid)
         cert.check_le(f"|lambda|={lam} inverse pair", worst, 1e-12, ANCHOR_GLUING)
         cert.check_le(
             f"|lambda|={lam} R(-1)",

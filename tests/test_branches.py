@@ -101,6 +101,23 @@ ONE, ZERO = ["1", "1", "0", "1"], ["0", "1", "0", "1"]
         [2, 3],
         "branch",
         None,
+        # numbers that are not integers are rejected, not truncated
+        {"ambient_dim": 2.9, "truncation_order": 3.7,
+         "terms": [{"exp": 2.2, "coeff": [ONE, ZERO]}]},
+        {"ambient_dim": 2.9, "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [ONE, ZERO]}]},
+        {"ambient_dim": 2, "truncation_order": 3.7,
+         "terms": [{"exp": 2, "coeff": [ONE, ZERO]}]},
+        {"ambient_dim": 2, "truncation_order": 3,
+         "terms": [{"exp": 2.2, "coeff": [ONE, ZERO]}]},
+        {"ambient_dim": 2, "truncation_order": 3,
+         "terms": [{"exp": True, "coeff": [ONE, ZERO]}]},
+        {"ambient_dim": 2, "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [[1.5, "1", "0", "1"], ZERO]}]},
+        {"ambient_dim": 2, "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [["1.5", "1", "0", "1"], ZERO]}]},
+        {"ambient_dim": "2.0", "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [ONE, ZERO]}]},
     ],
 )
 def test_from_json_rejects_malformed_payloads(payload):
@@ -113,6 +130,20 @@ def test_from_quad_rejects_zero_denominator():
         GR.from_quad(["1", "0", "0", "1"])
     with pytest.raises(InvalidBranch):
         GR.from_quad(["1", "1", "2", "0"])
+
+
+@pytest.mark.parametrize(
+    "quad",
+    [[1.5, "1", "0", "1"], ["1", 2.0, "0", "1"], [True, "1", "0", "1"],
+     ["1", "1", "0", " 1"], ["1e3", "1", "0", "1"], ["1", "1", None, "1"]],
+)
+def test_from_quad_rejects_non_integers(quad):
+    with pytest.raises(InvalidBranch):
+        GR.from_quad(quad)
+
+
+def test_from_quad_reads_integers_and_decimal_strings():
+    assert GR.from_quad([-3, "4", "+0", 1]) == GR.of(Fraction(-3, 4))
 
 
 @pytest.mark.parametrize(
@@ -252,6 +283,18 @@ def test_jet_p2_collects_coefficients():
     jet = branches.jet_normal_form(mk({3: 2}, {4: "1/2", 5: 3}, 5))
     assert jet.p1 == (GR.of(2),)
     assert jet.p2 == (GR.of("1/2"), GR.of(3))
+
+
+def test_huge_truncation_order_changes_nothing():
+    # dense series are sized by the stored exponents, not by the truncation
+    small = mk({4: 1}, {5: 2, 7: 3}, 9)
+    huge = mk({4: 1}, {5: 2, 7: 3}, 10**12)
+    assert branches.jet_normal_form(huge) == branches.jet_normal_form(small)
+    assert branches.jet_normal_form(huge).p2 == (GR.of(2), GR.of(0), GR.of(3))
+    assert len(huge.coordinate_series(1)) == 8
+    other = mk({2: 1}, {3: 1}, 10**12)
+    assert branches.intersection_multiplicity(huge, other) == 10
+    assert branches.intersection_multiplicity(mk({4: 1}, {5: 2, 7: 3}, 12), other) == 10
 
 
 def test_jet_requires_enough_truncation():

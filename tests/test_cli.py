@@ -1,6 +1,10 @@
 """CLI behavior: outputs, exit codes, determinism."""
 
+import argparse
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +28,66 @@ def test_feasibility_anchor_output(capsys):
     code, payload, _ = run_json(["feasibility", "--cp2-degree", "6"], capsys)
     assert code == 0
     assert payload == {"obstructed": True, "worst_count": 16, "required": 17}
+
+
+ANCHOR = {"feasibility": "max over splittings of sum d_i(d_i+3)/2 vs required 3d - 1"}
+
+
+@pytest.mark.parametrize(
+    "degree,extra,worst_count,splitting",
+    [
+        (1, [], 0, []),
+        (2, [], 2, [[1, 2]]),
+        (3, [], 4, [[1, 1], [1, 2]]),
+        (6, [], 16, [[4, 1], [1, 2]]),
+        # the exhaustive check keeps its own enumeration order
+        (3, ["--all-splittings"], 4, [[1, 2], [1, 1]]),
+    ],
+)
+def test_feasibility_json_payload(degree, extra, worst_count, splitting, capsys):
+    argv = ["feasibility", "--cp2-degree", str(degree), "--json"] + extra
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "anchors": ANCHOR,
+        "obstructed": True,
+        "required": 3 * degree - 1,
+        "worst_count": worst_count,
+        "worst_splitting": splitting,
+    }
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_every_subcommand_accepts_json(command):
+    subparser = _subcommands()[command]
+    argv = [command, "--json"]
+    for action in subparser._actions:
+        if action.required:
+            argv += [action.option_strings[0], "1"]
+    assert cli.build_parser().parse_args(argv).json is True
+    assert subparser.format_usage().rstrip().endswith("[--json]")
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_lines_run(line, capsys):
+    argv = shlex.split(line)
+    assert argv[0] == "pseudocurve"
+    code, out, err = run(argv[1:], capsys)
+    assert code == 0, err
+    json.loads(out)
 
 
 def test_cusp_command(capsys):
@@ -199,6 +263,13 @@ def test_branch_command_file_and_intersection(tmp_path, capsys):
         {"ambient_dim": 2, "truncation_order": 3, "terms": [{"exp": 2}]},
         {"ambient_dim": 2, "truncation_order": 3, "terms": 5},
         [1, 2],
+        # numbers that are not integers are rejected, not truncated
+        {"ambient_dim": 2.9, "truncation_order": 3.7,
+         "terms": [{"exp": 2.2, "coeff": [["1", "1", "0", "1"], ["0", "1", "0", "1"]]}]},
+        {"ambient_dim": 2, "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [[1.5, "1", "0", "1"], ["0", "1", "0", "1"]]}]},
+        {"ambient_dim": True, "truncation_order": 3,
+         "terms": [{"exp": 2, "coeff": [["1", "1", "0", "1"], ["0", "1", "0", "1"]]}]},
     ],
 )
 def test_branch_file_malformed_gives_json_error(payload, tmp_path, capsys):
@@ -262,6 +333,29 @@ def test_branch_file_never_raises(tmp_path, capsys, payload):
     assert code in (0, 1, 64)
     if code == 0:
         assert json.loads(out)["multiplicity"] >= 1
+    else:
+        assert "error" in json.loads(err)
+
+
+_PARABOLA = [{"exp": 1, "coeff": [["1", "1", "0", "1"], ["0", "1", "0", "1"]]},
+             {"exp": 2, "coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]]}]
+_CUSP = [{"exp": 2, "coeff": [["1", "1", "0", "1"], ["0", "1", "0", "1"]]},
+         {"exp": 3, "coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]]}]
+
+
+@pytest.mark.parametrize("terms", [_PARABOLA, _CUSP], ids=["parabola", "cusp"])
+@pytest.mark.parametrize("other", [[], ["--other-type", "2,3"]], ids=["alone", "other"])
+def test_branch_file_huge_truncation_order(terms, other, tmp_path, capsys):
+    branch_file = tmp_path / "branch.json"
+    branch_file.write_text(
+        json.dumps({"ambient_dim": 2, "truncation_order": 10**12, "terms": terms})
+    )
+    start = time.perf_counter()
+    code, out, err = run(["branch", "--file", str(branch_file)] + other, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1)
+    if code == 0:
+        assert json.loads(out)["branch"]["truncation_order"] == 10**12
     else:
         assert "error" in json.loads(err)
 

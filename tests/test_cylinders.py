@@ -63,6 +63,7 @@ def test_inverse_pair(lam):
         r = cylinders.r_of_rho(rho, lam)
         assert lam - 1e-15 <= r <= 1 + 1e-15
         assert abs(cylinders.rho_of_r(r, lam) - rho) < 1e-12
+    assert cylinders.gluing_inverse_residual(lam, 1000) < 1e-12
 
 
 def test_lambda_zero_limit():

@@ -195,11 +195,12 @@ def test_degree_seven_not_obstructed():
 
 
 def test_all_splittings_mode_is_consistent():
-    for d in range(1, 9):
+    for d in range(1, 17):
         simple = indices.cp2_multiple_component_obstruction(d)
         strict = indices.cp2_multiple_component_obstruction(d, all_splittings=True)
-        # the two-part splittings are a subset of all splittings
+        # the closed-form splitting is one of all splittings
         assert strict.worst_count >= simple.worst_count
-        # and for these degrees the two-part case is already extremal
+        # and the exhaustive search finds no worse one
         assert strict.worst_count == simple.worst_count
         assert strict.obstructed == simple.obstructed
+        assert sorted(strict.worst_splitting) == sorted(simple.worst_splitting)
