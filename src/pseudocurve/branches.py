@@ -10,14 +10,21 @@ Local invariants (multiplicity, cusp order, cusp type, jet normal form,
 secondary cusp index) are extracted from *prepared* branches, whose first
 coordinate is a single monomial ``c * t^mu``; :func:`prepare` reduces a
 branch to this form by exact shear substitutions whenever possible.
-Intersection multiplicities of pairs of plane branches are computed by an
-exact resultant, with an independent series-substitution path for graphs.
+The intersection multiplicity of two plane branches is ord_t of a local
+norm: the branch of smaller multiplicity n is reparametrised exactly to
+``(c * s^n, y2(s))``, and I is the valuation of the product of the n
+conjugate factors ``y2(s_zeta) - y1(t)``, an n x n determinant over
+Q(i)[[t]].  It is returned only when the stored jets determine it, that is
+when no tail beyond either truncation order can change the valuation of
+any single factor; otherwise IndeterminateWithinTruncation is raised.  An
+independent series-substitution path covers pairs with a smooth graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from pseudocurve.cusps import CuspType
@@ -66,7 +73,9 @@ def _neg(a: Sequence[GR]) -> list[GR]:
 
 def _mul_trunc(a: Sequence[GR], b: Sequence[GR], order: int) -> list[GR]:
     """Product keeping degrees <= order."""
-    out = [ZERO] * (order + 1)
+    if not a or not b:
+        return []
+    out = [ZERO] * (min(order, len(a) + len(b) - 2) + 1)
     for i, ca in enumerate(a):
         if ca.is_zero() or i > order:
             continue
@@ -94,16 +103,29 @@ def _compose_trunc(outer: Sequence[GR], inner: Sequence[GR], order: int) -> list
 
 
 def _series_inverse(coeffs: Sequence[GR], order: int) -> list[GR]:
-    """Compositional inverse of ``c_1 t + c_2 t^2 + ...`` up to degree order."""
+    """Compositional inverse of ``c_1 t + c_2 t^2 + ...`` up to degree order.
+
+    Lagrange inversion: its t^k coefficient is the t^(k-1) coefficient of
+    q^k divided by k, where q = t / f(t); each power of q is one product.
+    """
     if len(coeffs) < 2 or not coeffs[0].is_zero() or coeffs[1].is_zero():
         raise ValueError("series must have order exactly 1")
-    inv_c1 = coeffs[1].inverse()
-    out = [ZERO, inv_c1]
-    for k in range(2, order + 1):
-        composed = _compose_trunc(coeffs, out + [ZERO], k)
-        defect = composed[k] if len(composed) > k else ZERO
-        out.append(-defect * inv_c1)
-    return out
+    f = coeffs[1:]
+    inv_c1 = f[0].inverse()
+    q = [inv_c1]
+    for k in range(1, order):
+        acc = ZERO
+        for j in range(1, min(k, len(f) - 1) + 1):
+            if not f[j].is_zero():
+                acc = acc + f[j] * q[k - j]
+        q.append(-acc * inv_c1)
+    q = _trim(q)
+    out = [ZERO]
+    power = [ONE]
+    for k in range(1, order + 1):
+        power = _mul_trunc(power, q, order - 1)
+        out.append(power[k - 1] * Fraction(1, k) if len(power) >= k else ZERO)
+    return _trim(out)
 
 
 def _ord(coeffs: Sequence[GR]) -> int | None:
@@ -387,163 +409,48 @@ def rescale_parameter(b: Branch, c) -> Branch:
 
 
 # ---------------------------------------------------------------------------
-# intersection multiplicity
+# intersection multiplicity: the substitution oracle for graph pairs
 # ---------------------------------------------------------------------------
 
-def _determinant(matrix: list[list[GR]]) -> GR:
-    """Exact determinant by Gaussian elimination over the Gaussian rationals."""
-    n = len(matrix)
-    mat = [row[:] for row in matrix]
-    det = ONE
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if not mat[r][col].is_zero()), None
-        )
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            det = -det
-        pivot = mat[col][col]
-        det = det * pivot
-        inv = pivot.inverse()
-        for r in range(col + 1, n):
-            factor = mat[r][col] * inv
-            if factor.is_zero():
-                continue
-            for c in range(col, n):
-                mat[r][c] = mat[r][c] - factor * mat[col][c]
-    return det
+def _dense(b: Branch, index: int, order: int) -> list[GR]:
+    """Trimmed dense coefficient list of one coordinate up to degree order;
+    terms beyond order are never read."""
+    out = [ZERO] * (min(order, b.terms[-1][0]) + 1)
+    for exp, vec in b.terms:
+        if exp > order:
+            break
+        out[exp] = vec[index]
+    return _trim(out)
 
 
-def _sylvester_det(a: list[list[GR]], b: list[list[GR]], t_value: GR) -> GR:
-    """det of the Sylvester matrix of a(s), b(s) with t-polynomial entries
-    evaluated at t = t_value."""
-
-    def eval_entry(poly: list[GR]) -> GR:
-        acc = ZERO
-        power = ONE
-        for coeff in poly:
-            acc = acc + coeff * power
-            power = power * t_value
-        return acc
-
-    am = [eval_entry(poly) for poly in a]
-    bm = [eval_entry(poly) for poly in b]
-    m = len(am) - 1
-    n = len(bm) - 1
-    size = m + n
-    if size == 0:
-        return ONE
-    rows: list[list[GR]] = []
-    for shift in range(n):
-        row = [ZERO] * size
-        for i, coeff in enumerate(reversed(am)):
-            row[shift + i] = coeff
-        rows.append(row)
-    for shift in range(m):
-        row = [ZERO] * size
-        for i, coeff in enumerate(reversed(bm)):
-            row[shift + i] = coeff
-        rows.append(row)
-    return _determinant(rows)
-
-
-def _interpolate_ord(values: list[GR], points: list[GR]) -> int | None:
-    """Order of vanishing at 0 of the polynomial through (points, values)."""
-    # Newton divided differences, then expand to monomial coefficients.
-    n = len(points)
-    coeffs = values[:]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            denom = points[i] - points[i - level]
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) * denom.inverse()
-    poly: list[GR] = []
-    for i in reversed(range(n)):
-        poly = _mul_trunc(poly, [-points[i], ONE], n) if poly else []
-        poly = _add(poly, [coeffs[i]])
-    return _ord(poly)
-
-
-def intersection_multiplicity_resultant(b1: Branch, b2: Branch) -> int:
-    """ord_t of Res_s(x2(s) - x1(t), y2(s) - y1(t)), exactly.
-
-    The resultant in s is evaluated at enough rational t-values to determine
-    it as a polynomial in t by interpolation; every determinant is computed
-    over the Gaussian rationals.
-    """
-    if b1.ambient_dim != 2 or b2.ambient_dim != 2:
-        raise InvalidBranch("intersection multiplicity needs plane branches")
-
-    x1, y1 = b1.coordinate_series(0), b1.coordinate_series(1)
-    x2, y2 = b2.coordinate_series(0), b2.coordinate_series(1)
-
-    # a(s) = x2(s) - x1(t): s-polynomial whose entries are t-polynomials
-    def build(coeffs_s: list[GR], minus_t_poly: list[GR]) -> list[list[GR]]:
-        poly = [[c] if not c.is_zero() else [] for c in coeffs_s]
-        const = _neg(minus_t_poly)
-        poly[0] = _add(poly[0], const)
-        while len(poly) > 1 and not _trim(list(poly[-1])):
-            poly.pop()
-        return [list(entry) for entry in poly]
-
-    a = build(x2, x1)
-    b = build(y2, y1)
-
-    deg_s_a = len(a) - 1
-    deg_s_b = len(b) - 1
-    if deg_s_a == 0 and deg_s_b == 0:
-        raise InvalidBranch("second branch is constant")
-    deg_t = max((len(e) - 1 for e in a + b if e), default=0)
-    bound = deg_s_a * deg_t + deg_s_b * deg_t + 1
-
-    points: list[GR] = []
-    value = 0
-    while len(points) < bound + 1:
-        points.append(GR.of(value))
-        value = -value if value > 0 else -value + 1
-    values = [_sylvester_det(a, b, pt) for pt in points]
-    nu = _interpolate_ord(values, points)
-    if nu is None:
-        raise IndeterminateWithinTruncation(
-            "resultant vanishes identically within truncation"
-        )
-    if nu > min(b1.truncation_order, b2.truncation_order):
-        raise IndeterminateWithinTruncation(
-            f"valuation {nu} exceeds the trusted truncation order"
-        )
-    return nu
-
-
-def _graph_series(b: Branch, over: int) -> list[GR] | None:
+def _graph_series(b: Branch, over: int, order: int) -> list[GR] | None:
     """If coordinate ``over`` of b has order 1, return the other coordinate
-    as a series in it (graph form); otherwise None."""
-    base = b.coordinate_series(over)
+    as a series in it up to degree order (graph form); otherwise None."""
+    base = _dense(b, over, order)
     if _ord(base) != 1:
         return None
-    other = b.coordinate_series(1 - over)
-    inverse = _series_inverse(base, b.truncation_order)
-    return _compose_trunc(other, inverse, b.truncation_order)
+    inverse = _series_inverse(base, order)
+    return _compose_trunc(_dense(b, 1 - over, order), inverse, order)
 
 
 def intersection_multiplicity_substitution(b1: Branch, b2: Branch) -> int:
     """Valuation path: write one branch as a graph, substitute the other.
 
     Needs one of the branches to be smooth and a graph over a coordinate
-    axis; raises ValueError otherwise.
+    axis; raises ValueError otherwise.  Every series is cut at
+    min(T1, T2); a valuation beyond it raises IndeterminateWithinTruncation.
     """
     if b1.ambient_dim != 2 or b2.ambient_dim != 2:
         raise InvalidBranch("intersection multiplicity needs plane branches")
     order = min(b1.truncation_order, b2.truncation_order)
     for graph_branch, probe in ((b2, b1), (b1, b2)):
         for over in (0, 1):
-            g = _graph_series(graph_branch, over)
+            g = _graph_series(graph_branch, over, order)
             if g is None:
                 continue
-            base = probe.coordinate_series(over)
-            other = probe.coordinate_series(1 - over)
-            diff = _add(other, _neg(_compose_trunc(g, base, order)))
-            nu = _ord(diff[: order + 1])
+            base = _dense(probe, over, order)
+            other = _dense(probe, 1 - over, order)
+            nu = _ord(_add(other, _neg(_compose_trunc(g, base, order))))
             if nu is None:
                 raise IndeterminateWithinTruncation(
                     "branches agree up to truncation"
@@ -552,11 +459,304 @@ def intersection_multiplicity_substitution(b1: Branch, b2: Branch) -> int:
     raise ValueError("substitution path needs a smooth graph branch")
 
 
-def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
-    """Local intersection multiplicity of two distinct plane branch germs.
+# ---------------------------------------------------------------------------
+# intersection multiplicity: the local norm
+# ---------------------------------------------------------------------------
 
-    Computed by the exact resultant; equals 1 exactly for transversal smooth
-    pairs.  Raises IndeterminateWithinTruncation when the stored jets cannot
-    separate the branches.
+class _Series:
+    """Power series over Q(i) modulo t^prec, held as Gaussian-integer
+    numerators ``re[k] + i*im[k]`` over one positive common denominator,
+    so that products run on Python ints."""
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re: list[int], im: list[int], den: int = 1) -> None:
+        g = gcd(den, *re, *im) if den > 1 else 1
+        if g > 1:
+            re = [v // g for v in re]
+            im = [v // g for v in im]
+            den //= g
+        self.re, self.im, self.den = re, im, den
+
+    @classmethod
+    def zero(cls, prec: int) -> "_Series":
+        return cls([0] * prec, [0] * prec)
+
+    @classmethod
+    def of(cls, terms: Mapping[int, GR], prec: int) -> "_Series":
+        """sum of c * t^e over the terms with e < prec."""
+        parts = [(exp, _gauss_ints(c)) for exp, c in terms.items() if exp < prec]
+        den = lcm(*(d for _, (_, _, d) in parts))
+        re, im = [0] * prec, [0] * prec
+        for exp, (p, q, d) in parts:
+            re[exp], im[exp] = p * (den // d), q * (den // d)
+        return cls(re, im, den)
+
+    def __bool__(self) -> bool:
+        return any(self.re) or any(self.im)
+
+    def ord(self) -> int | None:
+        for k, (r, i) in enumerate(zip(self.re, self.im)):
+            if r or i:
+                return k
+        return None
+
+    def scaled(self, c: GR) -> "_Series":
+        p, q, d = _gauss_ints(c)
+        return _Series(
+            [r * p - i * q for r, i in zip(self.re, self.im)],
+            [r * q + i * p for r, i in zip(self.re, self.im)],
+            self.den * d,
+        )
+
+    def divided(self, k: int) -> "_Series":
+        return _Series(self.re, self.im, self.den * k)
+
+    def __add__(self, other: "_Series") -> "_Series":
+        if not other:
+            return self
+        if not self:
+            return other
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        return _Series(
+            [a * f + b * g for a, b in zip(self.re, other.re)],
+            [a * f + b * g for a, b in zip(self.im, other.im)],
+            den,
+        )
+
+    def __neg__(self) -> "_Series":
+        return _Series([-v for v in self.re], [-v for v in self.im], self.den)
+
+    def __sub__(self, other: "_Series") -> "_Series":
+        return self + (-other)
+
+    def __mul__(self, other: "_Series") -> "_Series":
+        prec = len(self.re)
+        re, im = [0] * prec, [0] * prec
+        support = [
+            (j, br, bi) for j, (br, bi) in enumerate(zip(other.re, other.im)) if br or bi
+        ]
+        for i, (ar, ai) in enumerate(zip(self.re, self.im)):
+            if not (ar or ai):
+                continue
+            for j, br, bi in support:
+                k = i + j
+                if k >= prec:
+                    break
+                re[k] += ar * br - ai * bi
+                im[k] += ar * bi + ai * br
+        return _Series(re, im, self.den * other.den)
+
+
+def _gauss_ints(c: GR) -> tuple[int, int, int]:
+    """c = (p + q*i) / d with integers p, q and d > 0."""
+    d = lcm(c.re.denominator, c.im.denominator)
+    return (
+        c.re.numerator * (d // c.re.denominator),
+        c.im.numerator * (d // c.im.denominator),
+        d,
+    )
+
+
+def _plane_terms(b: Branch) -> tuple[dict[int, GR], dict[int, GR]]:
+    """The nonzero coefficients of the two coordinates, by exponent."""
+    return tuple(
+        {exp: vec[i] for exp, vec in b.terms if not vec[i].is_zero()} for i in (0, 1)
+    )
+
+
+def _ring_key(b: Branch):
+    """Order-independent choice of the branch that supplies the ring: the
+    smaller multiplicity, then the shorter jet, then the terms."""
+    return (
+        multiplicity(b),
+        b.truncation_order,
+        tuple((exp, tuple((c.re, c.im) for c in vec)) for exp, vec in b.terms),
+    )
+
+
+def _reparametrised(
+    x: Mapping[int, GR], y: Mapping[int, GR], n: int, top: int
+) -> dict[int, GR]:
+    """Coefficients up to sigma^top of y(s(sigma)), where
+    sigma = s * (x(s) / (c s^n))^(1/n), so that x = c * sigma^n exactly.
+
+    Lagrange inversion gives [sigma^k] y(s(sigma)) = (1/k) [s^(k-1)] y'(s)
+    phi_k(s) with phi_k = g^(-k/n), g = x / (c s^n) = 1 + g_1 s + ...; each
+    phi_k comes from J.C.P. Miller's recurrence for a power of a unit
+    series, j f_j = sum_i ((1 - k/n) i - j) g_i f_(j-i).  With s = L u, where
+    L clears the denominators of g, and H_j = (n^2 L)^j f_j, the recurrence
+    runs on Gaussian integers: the binomial coefficients of -k/n have
+    denominators dividing n^(2j), so each division by j is exact.
     """
-    return intersection_multiplicity_resultant(b1, b2)
+    if len(x) == 1:
+        return {exp: c for exp, c in y.items() if exp <= top}
+    inv_c = x[n].inverse()
+    g = {exp - n: c * inv_c for exp, c in x.items() if 0 < exp - n < top}
+    scale = lcm(*(_gauss_ints(c)[2] for c in g.values()))
+    units = {}  # n^(2i-1) g_i L^i, a Gaussian integer
+    for i, c in g.items():
+        p, q, _ = _gauss_ints(c * scale ** i)
+        units[i] = (p * n ** (2 * i - 1), q * n ** (2 * i - 1))
+    low = min(y, default=top + 1)
+    out: dict[int, GR] = {}
+    for k in range(low, top + 1):
+        h = [(1, 0)]
+        for j in range(1, k - low + 1):
+            re = im = 0
+            for i, (gr, gi) in units.items():
+                if i <= j:
+                    w = (n - k) * i - n * j
+                    hr, hi = h[j - i]
+                    re += w * (gr * hr - gi * hi)
+                    im += w * (gr * hi + gi * hr)
+            h.append((re // j, im // j))
+        acc = ZERO
+        for q, c in y.items():
+            if q <= k:
+                hr, hi = h[k - q]
+                den = (n * n * scale) ** (k - q)
+                acc = acc + c * q * GR(Fraction(hr, den), Fraction(hi, den))
+        if not acc.is_zero():
+            out[k] = acc * Fraction(1, k)
+    return out
+
+
+def _ring_mul(u: list[_Series], w: list[_Series], a: _Series) -> list[_Series]:
+    """Product in Q(i)[[t]][sigma] / (sigma^n - a), elements given by their
+    coefficients of 1, sigma, ..., sigma^(n-1)."""
+    n = len(u)
+    zero = _Series.zero(len(a.re))
+    low, high = [zero] * n, [zero] * n
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, wj in enumerate(w):
+            if not wj:
+                continue
+            if i + j < n:
+                low[i + j] = low[i + j] + ui * wj
+            else:
+                high[i + j - n] = high[i + j - n] + ui * wj
+    return [low[r] + a * high[r] for r in range(n)]
+
+
+def _conjugate_symmetric_functions(
+    x1: Mapping[int, GR],
+    y1: Mapping[int, GR],
+    y2: Mapping[int, GR],
+    n: int,
+    c: GR,
+    prec: int,
+) -> list[_Series]:
+    """e_0, ..., e_n modulo t^prec of the n conjugates of y2(sigma) - y1(t)
+    in Q(i)[[t]][sigma] / (sigma^n - x1(t)/c), the coefficients of the
+    characteristic polynomial of multiplication by y2(sigma) - y1(t)."""
+    a = _Series.of(x1, prec).scaled(c.inverse())
+    one = _Series.of({0: ONE}, prec)
+    g = [_Series.zero(prec)] * n
+    a_power, j = one, 0
+    while a_power:
+        for r in range(n):
+            coeff = y2.get(r + j * n)
+            if coeff is not None:
+                g[r] = g[r] + a_power.scaled(coeff)
+        a_power, j = a_power * a, j + 1
+    g[0] = g[0] - _Series.of(y1, prec)
+    # power sums p_k = trace(g^k) = n * (g^k)_0, then Newton's identities
+    sums, power = [], g
+    for k in range(1, n + 1):
+        if k > 1:
+            power = _ring_mul(power, g, a)
+        sums.append(power[0].scaled(GR.of(n)))
+    e = [one]
+    for k in range(1, n + 1):
+        acc = _Series.zero(prec)
+        for i in range(1, k + 1):
+            term = e[k - i] * sums[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc.divided(k))
+    return e
+
+
+# Working precision ceiling of the local norm, in powers of t: a contact
+# that the stored jets determine but that lies beyond it is refused.
+_MAX_PRECISION = 128
+
+
+def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
+    """Local intersection multiplicity of two plane branch germs, as ord_t of
+    the local norm (Wall, *Singular Points of Plane Curves*, ch. 2-4).
+
+    The branch of smaller multiplicity n (ties broken by :func:`_ring_key`,
+    so I(b1, b2) = I(b2, b1) including refusals) supplies the ring: its
+    coordinates are swapped if that lowers n, and it is reparametrised
+    exactly to (c sigma^n, y2(sigma)).  I is then ord_t of the norm of
+    y2(sigma) - y1(t) from Q(i)[[t]][sigma] / (sigma^n - x1(t)/c), the
+    product of the n conjugate factors y2(sigma_zeta) - y1(t).
+
+    The answer is returned only when the stored jets determine it: the
+    Newton polygon of the characteristic polynomial gives every factor's
+    valuation v, and each must satisfy v < T1 + 1 (a tail of the other
+    branch) and v < (T2 + 1) m / n (a tail of the ring branch, with
+    m = ord x1).  Otherwise IndeterminateWithinTruncation is raised, as it
+    is for identical jets.  The working precision starts just above the
+    valuation the leading terms give and doubles up to what these bounds
+    need (at most ``_MAX_PRECISION``), so terms beyond it are never read.
+    """
+    if b1.ambient_dim != 2 or b2.ambient_dim != 2:
+        raise InvalidBranch("intersection multiplicity needs plane branches")
+    if b1.terms == b2.terms:
+        raise IndeterminateWithinTruncation("the two jets are identical")
+    ring, other = sorted((b1, b2), key=_ring_key)
+    x2, y2 = _plane_terms(ring)
+    x1, y1 = _plane_terms(other)
+    if not x2 or (y2 and min(y2) < min(x2)):
+        x1, y1, x2, y2 = y1, x1, y2, x2
+    n = min(x2)
+    t1, t2 = other.truncation_order, ring.truncation_order
+    # sigma_zeta has valuation m/n; an x1 that vanishes in the jet has
+    # ord x1 >= T1 + 1 in every completion
+    m = min(x1) if x1 else t1 + 1
+    # beyond n * min(T1 + 1, (T2 + 1) m / n) some factor is undetermined;
+    # beyond E1 * E2 (Bezout on the polynomial jets) the norm of the jets
+    # vanishes identically
+    cap = min(n * (t1 + 1), (t2 + 1) * m, other.terms[-1][0] * ring.terms[-1][0] + 1)
+    # each factor has valuation >= min(q m / n, p), q = ord y2, p = ord y1,
+    # with equality unless the leading terms cancel: start just above it
+    guess = [cap - 1]
+    if y2:
+        guess.append(min(y2) * m)
+    if y1:
+        guess.append(n * min(y1))
+    prec = min(guess) + 1
+    while True:
+        top = n * ((prec - 1) // m + 1) - 1
+        e = _conjugate_symmetric_functions(
+            x1, y1, _reparametrised(x2, y2, n, top), n, x2[n], prec
+        )
+        total = e[n].ord()
+        if total is not None:
+            break
+        if prec >= cap:
+            raise IndeterminateWithinTruncation(
+                f"the local norm vanishes to order {prec}: the branches agree "
+                "beyond what the stored jets determine"
+            )
+        if prec >= _MAX_PRECISION:
+            raise IndeterminateWithinTruncation(
+                f"the local norm vanishes to order {prec}, the working precision"
+            )
+        prec = min(2 * prec, cap, _MAX_PRECISION)
+    for k in range(n):
+        low = e[k].ord()
+        if low is None:
+            continue
+        rise, width = total - low, n - k
+        if rise >= width * (t1 + 1) or rise * n >= width * (t2 + 1) * m:
+            raise IndeterminateWithinTruncation(
+                f"a conjugate factor has valuation {Fraction(rise, width)}, which a "
+                f"tail beyond truncation orders {t1}, {t2} can change"
+            )
+    return total

@@ -97,6 +97,10 @@ ANCHOR_VOLUME = "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dthe
 ANCHOR_GLUING = "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"
 ANCHOR_DECAY = "e_k <= C(e^{-2k} E_head + e^{-2(l-k)} E_tail), high modes <= 1/cosh 4"
 ANCHOR_ROUNDTRIP = "cusp type of monomial model = original type; jet constraints"
+ANCHOR_INTERSECTION = (
+    "I(b1, b2) = I(b2, b1); graph: ord_t(y(t) - g(x(t))); "
+    "(t^a, t^b), (s^c, s^d) coprime: min(a*d, b*c)"
+)
 
 
 def suite_saddle(seed: int = 0, cases: int = 50) -> VerificationCertificate:
@@ -307,6 +311,58 @@ def suite_roundtrip(seed: int = 0, max_p_last: int = 30) -> VerificationCertific
     return cert.finalize()
 
 
+def suite_intersection(seed: int = 0) -> VerificationCertificate:
+    """Local norm against the substitution path on graph pairs and against
+    the closed form on coprime monomial pairs, both ways round.  Every case
+    is built so that its stored jets determine I."""
+    cert = VerificationCertificate("intersection", seed=seed)
+    rng = _rng(seed, "intersection")
+    truncation = 5
+    for case in range(3):
+        # graph y = g(x) and the probe (c t^mu, g(c t^mu) + e t^k): I = k
+        g = {j: _random_gaussian(rng) for j in range(1, truncation + 1)}
+        mu = rng.randint(1, 2)
+        c = _random_gaussian(rng, nonzero=True)
+        k = rng.randint(mu, truncation)
+        y = {mu * j: coeff * c ** j for j, coeff in g.items() if mu * j <= truncation}
+        y[k] = y.get(k, GaussianRational()) + _random_gaussian(rng, nonzero=True)
+        graph = branches.Branch.from_coordinates([{1: 1}, g], truncation)
+        probe = branches.Branch.from_coordinates([{mu: c}, y], truncation)
+        norm = branches.intersection_multiplicity(graph, probe)
+        key = f"graph case={case} mu={mu} k={k}"
+        cert.check(key, k, norm, ANCHOR_INTERSECTION)
+        cert.check(
+            key + " substitution",
+            branches.intersection_multiplicity_substitution(graph, probe),
+            norm,
+            ANCHOR_INTERSECTION,
+        )
+        cert.check(
+            key + " symmetry",
+            norm,
+            branches.intersection_multiplicity(probe, graph),
+            ANCHOR_INTERSECTION,
+        )
+    coprime = [(p, q) for p in range(2, 5) for q in range(p + 1, 2 * p + 2)
+               if math.gcd(p, q) == 1]
+    for case in range(3):
+        (a, b), (c, d) = rng.choice(coprime), rng.choice(coprime)
+        if (a, b) == (c, d):
+            c, d = d, d + 1  # coprime, and now a different type
+        b1 = branches.branch_from_cusp_type(cusps.CuspType((a, b)))
+        b2 = branches.branch_from_cusp_type(cusps.CuspType((c, d)))
+        norm = branches.intersection_multiplicity(b1, b2)
+        key = f"monomial case={case} ({a},{b}) ({c},{d})"
+        cert.check(key, min(a * d, b * c), norm, ANCHOR_INTERSECTION)
+        cert.check(
+            key + " symmetry",
+            norm,
+            branches.intersection_multiplicity(b2, b1),
+            ANCHOR_INTERSECTION,
+        )
+    return cert.finalize()
+
+
 SUITES: dict[str, Callable[..., VerificationCertificate]] = {
     "saddle": suite_saddle,
     "delta": suite_delta,
@@ -318,6 +374,7 @@ SUITES: dict[str, Callable[..., VerificationCertificate]] = {
     "gluing": suite_gluing,
     "decay": suite_decay,
     "roundtrip": suite_roundtrip,
+    "intersection": suite_intersection,
 }
 
 

@@ -1,11 +1,13 @@
 """Branch invariants: extraction, normal forms, intersections."""
 
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudocurve import branches, cusps
@@ -357,7 +359,7 @@ def test_both_paths_agree():
         (mk({3: 1}, {4: 1}, 10), X_AXIS),
     ]
     for b1, b2 in pairs:
-        res = branches.intersection_multiplicity_resultant(b1, b2)
+        res = branches.intersection_multiplicity(b1, b2)
         sub = branches.intersection_multiplicity_substitution(b1, b2)
         assert res == sub
 
@@ -422,3 +424,272 @@ def test_high_contact_beyond_truncation_is_indeterminate():
     b2 = mk({1: 1}, {2: 1, 9: 1}, 9)
     with pytest.raises(IndeterminateWithinTruncation):
         branches.intersection_multiplicity(b1, b2)
+
+
+def test_asymmetric_pair_is_local():
+    # the polynomial jet of b passes through the origin again at s = -1; the
+    # local norm does not count that point, whichever argument comes first
+    b = mk({1: 1, 2: 1}, {2: 1, 3: 1}, 3)
+    y_axis = mk({}, {1: 1}, 3)
+    assert branches.intersection_multiplicity(b, y_axis) == 1
+    assert branches.intersection_multiplicity(y_axis, b) == 1
+    assert branches.intersection_multiplicity_substitution(b, y_axis) == 1
+
+
+# Quasi-homogeneous pairs ((a, b), (c, d), T) of the exact_scaling benchmark;
+# the last three were refused by the old valuation-bound trust rule.
+@pytest.mark.parametrize(
+    "ab,cd,t",
+    [
+        ((2, 3), (3, 4), 9),
+        ((2, 3), (2, 5), 6),
+        ((2, 5), (3, 4), 9),
+        ((2, 3), (3, 4), 5),
+        ((3, 5), (4, 7), 9),
+        ((2, 7), (3, 5), 9),
+    ],
+)
+def test_monomial_pairs_answer(ab, cd, t):
+    (a, b), (c, d) = ab, cd
+    b1, b2 = mk({a: 1}, {b: 1}, t), mk({c: 1}, {d: 1}, t)
+    assert branches.intersection_multiplicity(b1, b2) == min(a * d, b * c)
+    assert branches.intersection_multiplicity(b2, b1) == min(a * d, b * c)
+
+
+def test_each_conjugate_factor_is_checked():
+    # (t^2, t^3) against (s^3, s^4): three factors of valuation 8/3 each,
+    # and the first unknown tail enters at t^4
+    cusp = branches.branch_from_cusp_type(CuspType((2, 3)))
+    other = branches.branch_from_cusp_type(CuspType((3, 4)))
+    assert branches.intersection_multiplicity(cusp, other) == 8
+    # a factor of valuation 4 = T1 + 1 is not determined: the tail of the
+    # graph can cancel its leading term
+    graph = mk({1: 1}, {2: 1, 4: 1}, 9)
+    with pytest.raises(IndeterminateWithinTruncation):
+        branches.intersection_multiplicity(mk({1: 1}, {2: 1}, 3), graph)
+    assert branches.intersection_multiplicity(mk({1: 1}, {2: 1}, 4), graph) == 4
+    # factors of valuation 4 and 3 against (s^2, s^3): the total 7 is below
+    # 2 * (T + 1), but the s^4 tail of the ring branch reaches the first one
+    cusp4 = mk({2: 1}, {3: 1, 4: 1}, 4)
+    for t, expected in ((3, None), (4, 7)):
+        for pair in ((mk({2: 1}, {3: 1}, t), cusp4), (cusp4, mk({2: 1}, {3: 1}, t))):
+            if expected is None:
+                with pytest.raises(IndeterminateWithinTruncation):
+                    branches.intersection_multiplicity(*pair)
+            else:
+                assert branches.intersection_multiplicity(*pair) == expected
+    # (t^4 + t^5, t^6 + 3/2 t^7) against (s^2, s^3): factors of valuation 8
+    # and 6; the first needs y1 beyond t^7
+    quartic = {4: 1, 5: 1}, {6: 1, 7: Fraction(3, 2)}
+    ring = mk({2: 1}, {3: 1}, 20)
+    with pytest.raises(IndeterminateWithinTruncation):
+        branches.intersection_multiplicity(mk(*quartic, 7), ring)
+    assert branches.intersection_multiplicity(mk(*quartic, 8), ring) == 14
+
+
+def test_coordinates_follow_the_multiplicity():
+    # (s^3, s^2) has multiplicity 2 in y; in x, the tail of x1 = t^3 + ...
+    # would reach the factor of valuation 4 of the jet (t^3, t^2 + t^4)
+    jet = mk({3: 1}, {2: 1, 4: 1}, 4)
+    with pytest.raises(IndeterminateWithinTruncation):
+        branches.intersection_multiplicity(jet, mk({3: 1}, {2: 1}, 20))
+    ring = mk({3: 1}, {2: 1}, 10**6)
+    assert branches.intersection_multiplicity(mk({3: 1}, {2: 1, 4: 1}, 10**6), ring) == 8
+    tailed = mk({3: 1, 5: Fraction(3, 2)}, {2: 1, 4: 1}, 10**6)
+    assert branches.intersection_multiplicity(tailed, ring) == 10
+
+
+def test_ring_branch_is_reparametrised():
+    # x = s + s^2 is not a monomial: the ring comes from s -> sigma(s); the
+    # parabola (s + s^2, (s + s^2)^2 + s^5) meets y = x^2 with contact 5
+    parabola = mk({1: 1}, {2: 1}, 9)
+    b = mk({1: 1, 2: 1}, {2: 1, 3: 2, 4: 1, 5: 1}, 9)
+    assert branches.intersection_multiplicity(parabola, b) == 5
+    assert branches.intersection_multiplicity(b, parabola) == 5
+    assert branches.intersection_multiplicity_substitution(parabola, b) == 5
+
+
+def test_series_inverse_composes_to_identity():
+    f = [GR.of(0), GR.of(2), GR.of(-1), GR.of("1/3"), GR.of(0, 1)]
+    inverse = branches._series_inverse(f, 8)
+    assert branches._compose_trunc(f, inverse, 8) == [GR.of(0), GR.of(1)]
+    assert branches._compose_trunc(inverse, f, 8) == [GR.of(0), GR.of(1)]
+
+
+def test_substitution_reads_only_min_truncation():
+    start = time.perf_counter()
+    b1 = mk({1: 1}, {2: 1}, 10**6)
+    b2 = mk({1: 1}, {3: 1}, 8)
+    assert branches.intersection_multiplicity_substitution(b1, b2) == 2
+    assert branches.intersection_multiplicity(b1, b2) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_stored_exponent_is_never_read():
+    start = time.perf_counter()
+    b = mk({2: 1}, {3: 1, 10**12: 1}, 10**12)
+    other = branches.branch_from_cusp_type(CuspType((2, 5)))
+    assert branches.intersection_multiplicity(b, other) == 6
+    assert branches.intersection_multiplicity(other, b) == 6
+    # identical jets with a huge stored exponent are refused, not expanded
+    with pytest.raises(IndeterminateWithinTruncation):
+        branches.intersection_multiplicity(b, b)
+    assert time.perf_counter() - start < 1.0
+
+
+# random plane branches: small multiplicity, exponents <= 9, T <= 10, and
+# coefficients of the size the verify suites draw
+_small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+small_gaussians = st.builds(GR.of, _small, _small)
+_plane_vectors = st.tuples(small_gaussians, small_gaussians).filter(any)
+
+
+@st.composite
+def plane_branches(draw, max_mult=3):
+    mult = draw(st.integers(1, max_mult))
+    exps = sorted({mult} | draw(st.sets(st.integers(mult + 1, 9), max_size=4)))
+    terms = tuple((e, draw(_plane_vectors)) for e in exps)
+    return Branch(2, terms, exps[-1] + draw(st.integers(0, 1)))
+
+
+def _norm(b1, b2):
+    try:
+        return branches.intersection_multiplicity(b1, b2)
+    except IndeterminateWithinTruncation:
+        return None
+
+
+@st.composite
+def plane_pairs(draw):
+    """Independent pairs, and pairs that agree to a random order."""
+    b1 = draw(plane_branches())
+    if draw(st.booleans()):
+        return b1, draw(plane_branches())
+    t2 = max(1, b1.truncation_order + draw(st.integers(-1, 2)))
+    k = draw(st.integers(1, t2))
+    coords = [{e: v[i] for e, v in b1.terms if e <= t2} for i in (0, 1)]
+    coords[1][k] = coords[1].get(k, GR.of(0)) + draw(small_gaussians.filter(bool))
+    coords[1] = {e: c for e, c in coords[1].items() if c}
+    assume(coords[0] or coords[1])
+    return b1, Branch.from_coordinates(coords, t2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plane_pairs())
+def test_symmetry_including_refusals(pair):
+    b1, b2 = pair
+    assert _norm(b1, b2) == _norm(b2, b1)
+
+
+def _with_tail(draw, b, extra):
+    coords = [{e: v[i] for e, v in b.terms} for i in (0, 1)]
+    top = b.truncation_order + extra
+    for e in range(b.truncation_order + 1, top + 1):
+        for i in (0, 1):
+            if draw(st.booleans()):
+                coords[i][e] = draw(small_gaussians)
+    return Branch.from_coordinates(coords, top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plane_pairs(), st.data())
+def test_tails_never_change_a_returned_answer(pair, data):
+    b1, b2 = pair
+    answer = _norm(b1, b2)
+    if answer is None:
+        return
+    for _ in range(2):
+        longer1 = _with_tail(data.draw, b1, data.draw(st.integers(0, 4)))
+        longer2 = _with_tail(data.draw, b2, data.draw(st.integers(0, 4)))
+        assert _norm(longer1, longer2) == answer
+    # the jets themselves, trusted to any order (tails of zeros)
+    assert _norm(Branch(2, b1.terms, 10**9), Branch(2, b2.terms, 10**9)) == answer
+
+
+@st.composite
+def graph_pairs(draw):
+    """A smooth graph branch over the x-axis and a probe branch."""
+    t = draw(st.integers(3, 8))
+    x = {1: draw(small_gaussians.filter(bool))}
+    x.update({e: draw(small_gaussians) for e in range(2, draw(st.integers(1, 3)) + 1)})
+    y = {e: draw(small_gaussians) for e in range(1, t + 1)}
+    graph = Branch.from_coordinates([x, y], t)
+    probe = draw(plane_branches())
+    return (graph, probe) if draw(st.booleans()) else (probe, graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_pairs())
+def test_norm_equals_substitution_on_graph_pairs(pair):
+    try:
+        expected = branches.intersection_multiplicity_substitution(*pair)
+    except IndeterminateWithinTruncation:
+        expected = None
+    norm = _norm(*pair)
+    # the substitution path cuts every series at min(T1, T2), so the norm
+    # answers at least whenever it does, and then with the same value
+    if expected is not None:
+        assert norm == expected
+    if norm is None:
+        assert expected is None
+
+
+_coprime_types = st.tuples(st.integers(1, 7), st.integers(2, 13)).filter(
+    lambda ab: ab[0] < ab[1] and math.gcd(*ab) == 1
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coprime_types, _coprime_types, st.integers(0, 3), st.integers(0, 3))
+def test_norm_of_coprime_monomial_pairs(ab, cd, extra1, extra2):
+    (a, b), (c, d) = ab, cd
+    b1 = mk({a: 1}, {b: 1}, b + extra1)
+    b2 = mk({c: 1}, {d: 1}, d + extra2)
+    if ab == cd:
+        with pytest.raises(IndeterminateWithinTruncation):
+            branches.intersection_multiplicity(b1, b2)
+        return
+    assert branches.intersection_multiplicity(b1, b2) == min(a * d, b * c)
+    assert branches.intersection_multiplicity(b2, b1) == min(a * d, b * c)
+
+
+def _compose_poly(p, s):
+    """p(s(t)) for exact polynomials given as {exponent: coefficient}."""
+    out, power = {}, {0: GR.of(1)}
+    for k in range(max(p, default=0) + 1):
+        if k:
+            power = _poly_mul(power, s)
+        if k in p:
+            for e, v in power.items():
+                out[e] = out.get(e, GR.of(0)) + p[k] * v
+    return {e: v for e, v in out.items() if v}
+
+
+def _poly_mul(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, GR.of(0)) + x * y
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane_pairs(), st.data())
+def test_invariant_under_reparametrisation_and_linear_change(pair, data):
+    exact = [Branch(2, b.terms, 10**9) for b in pair]
+    answer = _norm(*exact)
+    assume(answer is not None)  # the jets meet with finite multiplicity
+    m = [[data.draw(small_gaussians) for _ in range(2)] for _ in range(2)]
+    if (m[0][0] * m[1][1] - m[0][1] * m[1][0]).is_zero():
+        m = [[GR.of(0), GR.of(1)], [GR.of(1), GR.of(0)]]
+    moved = []
+    for b in exact:
+        r = {1: data.draw(small_gaussians.filter(bool)), 2: data.draw(small_gaussians)}
+        x, y = (_compose_poly({e: v[i] for e, v in b.terms}, r) for i in (0, 1))
+        coords = [
+            {e: m[i][0] * x.get(e, GR.of(0)) + m[i][1] * y.get(e, GR.of(0))
+             for e in set(x) | set(y)}
+            for i in (0, 1)
+        ]
+        moved.append(Branch.from_coordinates(coords, 10**9))
+    assert _norm(*moved) == answer

@@ -414,3 +414,92 @@ def test_zero_case_certificate_fails():
     assert cert.cases_run == 0
     assert not cert.passed
     assert verify.VerificationCertificate("empty").passed is False
+
+
+def test_branch_monomial_pair_intersection(capsys):
+    code, payload, _ = run_json(["branch", "--type", "2,3", "--other-type", "3,4"], capsys)
+    assert code == 0
+    assert payload["intersection_multiplicity"] == 8  # min(2*4, 3*3)
+
+
+def test_branch_file_huge_stored_exponent(tmp_path, capsys):
+    # (t^2, t^3 + t^(10^12)): the norm reads y only below the precision it needs
+    branch_file = tmp_path / "branch.json"
+    terms = _CUSP + [{"exp": 10**12, "coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]]}]
+    branch_file.write_text(
+        json.dumps({"ambient_dim": 2, "truncation_order": 10**12, "terms": terms})
+    )
+    start = time.perf_counter()
+    code, payload, err = run_json(
+        ["branch", "--file", str(branch_file), "--other-type", "2,5"], capsys
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert payload["intersection_multiplicity"] == 6
+
+
+# Arbitrary argv: subcommands with their flags, and small, malformed or
+# missing values.  Degrees, grids and case counts stay small; verify always
+# names one suite (never "all") and a case count.
+_ARG_VALUES = [
+    "", "x", "-1", "0", "1", "2", "3", "1/0", "2,3", "3,4", "4,6,7", "0,1", "2,",
+    "0.1", "0.3-0.1i", "1+2i", "nan", "inf", "1e400", "1:1,0;2:0,1", "1:x", ";",
+    "volume", "gluing", "radius", "metric", "2,-1,0",
+]
+_FLAGS = {  # required flags first
+    "cusp": (["--type"], ["--n"]),
+    "index": (["--mu", "--genus"], ["--n", "--marked", "--k-total", "--h1", "--complex"]),
+    "saddle": (["--k", "--l", "--poly"], ["--nu"]),
+    "node": (["--lambda"], ["--check", "--grid", "--z"]),
+    "decay": (["--modes"], ["--length", "--k"]),
+    "branch": ([], ["--type", "--file", "--other-type", "--other-file"]),
+    "feasibility": (["--cp2-degree"], ["--all-splittings"]),
+    "verify": ([], ["--seed"]),
+}
+_SWITCHES = {"--complex", "--all-splittings", "--json"}
+_CHEAP_SUITES = ["cosh", "feasibility", "genus", "index", "intersection", "decay", "nope"]
+_values = st.sampled_from(_ARG_VALUES + ["@branch", "@bad", "@missing"])
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS) + ["bogus", "--version"]))
+    required, optional = _FLAGS.get(command, ([], []))
+    flags = required + draw(st.lists(st.sampled_from(optional + ["--json"]), max_size=4))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag not in _SWITCHES:
+            argv.append(draw(_values))
+    if command == "verify":
+        argv += ["--suite", draw(st.sampled_from(_CHEAP_SUITES)),
+                 "--cases", draw(st.sampled_from(["1", "2", "0", "x"]))]
+    tweak = draw(st.sampled_from(["none"] * 8 + ["help", "drop"]))
+    if tweak == "help":
+        argv.insert(draw(st.integers(1, len(argv))), "--help")
+    elif tweak == "drop" and len(argv) > 1:
+        argv.pop()  # a flag whose value is missing, or a dropped switch
+    return argv
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_argvs())
+def test_main_never_raises_on_arbitrary_argv(tmp_path, capsys, argv):
+    files = {
+        "@branch": tmp_path / "branch.json",
+        "@bad": tmp_path / "bad.json",
+        "@missing": tmp_path / "missing.json",
+    }
+    files["@branch"].write_text(json.dumps({"ambient_dim": 2, "truncation_order": 5,
+                                            "terms": _CUSP}))
+    files["@bad"].write_text("{not json")
+    argv = [str(files[a]) if a in files else a for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, cli.USAGE_EXIT)
+    else:
+        assert code in (0, 1, 2)
+    capsys.readouterr()
