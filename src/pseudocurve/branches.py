@@ -188,14 +188,6 @@ class Branch:
                 terms.append((e, vec))
         return cls(n, tuple(terms), truncation_order)
 
-    def coordinate_series(self, index: int) -> list[GR]:
-        """Dense coefficient list of one coordinate, up to the highest stored
-        exponent (not the truncation order, which may be far larger)."""
-        out = [ZERO] * (self.terms[-1][0] + 1)
-        for exp, vec in self.terms:
-            out[exp] = vec[index]
-        return out
-
     def coordinate_support(self, index: int) -> list[int]:
         return [exp for exp, vec in self.terms if not vec[index].is_zero()]
 

@@ -441,7 +441,10 @@ def build_parser() -> _Parser:
 
     p_feas = sub.add_parser("feasibility", help="degree feasibility counts")
     p_feas.add_argument("--cp2-degree", type=int, required=True)
-    p_feas.add_argument("--all-splittings", action="store_true")
+    p_feas.add_argument(
+        "--all-splittings", action="store_true",
+        help="check the closed form by a dynamic program over all splittings",
+    )
     p_feas.set_defaults(func=_cmd_feasibility)
 
     p_verify = sub.add_parser("verify", help="run oracle cross-check suites")

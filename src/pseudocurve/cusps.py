@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 from pseudocurve.errors import InvalidCuspType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CuspType:
     """Critical exponents ``p_0 < p_1 < ... < p_l`` of a singular branch."""
 
@@ -172,34 +172,31 @@ def semigroup_generators(p: CuspType) -> tuple[int, ...]:
 
 
 def nodal_number_oracle(p: CuspType) -> int:
-    """delta by brute force: gap count of the value semigroup.
+    """delta as the gap count of the value semigroup, from its Apery set.
 
-    Sieves representable values until ``p_0`` consecutive representable
-    integers appear, after which every larger integer is representable.
-    Independent of :func:`nodal_number_formula`.
+    With m the smallest generator, w_r is the least semigroup element
+    congruent to r mod m.  Round-robin relaxation finds every w_r (Boecker &
+    Liptak 2007): a generator g splits the residues into gcd(g, m) cycles
+    r -> r + g, and two rounds of a cycle settle it.  Selmer's formula
+    (Rosales & Garcia-Sanchez, *Numerical Semigroups*, ch. 2) gives the gap
+    count sum floor(w_r / m).  Independent of :func:`nodal_number_formula`.
     """
     gens = semigroup_generators(p)
-    if 1 in gens:
-        return 0
-    step = gens[0]
-    # grow the sieve until the conductor is visible
-    bound = 2 * max(gens) + 2
-    while True:
-        reachable = [False] * (bound + 1)
-        reachable[0] = True
-        for g in gens:
-            for v in range(g, bound + 1):
-                if reachable[v - g]:
-                    reachable[v] = True
-        run = 0
-        for v in range(bound + 1):
-            run = run + 1 if reachable[v] else 0
-            if run >= step:
-                conductor_end = v
-                return sum(
-                    1 for w in range(1, conductor_end) if not reachable[w]
-                )
-        bound *= 2
+    m = min(gens)
+    apery: list[int | None] = [0] + [None] * (m - 1)
+    for g in gens:
+        step = g % m
+        if not step:
+            continue
+        cycles = gcd(step, m)
+        for start in range(cycles):
+            r, carried = start, None
+            for _ in range(2 * m // cycles):
+                if carried is not None and (apery[r] is None or carried < apery[r]):
+                    apery[r] = carried
+                carried = None if apery[r] is None else apery[r] + g
+                r = (r + step) % m
+    return sum(w // m for w in apery)
 
 
 def bennequin_index(delta: int) -> int:

@@ -8,7 +8,6 @@ arithmetic on homological data; no operator is ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from pseudocurve.errors import GenusFormulaInconsistent, LineBundleOnly
 
@@ -209,29 +208,42 @@ def _point_capacity(degree: int) -> int:
     return degree * (degree + 3) // 2
 
 
-def _all_splittings(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All multisets of components (degree_i, multiplicity_i) with
-    sum deg*mult = d and at least one multiplicity >= 2.
+def _worst_splitting(d: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(worst count, first worst splitting) of d by an unbounded knapsack.
 
-    Distinct components may share a degree; pairs are emitted in
-    non-increasing lexicographic order to avoid duplicates.
+    Layer k holds, per weight r, the best capacity sum over multisets of the
+    first k + 1 pairs (deg, mult) in lexicographic order, with and without a
+    multiplicity >= 2 still owed.  The rebuild takes the largest pair of an
+    optimal splitting and goes on in that pair's layer: the first maximum of
+    the non-increasing enumeration, so d = 3 gives ((1, 2), (1, 1)).
     """
-
-    def rec(remaining: int, cap: tuple[int, int], acc: list[tuple[int, int]]):
-        if remaining == 0:
-            if any(m >= 2 for _, m in acc):
-                yield tuple(acc)
-            return
-        for deg in range(min(cap[0], remaining), 0, -1):
-            max_mult = remaining // deg
-            if deg == cap[0]:
-                max_mult = min(max_mult, cap[1])
-            for mult in range(max_mult, 0, -1):
-                acc.append((deg, mult))
-                yield from rec(remaining - deg * mult, (deg, mult), acc)
-                acc.pop()
-
-    yield from rec(d, (d, d), [])
+    pairs = [(deg, mult) for deg in range(1, d + 1) for mult in range(1, d // deg + 1)]
+    unreachable = float("-inf")
+    free, owed, layers = [0] + [unreachable] * d, [unreachable] * (d + 1), []
+    for deg, mult in pairs:
+        weight, gain = deg * mult, _point_capacity(deg)
+        free, owed = free[:], owed[:]
+        source = free if mult >= 2 else owed
+        for r in range(weight, d + 1):
+            if free[r - weight] + gain > free[r]:
+                free[r] = free[r - weight] + gain
+            if source[r - weight] + gain > owed[r]:
+                owed[r] = source[r - weight] + gain
+        layers.append((free, owed))
+    if owed[d] == unreachable:
+        return 0, ()
+    splitting, top, r, owing = [], len(pairs) - 1, d, True
+    while r:
+        layer = layers[top]
+        for top in range(top, -1, -1):
+            deg, mult = pairs[top]
+            weight, need = deg * mult, owing and mult < 2
+            gain = _point_capacity(deg)
+            if weight <= r and layer[need][r - weight] + gain == layer[owing][r]:
+                break
+        splitting.append((deg, mult))
+        r, owing = r - weight, need
+    return owed[d], tuple(splitting)
 
 
 def cp2_multiple_component_obstruction(
@@ -248,20 +260,13 @@ def cp2_multiple_component_obstruction(
     The worst case is the closed form (d-2)(d+1)/2 + 2, carried by a simple
     component of degree d - 2 plus a double line (a double line alone at
     d = 2; no splitting and count 0 at d = 1).  all_splittings=True checks
-    it by enumerating every multiplicity vector instead.
+    it by an exhaustive dynamic program over all splittings instead.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
     required = 3 * d - 1
     if all_splittings:
-        worst, worst_split = max(
-            (
-                (sum(_point_capacity(deg) for deg, _ in parts), parts)
-                for parts in _all_splittings(d)
-            ),
-            key=lambda pair: pair[0],
-            default=(0, ()),
-        )
+        worst, worst_split = _worst_splitting(d)
     else:
         # The capacity d(d+3)/2 is convex (merging components of degrees a
         # and b gains ab points), so one simple component of degree d - 2

@@ -178,7 +178,7 @@ def suite_genus(seed: int = 0) -> VerificationCertificate:
 
 
 def suite_index(seed: int = 0, cases: int = 10000) -> VerificationCertificate:
-    """Marked index at m = 0 equals the unmarked one; rational rigidity."""
+    """Marked index at m = 0 equals the unmarked one; dimension count; rigidity."""
     cert = VerificationCertificate("index", seed=seed)
     rng = _rng(seed, "index")
     mismatches = 0
@@ -190,10 +190,11 @@ def suite_index(seed: int = 0, cases: int = 10000) -> VerificationCertificate:
             mu, n, g
         ):
             mismatches += 1
+        aut = 3 if g == 0 else 1 if g == 1 else 0  # dim_C Aut(Sigma_g)
         if (
             indices.gromov_operator_index(mu, n, g)
             - indices.moduli_projection_index(mu, n, g)
-            != 6 * (1 - g)
+            != 2 * (aut - indices.teichmueller_dim(g))
         ):
             mismatches += 1
     cert.check(f"random sweep x{cases}", 0, mismatches, ANCHOR_INDEX)

@@ -293,7 +293,7 @@ def test_huge_truncation_order_changes_nothing():
     huge = mk({4: 1}, {5: 2, 7: 3}, 10**12)
     assert branches.jet_normal_form(huge) == branches.jet_normal_form(small)
     assert branches.jet_normal_form(huge).p2 == (GR.of(2), GR.of(0), GR.of(3))
-    assert len(huge.coordinate_series(1)) == 8
+    assert huge.coordinate_support(1) == [5, 7]
     other = mk({2: 1}, {3: 1}, 10**12)
     assert branches.intersection_multiplicity(huge, other) == 10
     assert branches.intersection_multiplicity(mk({4: 1}, {5: 2, 7: 3}, 12), other) == 10

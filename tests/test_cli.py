@@ -57,6 +57,67 @@ def test_feasibility_json_payload(degree, extra, worst_count, splitting, capsys)
     }
 
 
+# Stdout of `feasibility --cp2-degree d --all-splittings` for d = 1..14, as
+# the exhaustive multiset enumeration printed it; with --json each line is
+# JSON_HEAD followed by the matching line of JSON_TAILS.
+PLAIN_PINS = """\
+{"obstructed": true, "required": 2, "worst_count": 0}
+{"obstructed": true, "required": 5, "worst_count": 2}
+{"obstructed": true, "required": 8, "worst_count": 4}
+{"obstructed": true, "required": 11, "worst_count": 7}
+{"obstructed": true, "required": 14, "worst_count": 11}
+{"obstructed": true, "required": 17, "worst_count": 16}
+{"obstructed": false, "required": 20, "worst_count": 22}
+{"obstructed": false, "required": 23, "worst_count": 29}
+{"obstructed": false, "required": 26, "worst_count": 37}
+{"obstructed": false, "required": 29, "worst_count": 46}
+{"obstructed": false, "required": 32, "worst_count": 56}
+{"obstructed": false, "required": 35, "worst_count": 67}
+{"obstructed": false, "required": 38, "worst_count": 79}
+{"obstructed": false, "required": 41, "worst_count": 92}
+""".splitlines()
+JSON_HEAD = (
+    '{"anchors": {"feasibility": '
+    '"max over splittings of sum d_i(d_i+3)/2 vs required 3d - 1"}, '
+)
+JSON_TAILS = """\
+"obstructed": true, "required": 2, "worst_count": 0, "worst_splitting": []}
+"obstructed": true, "required": 5, "worst_count": 2, "worst_splitting": [[1, 2]]}
+"obstructed": true, "required": 8, "worst_count": 4, "worst_splitting": [[1, 2], [1, 1]]}
+"obstructed": true, "required": 11, "worst_count": 7, "worst_splitting": [[2, 1], [1, 2]]}
+"obstructed": true, "required": 14, "worst_count": 11, "worst_splitting": [[3, 1], [1, 2]]}
+"obstructed": true, "required": 17, "worst_count": 16, "worst_splitting": [[4, 1], [1, 2]]}
+"obstructed": false, "required": 20, "worst_count": 22, "worst_splitting": [[5, 1], [1, 2]]}
+"obstructed": false, "required": 23, "worst_count": 29, "worst_splitting": [[6, 1], [1, 2]]}
+"obstructed": false, "required": 26, "worst_count": 37, "worst_splitting": [[7, 1], [1, 2]]}
+"obstructed": false, "required": 29, "worst_count": 46, "worst_splitting": [[8, 1], [1, 2]]}
+"obstructed": false, "required": 32, "worst_count": 56, "worst_splitting": [[9, 1], [1, 2]]}
+"obstructed": false, "required": 35, "worst_count": 67, "worst_splitting": [[10, 1], [1, 2]]}
+"obstructed": false, "required": 38, "worst_count": 79, "worst_splitting": [[11, 1], [1, 2]]}
+"obstructed": false, "required": 41, "worst_count": 92, "worst_splitting": [[12, 1], [1, 2]]}
+""".splitlines()
+
+
+@pytest.mark.parametrize("d", range(1, 15))
+def test_all_splittings_stdout_is_pinned(d, capsys):
+    argv = ["feasibility", "--cp2-degree", str(d), "--all-splittings"]
+    assert run(argv, capsys) == (0, PLAIN_PINS[d - 1] + "\n", "")
+    want = JSON_HEAD + JSON_TAILS[d - 1] + "\n"
+    assert run(argv + ["--json"], capsys) == (0, want, "")
+
+
+def test_all_splittings_at_degree_sixty_is_fast(capsys):
+    # far beyond the reach of enumerating every multiset
+    start = time.perf_counter()
+    code, payload, err = run_json(
+        ["feasibility", "--cp2-degree", "60", "--all-splittings", "--json"], capsys
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert payload["worst_count"] == 58 * 61 // 2 + 2
+    assert payload["worst_splitting"] == [[58, 1], [1, 2]]
+
+
 def _subcommands():
     parser = cli.build_parser()
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -1,8 +1,11 @@
 """Cusp-type combinatorics against small-instance oracles."""
 
+import time
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudocurve import cusps
 from pseudocurve.cusps import CuspType
@@ -10,6 +13,30 @@ from pseudocurve.errors import InvalidCuspType
 
 ENUM_BOUND = 30
 ALL_TYPES = list(cusps.enumerate_cusp_types(ENUM_BOUND))
+TYPES_60 = list(cusps.enumerate_cusp_types(60))
+
+
+def sieve_gap_count(p):
+    """Reference gap count: sieve the representable values, doubling the
+    bound until p_0 consecutive ones show the conductor."""
+    gens = cusps.semigroup_generators(p)
+    if 1 in gens:
+        return 0
+    step = gens[0]
+    bound = 2 * max(gens) + 2
+    while True:
+        reachable = [False] * (bound + 1)
+        reachable[0] = True
+        for g in gens:
+            for v in range(g, bound + 1):
+                if reachable[v - g]:
+                    reachable[v] = True
+        run = 0
+        for v in range(bound + 1):
+            run = run + 1 if reachable[v] else 0
+            if run >= step:
+                return sum(1 for w in range(1, v) if not reachable[w])
+        bound *= 2
 
 
 def test_validate_cusp_type():
@@ -115,6 +142,26 @@ def test_formula_is_twice_the_gap_count_exhaustive():
     for p in ALL_TYPES:
         assert cusps.nodal_number_formula(p) == 2 * cusps.nodal_number_oracle(p)
         assert cusps.nodal_number(p) == cusps.nodal_number_oracle(p)
+
+
+def test_apery_count_matches_sieve_exhaustive():
+    for p in ALL_TYPES:
+        assert cusps.nodal_number_oracle(p) == sieve_gap_count(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TYPES_60))
+def test_apery_count_matches_sieve(p):
+    assert cusps.nodal_number_oracle(p) == sieve_gap_count(p)
+
+
+def test_apery_cost_follows_the_smallest_generator():
+    # <2, 2k+1> has k gaps; the Apery set mod 2 has two elements, while a
+    # residue table modulo the larger generator would hold 2k+1 entries
+    k = 10**6
+    start = time.perf_counter()
+    assert cusps.nodal_number_oracle(CuspType((2, 2 * k + 1))) == k
+    assert time.perf_counter() - start < 0.2
 
 
 def test_semigroup_generators_examples():

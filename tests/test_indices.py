@@ -204,3 +204,50 @@ def test_all_splittings_mode_is_consistent():
         assert strict.worst_count == simple.worst_count
         assert strict.obstructed == simple.obstructed
         assert sorted(strict.worst_splitting) == sorted(simple.worst_splitting)
+
+
+def all_splittings(d):
+    """Reference enumerator: every multiset of components (degree, mult)
+    with sum deg*mult = d and some mult >= 2, pairs in non-increasing
+    lexicographic order, multisets in decreasing order."""
+
+    def rec(remaining, cap, acc):
+        if remaining == 0:
+            if any(m >= 2 for _, m in acc):
+                yield tuple(acc)
+            return
+        for deg in range(min(cap[0], remaining), 0, -1):
+            max_mult = remaining // deg
+            if deg == cap[0]:
+                max_mult = min(max_mult, cap[1])
+            for mult in range(max_mult, 0, -1):
+                acc.append((deg, mult))
+                yield from rec(remaining - deg * mult, (deg, mult), acc)
+                acc.pop()
+
+    yield from rec(d, (d, d), [])
+
+
+def enumerated_worst(d):
+    """(count, splitting) of the first maximum in enumeration order."""
+    return max(
+        (
+            (sum(deg * (deg + 3) // 2 for deg, _ in parts), parts)
+            for parts in all_splittings(d)
+        ),
+        key=lambda pair: pair[0],
+        default=(0, ()),
+    )
+
+
+def test_knapsack_is_the_first_enumerated_maximum():
+    for d in range(1, 23):
+        report = indices.cp2_multiple_component_obstruction(d, all_splittings=True)
+        assert (report.worst_count, report.worst_splitting) == enumerated_worst(d)
+
+
+def test_knapsack_equals_closed_form():
+    for d in range(3, 121):
+        report = indices.cp2_multiple_component_obstruction(d, all_splittings=True)
+        assert report.worst_count == (d - 2) * (d + 1) // 2 + 2
+        assert sorted(report.worst_splitting) == sorted(((d - 2, 1), (1, 2)))
