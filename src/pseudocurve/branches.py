@@ -22,6 +22,7 @@ independent series-substitution path covers pairs with a smooth graph.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -40,12 +41,11 @@ from pseudocurve.gaussian import ONE, ZERO, GaussianRational, json_int
 GR = GaussianRational
 
 
-def _as_gr(value) -> GR:
-    if isinstance(value, GR):
-        return value
-    if isinstance(value, tuple):
-        return GR.of(*value)
-    return GR.of(value)
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidBranch(f"{what} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -148,27 +148,30 @@ class Branch:
     truncation_order: int
 
     def __post_init__(self) -> None:
-        n = self.ambient_dim
+        n = _integer(self.ambient_dim, "ambient dimension")
         if n < 2:
             raise InvalidBranch("ambient dimension must be >= 2")
         if not self.terms:
             raise InvalidBranch("branch needs at least one term")
+        order = _integer(self.truncation_order, "truncation order")
         norm = []
         prev = 0
         for exp, vec in self.terms:
-            exp = int(exp)
-            vec = tuple(_as_gr(c) for c in vec)
+            exp = _integer(exp, "exponent")
+            vec = tuple(GR.of(c) for c in vec)
             if len(vec) != n:
                 raise InvalidBranch("coefficient vector has wrong length")
             if exp <= prev:
                 raise InvalidBranch("exponents must be strictly increasing and positive")
-            if exp > self.truncation_order:
+            if exp > order:
                 raise InvalidBranch("exponent exceeds truncation order")
             if all(c.is_zero() for c in vec):
                 raise InvalidBranch("zero coefficient vector")
             norm.append((exp, vec))
             prev = exp
+        object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "terms", tuple(norm))
+        object.__setattr__(self, "truncation_order", order)
 
     @classmethod
     def from_coordinates(
@@ -183,7 +186,7 @@ class Branch:
             truncation_order = max(exps, default=0)
         terms = []
         for e in exps:
-            vec = tuple(_as_gr(coord.get(e, 0)) for coord in coordinates)
+            vec = tuple(GR.of(coord.get(e, 0)) for coord in coordinates)
             if any(not c.is_zero() for c in vec):
                 terms.append((e, vec))
         return cls(n, tuple(terms), truncation_order)
@@ -255,8 +258,6 @@ class BranchJetNormalForm:
 
 def multiplicity(b: Branch) -> int:
     """Lowest exponent with a nonzero coefficient vector."""
-    if not b.terms:
-        raise InvalidBranch("branch has no terms")
     return b.terms[0][0]
 
 
@@ -391,7 +392,7 @@ def is_ordinary_cusp(b: Branch) -> bool:
 
 def rescale_parameter(b: Branch, c) -> Branch:
     """Exact reparameterization t -> c*t (c a nonzero Gaussian rational)."""
-    c = _as_gr(c)
+    c = GR.of(c)
     if c.is_zero():
         raise ValueError("rescaling constant must be nonzero")
     terms = tuple(

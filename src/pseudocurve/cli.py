@@ -174,17 +174,12 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_saddle(args) -> int:
-    coeffs_list = [
-        GaussianRational(_parse_rational(part))
-        for part in args.poly.split(",")
-        if part.strip() != ""
-    ]
-    while len(coeffs_list) > 1 and coeffs_list[-1].is_zero():
-        coeffs_list.pop()
-    coeffs = tuple(coeffs_list)
-    form = residues.ResidueForm(args.k, args.l, coeffs)
+    coeffs = [_parse_rational(part) for part in args.poly.split(",") if part.strip()]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    form = residues.ResidueForm(args.k, args.l, tuple(coeffs))
     matrix = residues.residue_form_matrix(form)
-    result = residues.inertia(form)
+    result = residues.rational_inertia(matrix)
     expected = args.k - args.l
     matches = result.ind_plus == expected and result.ind_minus == expected
     payload = {
@@ -217,20 +212,20 @@ def _cmd_node(args) -> int:
         return _fail("need |lambda| < 1")
     check = args.check
     payload: dict = {"lambda": [repr(lam.real), repr(lam.imag)], "check": check}
+    passed = True
     if check == "volume":
         residual = cylinders.volume_identity_residual(lam, grid=args.grid)
+        passed = residual < 1e-10
         payload.update(
             {
                 "grid": args.grid,
                 "max_residual": residual,
                 "tolerance": 1e-10,
-                "passed": residual < 1e-10,
+                "passed": passed,
                 "anchors": {"volume": verify.ANCHOR_VOLUME},
             }
         )
-        _emit(payload)
-        return 0 if residual < 1e-10 else VERIFY_EXIT
-    if check == "gluing":
+    elif check == "gluing":
         if lam == 0:
             return _fail("gluing check needs lambda != 0")
         worst = cylinders.gluing_inverse_residual(lam, args.grid)
@@ -249,9 +244,7 @@ def _cmd_node(args) -> int:
                 "anchors": {"gluing": verify.ANCHOR_GLUING},
             }
         )
-        _emit(payload)
-        return 0 if passed else VERIFY_EXIT
-    if check == "radius":
+    elif check == "radius":
         if lam == 0:
             return _fail("radius_log needs lambda != 0")
         payload.update(
@@ -260,18 +253,16 @@ def _cmd_node(args) -> int:
                 "convention": "radius_log = log(1/|lambda|)",
             }
         )
-        _emit(payload)
-        return 0
-    # metric density at a sample point
-    z = _parse_complex(args.z)
-    payload.update(
-        {
-            "z_plus": [repr(z.real), repr(z.imag)],
-            "density": cylinders.hyperbola_metric_density(z, lam),
-        }
-    )
+    else:  # metric density at a sample point
+        z = _parse_complex(args.z)
+        payload.update(
+            {
+                "z_plus": [repr(z.real), repr(z.imag)],
+                "density": cylinders.hyperbola_metric_density(z, lam),
+            }
+        )
     _emit(payload)
-    return 0
+    return 0 if passed else VERIFY_EXIT
 
 
 def _cmd_decay(args) -> int:
@@ -298,17 +289,21 @@ def _cmd_decay(args) -> int:
     return 0 if report.passed else VERIFY_EXIT
 
 
-def _load_branch(args) -> branches.Branch:
-    if args.type:
-        return branches.branch_from_cusp_type(cusps.CuspType(_parse_int_list(args.type)))
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
+def _load_branch(type_text: str | None, path: str | None) -> branches.Branch | None:
+    """The monomial model of a cusp type, else a branch JSON file, else None."""
+    if type_text:
+        exponents = _parse_int_list(type_text)
+        return branches.branch_from_cusp_type(cusps.CuspType(exponents))
+    if path:
+        with open(path, "r", encoding="utf-8") as handle:
             return branches.Branch.from_json(json.load(handle))
-    raise PseudocurveError("provide --type or --file")
+    return None
 
 
 def _cmd_branch(args) -> int:
-    b = _load_branch(args)
+    b = _load_branch(args.type, args.file)
+    if b is None:
+        raise PseudocurveError("provide --type or --file")
     payload: dict = {
         "branch": b.to_json(),
         "multiplicity": branches.multiplicity(b),
@@ -333,14 +328,7 @@ def _cmd_branch(args) -> int:
             "P2": [_gr_json(c) for c in jet.p2],
         }
         payload["ordinary_cusp"] = jet.k == 1 and jet.l == 0
-    other = None
-    if args.other_type:
-        other = branches.branch_from_cusp_type(
-            cusps.CuspType(_parse_int_list(args.other_type))
-        )
-    elif args.other_file:
-        with open(args.other_file, "r", encoding="utf-8") as handle:
-            other = branches.Branch.from_json(json.load(handle))
+    other = _load_branch(args.other_type, args.other_file)
     if other is not None:
         payload["intersection_multiplicity"] = branches.intersection_multiplicity(
             b, other

@@ -11,6 +11,7 @@ prescribed cusps.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Sequence
@@ -25,7 +26,11 @@ class CuspType:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(int(p) for p in self.exponents))
+        try:
+            exponents = tuple(map(operator.index, self.exponents))
+        except TypeError:
+            raise InvalidCuspType(f"not integers: {self.exponents!r}") from None
+        object.__setattr__(self, "exponents", exponents)
         if not validate_cusp_type(self.exponents):
             raise InvalidCuspType(f"{list(self.exponents)} is not a cusp type")
 

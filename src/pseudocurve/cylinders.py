@@ -52,8 +52,8 @@ class Cylinder:
         if not self.b > self.a:
             raise DomainError("cylinder needs b > a")
 
-    def contains(self, other: "Cylinder", tol: float = 1e-12) -> bool:
-        return self.a <= other.a + tol and other.b <= self.b + tol
+    def contains(self, other: "Cylinder") -> bool:
+        return self.a <= other.a + 1e-12 and other.b <= self.b + 1e-12
 
 
 @dataclass(frozen=True)
@@ -233,15 +233,26 @@ def gluing_inverse_residual(lam: complex, grid: int) -> float:
 # band energies and decay
 # ---------------------------------------------------------------------------
 
-def _band_integral(m: int, k: float) -> float:
-    """integral over [k, k+1] of e^{-2mt} dt."""
-    if m == 0:
-        return 1.0
-    return (math.exp(-2.0 * m * k) - math.exp(-2.0 * m * (k + 1))) / (2.0 * m)
+def _mode_integral(m: int, a: float, b: float) -> float:
+    """integral over [a, b] of e^{-2mt} dt, for m != 0."""
+    return (math.exp(-2.0 * m * a) - math.exp(-2.0 * m * b)) / (2.0 * m)
 
 
 def _vec_norm_sq(vec: Sequence[complex]) -> float:
     return sum(abs(c) ** 2 for c in vec)
+
+
+def _check_domain(u: CylinderMap, a: float, b: float, what: str) -> None:
+    if not u.domain.contains(Cylinder(a, b)):
+        raise DomainError(f"{what} outside the map domain")
+
+
+def _energy(u: CylinderMap, a: float, b: float) -> float:
+    total = 0.0
+    for m, vec in u.modes:
+        if m:
+            total += 4.0 * math.pi * m * m * _vec_norm_sq(vec) * _mode_integral(m, a, b)
+    return total
 
 
 def band_energy(u: CylinderMap, k: float) -> float:
@@ -250,37 +261,24 @@ def band_energy(u: CylinderMap, k: float) -> float:
     Modes are L^2-orthogonal on every band, so the energy is
     sum_m 4 pi m^2 |v_m|^2 * integral_k^{k+1} e^{-2mt} dt.
     """
-    if not u.domain.contains(Cylinder(k, k + 1)):
-        raise DomainError(f"band Z({k}, {k+1}) outside the map domain")
-    total = 0.0
-    for m, vec in u.modes:
-        if m == 0:
-            continue
-        total += 4.0 * math.pi * m * m * _vec_norm_sq(vec) * _band_integral(m, k)
-    return total
+    _check_domain(u, k, k + 1, f"band Z({k}, {k+1})")
+    return _energy(u, k, k + 1)
 
 
 def interval_energy(u: CylinderMap, a: float, b: float) -> float:
     """||du||^2 over Z(a, b) (b - a need not be an integer)."""
-    if not u.domain.contains(Cylinder(a, b)):
-        raise DomainError("interval outside the map domain")
-    total = 0.0
-    for m, vec in u.modes:
-        if m == 0:
-            continue
-        integral = (math.exp(-2.0 * m * a) - math.exp(-2.0 * m * b)) / (2.0 * m)
-        total += 4.0 * math.pi * m * m * _vec_norm_sq(vec) * integral
-    return total
+    _check_domain(u, a, b, "interval")
+    return _energy(u, a, b)
 
 
-def l12_norm_sq(u: CylinderMap, k: float, weight: float = 1.0) -> float:
-    """Sobolev norm ||u||^2 + weight*||du||^2 on the band Z_k, closed form."""
-    if not u.domain.contains(Cylinder(k, k + 1)):
-        raise DomainError(f"band Z({k}, {k+1}) outside the map domain")
+def l12_norm_sq(u: CylinderMap, k: float) -> float:
+    """Sobolev norm ||u||^2 + ||du||^2 on the band Z_k, closed form: mode m
+    gives 2 pi |v_m|^2 (1 + 2 m^2) integral_k^{k+1} e^{-2mt} dt."""
+    _check_domain(u, k, k + 1, f"band Z({k}, {k+1})")
     total = 0.0
     for m, vec in u.modes:
-        nk = _vec_norm_sq(vec) * _band_integral(m, k) * 2.0 * math.pi
-        total += nk * (1.0 + weight * 2.0 * m * m)
+        integral = _mode_integral(m, k, k + 1) if m else 1.0  # not (k+1)-k: rounds
+        total += _vec_norm_sq(vec) * integral * 2.0 * math.pi * (1.0 + 2.0 * m * m)
     return total
 
 
@@ -309,49 +307,46 @@ def decay_estimate_check(u: CylinderMap, l: int) -> DecayReport:
     if not u.domain.contains(Cylinder(0.0, float(l))):
         raise DomainError("map must be defined on Z(0, l)")
     energies = tuple(band_energy(u, k) for k in range(l))
-    head = energies[0] + energies[1]
-    tail = energies[l - 2] + energies[l - 1]
-    c_shape = 0.0
-    vacuous = True
-    for k in range(1, l - 1):
-        bound = math.exp(-2.0 * k) * head + math.exp(-2.0 * (l - k)) * tail
-        if energies[k] == 0.0:
-            continue
-        vacuous = False
-        if bound == 0.0:
-            c_shape = math.inf
-            break
-        c_shape = max(c_shape, energies[k] / bound)
-    constants: dict = {"shape": c_shape}
-    passed = math.isfinite(c_shape)
+    constants: dict = {"shape": _decay_fit(energies, 2.0, 0, l)}
+    passed = math.isfinite(constants["shape"])
     if all(abs(m) >= 2 for m in u.mode_numbers()):
-        c_sharp = 0.0
-        for k in range(1, l - 1):
-            bound = math.exp(-4.0 * (k - 1)) * head + math.exp(
-                -4.0 * (l - 2 - k)
-            ) * tail
-            if energies[k] == 0.0:
-                continue
-            c_sharp = math.inf if bound == 0.0 else max(c_sharp, energies[k] / bound)
-        constants["sharp_rate4"] = c_sharp
-        passed = passed and c_sharp <= 1.0 + 1e-12
-    if vacuous:
-        passed = True
+        constants["sharp_rate4"] = _decay_fit(energies, 4.0, 1, l - 2)
+        passed = passed and constants["sharp_rate4"] <= 1.0 + 1e-12
+    if not any(energies[1 : l - 1]):
+        passed = True  # no interior energy: the bound holds vacuously
     return DecayReport(energies, GAMMA_STAR, constants, passed)
 
 
-def three_term_truncation(
-    u: CylinderMap, k: float, weight: float = 1.0
-) -> tuple[CylinderMap, float]:
+def _decay_fit(energies: tuple, rate: float, first: int, last: int) -> float:
+    """Smallest C with e_k <= C (e^{-rate (k-first)} E_head + e^{-rate (last-k)}
+    E_tail) on k = 1..l-2; infinite if a band with energy meets a zero bound."""
+    l = len(energies)
+    head = energies[0] + energies[1]
+    tail = energies[l - 2] + energies[l - 1]
+    c = 0.0
+    for k in range(1, l - 1):
+        if energies[k] == 0.0:
+            continue
+        bound = (
+            math.exp(-rate * (k - first)) * head + math.exp(-rate * (last - k)) * tail
+        )
+        if bound == 0.0:
+            return math.inf
+        c = max(c, energies[k] / bound)
+    return c
+
+
+def three_term_truncation(u: CylinderMap, k: float) -> tuple[CylinderMap, float]:
     """Project onto the modes {-1, 0, 1} and return the remainder norm.
 
     For Laurent maps the L^{1,2}(Z_k)-orthogonal projection onto the span of
     those modes is literally mode truncation; the second component is the
-    L^{1,2}(Z_k) norm of what is cut away.
+    L^{1,2}(Z_k) norm sqrt(||r||^2 + ||dr||^2) of what is cut away (see
+    :func:`l12_norm_sq`).
     """
     low = u.restrict_modes(lambda m: abs(m) <= 1)
     rest = u.restrict_modes(lambda m: abs(m) >= 2)
-    return low, math.sqrt(l12_norm_sq(rest, k, weight=weight))
+    return low, math.sqrt(l12_norm_sq(rest, k))
 
 
 def supersolution_sequences(
@@ -377,39 +372,25 @@ def supersolution_sequences(
     if not (1 <= k_star <= l - 1):
         raise DomainError("need 1 <= k* <= l-1")
 
-    def a_plus(k: int) -> float:
-        if k <= k_star:
+    def a_plus(k: int, stitch: int) -> float:
+        if k <= stitch:
             return math.exp(-2.0 * k - 1.0 / k)
-        return math.exp(
-            -2.0 * k - 1.0 / k_star + 1.0 / (l - k) - 1.0 / (l - k_star)
-        )
+        return math.exp(-2.0 * k - 1.0 / stitch + 1.0 / (l - k) - 1.0 / (l - stitch))
 
-    def a_minus(k: int) -> float:
-        if k >= k_star:
-            return math.exp(-2.0 * (l - k) - 1.0 / (l - k))
-        return math.exp(
-            -2.0 * (l - k) - 1.0 / (l - k_star) + 1.0 / k - 1.0 / k_star
-        )
-
-    ap = [a_plus(k) for k in range(1, l)]
-    am = [a_minus(k) for k in range(1, l)]
+    ap = [a_plus(k, k_star) for k in range(1, l)]
+    am = [a_plus(l - k, l - k_star) for k in range(1, l)]  # the mirror k -> l - k
     gam = [
         GAMMA_STAR
         + c1 * (math.exp(-alpha * s * k) + math.exp(-alpha * s * (l - k)))
         for k in range(1, l)
     ]
 
-    def holds(k: int) -> bool:
-        i = k - 1
-        g = gam[i]
-        return ap[i] >= g / 2.0 * (ap[i - 1] + ap[i + 1]) and am[i] >= g / 2.0 * (
-            am[i - 1] + am[i + 1]
-        )
+    def holds(a: list[float], k: int) -> bool:  # lists are indexed from k = 1
+        return a[k - 1] >= gam[k - 1] / 2.0 * (a[k - 2] + a[k])
 
-    failures = tuple(k for k in range(2, l - 1) if not holds(k))
-    holds_from: int | None = None
-    for k0 in range(2, l // 2 + 1):
-        if all(holds(k) for k in range(k0, l - k0 + 1)):
-            holds_from = k0
-            break
+    failures = tuple(k for k in range(2, l - 1) if not (holds(ap, k) and holds(am, k)))
+    # [k0, l-k0] misses a failure f iff k0 > min(f, l - f)
+    holds_from = max([2] + [min(f, l - f) + 1 for f in failures])
+    if holds_from > l // 2:
+        holds_from = None
     return SupersolutionReport(tuple(ap), tuple(am), tuple(gam), holds_from, failures)

@@ -48,8 +48,13 @@ class GaussianRational:
         object.__setattr__(self, "im", _frac(self.im))
 
     @classmethod
-    def of(cls, re: RationalLike = 0, im: RationalLike = 0) -> "GaussianRational":
-        return cls(_frac(re), _frac(im))
+    def of(cls, re=0, im=0) -> "GaussianRational":
+        """A GaussianRational unchanged, an (re, im) tuple unpacked, else the parts."""
+        if isinstance(re, GaussianRational):
+            return re
+        if isinstance(re, tuple):
+            return cls(*re)
+        return cls(re, im)
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0

@@ -21,7 +21,6 @@ class CurveData:
     self_int: homological self-intersection of the curve class
     genera: one genus per component
     delta: geometric self-intersection count (nodes after perturbation)
-    marked: number of marked points
     """
 
     n: int
@@ -29,15 +28,14 @@ class CurveData:
     self_int: int
     genera: tuple[int, ...]
     delta: int = 0
-    marked: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("ambient complex dimension must be >= 2")
         if not self.genera or any(g < 0 for g in self.genera):
             raise ValueError("need one non-negative genus per component")
-        if self.delta < 0 or self.marked < 0:
-            raise ValueError("delta and marked must be non-negative")
+        if self.delta < 0:
+            raise ValueError("delta must be non-negative")
 
     @property
     def components(self) -> int:
@@ -284,11 +282,9 @@ def cp2_multiple_component_obstruction(
     )
 
 
-def cp2_smooth_curve(d: int, marked: int = 0) -> CurveData:
+def cp2_smooth_curve(d: int) -> CurveData:
     """Homological data of a smooth degree-d plane curve."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     g = (d - 1) * (d - 2) // 2
-    return CurveData(
-        n=2, mu=3 * d, self_int=d * d, genera=(g,), delta=0, marked=marked
-    )
+    return CurveData(n=2, mu=3 * d, self_int=d * d, genera=(g,), delta=0)

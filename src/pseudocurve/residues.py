@@ -53,9 +53,7 @@ class ResidueForm:
             raise ValueError("cusp order k must be >= 1")
         if not (0 <= self.l < self.k):
             raise ValueError("need 0 <= l < k")
-        coeffs = tuple(
-            c if isinstance(c, GR) else GR.of(c) for c in self.coefficients
-        )
+        coeffs = tuple(GR.of(c) for c in self.coefficients)
         if not coeffs or coeffs[0].is_zero():
             raise ValueError("P(0) = a_0 must be nonzero")
         if len(coeffs) - 1 > self.k - self.l - 1:
@@ -222,18 +220,6 @@ def inertia(f: ResidueForm) -> InertiaResult:
     """Exact inertia of the residue form; expected (k-l, k-l) by the index
     relations, which the caller may assert."""
     return rational_inertia(residue_form_matrix(f))
-
-
-def float_inertia_check(
-    matrix: Sequence[Sequence[Fraction]], tol: float = 1e-9
-) -> InertiaResult:
-    """Secondary floating-point cross-check via eigenvalues."""
-    import numpy as np
-
-    eig = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in matrix]))
-    plus = int((eig > tol).sum())
-    minus = int((eig < -tol).sum())
-    return InertiaResult(plus, minus, len(eig) - plus - minus)
 
 
 def a0_equivalence_check(f: ResidueForm) -> bool:

@@ -42,6 +42,18 @@ def test_construction_validates():
         Branch(2, ((2, (GR.of(0), GR.of(0))),), 5)  # zero vector
     with pytest.raises(InvalidBranch):
         Branch(2, ((7, (GR.of(1), GR.of(0))),), 5)  # beyond truncation
+    # non-integers are rejected, not truncated to exponents 2, 3 and order 3
+    x, y = (GR.of(1), GR.of(0)), (GR.of(0), GR.of(1))
+    with pytest.raises(InvalidBranch):
+        Branch(2, ((2.7, x), (3.2, y)), 3.5)
+    with pytest.raises(InvalidBranch):
+        Branch(2.0, ((2, x), (3, y)), 3)
+    with pytest.raises(InvalidBranch):
+        Branch(2, ((2, x), (3, y)), 3.0)
+    with pytest.raises(InvalidBranch):
+        Branch.from_coordinates([{2.9: 1}, {3.1: 1}])
+    with pytest.raises(InvalidBranch):
+        Branch.from_coordinates([{2: 1}, {3: 1}], 3.5)
 
 
 def test_json_roundtrip():

@@ -284,6 +284,110 @@ def test_decay_command(capsys):
     assert payload["three_term"]["kept_modes"] == [1]
 
 
+# Stdout of `decay --length 10 --k K --modes M --json` for K = 1, 3, 7, pinned
+# byte for byte.  Per map: band energies, constants, the printed modes, the
+# kept modes of the three-term truncation and its remainder at each K.  The
+# maps cover zero energies, a fit without sharp_rate4 and two fits with it.
+DECAY_PINS = {
+    '0:1,0': (
+        '[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]',
+        '{"shape": 0.0}',
+        '[[0, [[1.0, 0.0]]]]',
+        '[0]',
+        ('0.0', '0.0', '0.0'),
+    ),
+    '1:1,0;-1:0.3,-0.7': (
+        (
+            '[28.71615022038168, 172.77687762619075, 1271.324698827896, '
+            '9393.16773017082, 69406.54562132107, 512848.8460088963, '
+            '3789468.8916424443, 28000598.22525644, 206897991.09000507, '
+            '1528780862.9200966]'
+        ),
+        '{"shape": 6.5082590209481435}',
+        '[[-1, [[0.3, -0.7]]], [1, [[1.0, 0.0]]]]',
+        '[-1, 1]',
+        ('0.0', '0.0', '0.0'),
+    ),
+    '2:1,0;-3:0.5,0.25': (
+        (
+            '[2382.837474313884, 956328.691179181, 385810438.91609764, '
+            '155647039887.1544, 62792497512390.3, 2.5332301511819188e+16, '
+            '1.0219779835307403e+19, 4.1229534487194496e+21, '
+            '1.663318135443599e+24, 6.71030428576597e+26]'
+        ),
+        '{"shape": 0.13500065008137213, "sharp_rate4": 0.0024726231566347743}',
+        '[[-3, [[0.5, 0.25]]], [2, [[1.0, 0.0]]]]',
+        '[]',
+        ('1004.7179099637975', '405332.0831844711', '65969738654.11892'),
+    ),
+    '3:0.1,0.2;4:0.3,0.4;-2:1,1': (
+        (
+            '[1354.2896542815495, 73547.44896309605, 4015554.410772338, '
+            '219241842.18524826, 11970198993.173117, 653550720555.8579, '
+            '35682660295178.25, 1948207240377861.2, 1.0636851120580837e+17, '
+            '5.807523933616909e+18]'
+        ),
+        '{"shape": 0.9820137900379087, "sharp_rate4": 0.017986209962091562}',
+        '[[-2, [[1.0, 1.0]]], [3, [[0.1, 0.2]]], [4, [[0.3, 0.4]]]]',
+        '[]',
+        ('287.64714447411734', '15705.001510932887', '46815949.6905178'),
+    ),
+}
+DECAY_HEAD = (
+    '{"anchors": {"decay": "e_k <= C(e^{-2k} E_head + e^{-2(l-k)} E_tail), '
+    'high modes <= 1/cosh 4"}, '
+)
+GAMMAS = '"gamma_2": 0.03661899347368653, "gamma_star": 0.2658022288340797, '
+
+
+@pytest.mark.parametrize("k", (1, 3, 7))
+@pytest.mark.parametrize("modes", sorted(DECAY_PINS))
+def test_decay_stdout_is_pinned(modes, k, capsys):
+    energies, constants, printed, kept, remainders = DECAY_PINS[modes]
+    remainder = remainders[(1, 3, 7).index(k)]
+    want = (
+        f'{DECAY_HEAD}"band_energies": {energies}, "constants": {constants}, '
+        f'{GAMMAS}"length": 10, "modes": {printed}, "passed": true, '
+        f'"three_term": {{"band": {k}, "kept_modes": {kept}, '
+        f'"remainder_l12_norm": {remainder}}}}}\n'
+    )
+    argv = ["decay", "--length", "10", "--k", str(k), "--modes", modes, "--json"]
+    assert run(argv, capsys) == (0, want, "")
+
+
+# Stdout of `node --lambda L --check C` (default grid and sample point) for
+# the cases of NODE_CASES in order, pinned byte for byte.
+NODE_CASES = [
+    (lam, check)
+    for lam in ("0.1+0i", "0.3-0.1i", "0.01")
+    for check in ("volume", "gluing", "radius", "metric")
+]
+NODE_PINS = """\
+{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.1", "0.0"], "max_residual": 3.3306690738754696e-15, "passed": true, "tolerance": 1e-10}
+{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.10000000000000005, "R(0)": 0.31622776601683794, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 5.551115123125783e-15, "lambda": ["0.1", "0.0"], "passed": true}
+{"check": "radius", "convention": "radius_log = log(1/|lambda|)", "lambda": ["0.1", "0.0"], "radius_log": 2.302585092994046}
+{"check": "metric", "density": 1.1600000000000001, "lambda": ["0.1", "0.0"], "z_plus": ["0.5", "0.0"]}
+{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.3", "-0.1"], "max_residual": 4.996003610813204e-16, "passed": true, "tolerance": 1e-10}
+{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.316227766016838, "R(0)": 0.5623413251903491, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 1.1102230246251565e-15, "lambda": ["0.3", "-0.1"], "passed": true}
+{"check": "radius", "convention": "radius_log = log(1/|lambda|)", "lambda": ["0.3", "-0.1"], "radius_log": 1.1512925464970227}
+{"check": "metric", "density": 2.6, "lambda": ["0.3", "-0.1"], "z_plus": ["0.5", "0.0"]}
+{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.01", "0.0"], "max_residual": 3.640976409258201e-13, "passed": true, "tolerance": 1e-10}
+{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.009999999999999449, "R(0)": 0.1, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 4.716227408607665e-13, "lambda": ["0.01", "0.0"], "passed": true}
+{"check": "radius", "convention": "radius_log = log(1/|lambda|)", "lambda": ["0.01", "0.0"], "radius_log": 4.605170185988092}
+{"check": "metric", "density": 1.0016, "lambda": ["0.01", "0.0"], "z_plus": ["0.5", "0.0"]}
+""".splitlines()
+
+
+@pytest.mark.parametrize(
+    "lam,check,want",
+    [case + (pin,) for case, pin in zip(NODE_CASES, NODE_PINS)],
+    ids=[f"{lam}-{check}" for lam, check in NODE_CASES],
+)
+def test_node_stdout_is_pinned(lam, check, want, capsys):
+    argv = ["node", "--lambda", lam, "--check", check]
+    assert run(argv, capsys) == (0, want + "\n", "")
+
+
 def test_branch_command_monomial(capsys):
     code, payload, _ = run_json(["branch", "--type", "2,3"], capsys)
     assert code == 0

@@ -54,6 +54,10 @@ def test_validate_cusp_type():
 def test_invalid_type_raises():
     with pytest.raises(InvalidCuspType):
         CuspType((2, 4))
+    # non-integers are rejected, not truncated to the valid type (2, 3)
+    for exponents in [(2.5, 3.9), (2.0, 3), (2, "3")]:
+        with pytest.raises(InvalidCuspType):
+            CuspType(exponents)
 
 
 @pytest.mark.parametrize(

@@ -316,6 +316,13 @@ def test_l12_norm_closed_form():
     assert math.isclose(cylinders.l12_norm_sq(u, 2.0), expected, rel_tol=1e-12)
 
 
+def test_l12_norm_of_the_constant_mode():
+    # ||u||^2 = 2 pi |v|^2 on a unit band, and du = 0, at any band position
+    u = single(0, (1 + 0j,))
+    for k in (0.0, 0.3, 2.0, 8.7):
+        assert cylinders.l12_norm_sq(u, k) == 2.0 * math.pi
+
+
 # ---------------------------------------------------------------------------
 # supersolutions
 # ---------------------------------------------------------------------------
@@ -353,6 +360,47 @@ def test_supersolution_k0_independent_of_length():
     }
     assert len(set(k0s.values())) == 1
     assert all(k0 is not None for k0 in k0s.values())
+
+
+def test_supersolution_mirror_for_every_stitch():
+    # A-_k at stitch k* is A+_{l-k} at stitch l - k*, exactly
+    for l in (4, 7, 12):
+        for k_star in range(1, l):
+            report = cylinders.supersolution_sequences(l, k_star)
+            mirror = cylinders.supersolution_sequences(l, l - k_star)
+            assert report.a_minus == mirror.a_plus[::-1]
+
+
+def _brute_force_holds_from(report, l):
+    """Smallest k0 >= 2 with the inequality on all of [k0, l - k0], read
+    directly off the sequences."""
+
+    def holds(k):
+        i, g = k - 1, report.gamma[k - 1]
+        return all(
+            a[i] >= g / 2.0 * (a[i - 1] + a[i + 1])
+            for a in (report.a_plus, report.a_minus)
+        )
+
+    return next(
+        (
+            k0
+            for k0 in range(2, l // 2 + 1)
+            if all(holds(k) for k in range(k0, l - k0 + 1))
+        ),
+        None,
+    )
+
+
+def test_holds_from_is_the_brute_force_smallest_k0():
+    seen = set()
+    for l in range(4, 31):
+        for k_star in range(1, l):
+            for c1 in (0.0, 0.5, 3.0, 20.0):
+                report = cylinders.supersolution_sequences(l, k_star, c1=c1)
+                assert report.holds_from == _brute_force_holds_from(report, l)
+                seen.add(report.holds_from)
+    assert None in seen and len(seen) >= 4  # refusals and several k0 occur
 
 
 def test_node_parameter_validation():

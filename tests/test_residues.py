@@ -91,7 +91,7 @@ def test_index_relation_sweep_with_float_crosscheck():
                 exact = residues.inertia(f)
                 assert (exact.ind_plus, exact.ind_minus) == (k - l, k - l)
                 assert exact.nullity == 2 * (k + 1) - 2 * (k - l)
-                approx = residues.float_inertia_check(residues.residue_form_matrix(f))
+                approx = _float_reference_inertia(residues.residue_form_matrix(f))
                 assert approx == exact
 
 
@@ -170,7 +170,15 @@ def test_rational_inertia_matches_float_on_well_conditioned(matrix):
     eig = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in matrix]))
     # well conditioned: every eigenvalue is clearly nonzero or rounding noise
     assume(all(abs(e) > 1e-6 or abs(e) < 1e-12 for e in eig))
-    assert residues.rational_inertia(matrix) == residues.float_inertia_check(matrix)
+    assert residues.rational_inertia(matrix) == _float_reference_inertia(matrix)
+
+
+def _float_reference_inertia(matrix):
+    """Floating-point cross-check: eigenvalues beyond +-1e-9 count by sign."""
+    eig = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in matrix]))
+    plus = int((eig > 1e-9).sum())
+    minus = int((eig < -1e-9).sum())
+    return InertiaResult(plus, minus, len(eig) - plus - minus)
 
 
 def _dense_reference_inertia(matrix):
