@@ -12,23 +12,31 @@ i.e. the real part of the coefficient of ``z^{k-l-1}`` in
 scalar rescaling leaves the inertia unchanged, which is the only claim the
 form is used for.
 
+The form's matrix has one builder, :func:`scaled_residue_form_matrix`: it
+returns the Python-int matrix ``den * A``, where ``den`` is the lcm of the
+denominators of the coefficients' real and imaginary parts.
+:func:`inertia` hands that integer matrix straight to the kernel, and
+:func:`residue_form_matrix` (the exact rational ``A`` that ``saddle`` prints)
+divides it by ``den``.
+
 The inertia is computed by exact symmetric Gaussian elimination with 1x1 and
 2x2 pivots (2x2 hyperbolic blocks avoid square roots), so the expected
 signature ``ind_+ = ind_- = k - l`` is checked with zero tolerance.  The
-elimination is fraction-free: the matrix is scaled by the positive lcm of its
-denominators, and after each pivot the active block is kept as the primitive
-integer multiple of the current Schur complement (multiply by |pivot|,
-subtract, divide out the content), so all arithmetic is on Python ints and
-coefficient growth is no worse than Bareiss elimination.  Positive scalars do
-not change signs, so the pivot order is exactly that of the rational
-elimination: the first nonzero diagonal entry, else the first nonzero
-off-diagonal pair.  The matrix is sparse (w_i and w_j couple only when
-i + j <= k - l - 1), so each step updates only the rows and columns where
-the pivot column is nonzero.
+elimination is fraction-free: a matrix of Python ints is used as it is (on a
+copy), any other matrix is scaled by the positive lcm of its denominators,
+and after each pivot the active block is kept as the primitive integer
+multiple of the current Schur complement (multiply by |pivot|, subtract,
+divide out the content), so all arithmetic is on Python ints and coefficient
+growth is no worse than Bareiss elimination.  Positive scalars do not change
+signs, so the pivot order is exactly that of the rational elimination: the
+first nonzero diagonal entry, else the first nonzero off-diagonal pair.  The
+matrix is sparse (w_i and w_j couple only when i + j <= k - l - 1), so each
+step updates only the rows and columns where the pivot column is nonzero.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -49,14 +57,20 @@ class ResidueForm:
     coefficients: tuple[GR, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        try:
+            k, l = operator.index(self.k), operator.index(self.l)
+        except TypeError:
+            raise ValueError(f"k, l must be integers: {self.k!r}, {self.l!r}") from None
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        if k < 1:
             raise ValueError("cusp order k must be >= 1")
-        if not (0 <= self.l < self.k):
+        if not (0 <= l < k):
             raise ValueError("need 0 <= l < k")
         coeffs = tuple(GR.of(c) for c in self.coefficients)
         if not coeffs or coeffs[0].is_zero():
             raise ValueError("P(0) = a_0 must be nonzero")
-        if len(coeffs) - 1 > self.k - self.l - 1:
+        if len(coeffs) - 1 > k - l - 1:
             raise ValueError("deg P must be <= k - l - 1")
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -82,22 +96,27 @@ class InertiaResult:
         return self.ind_plus + self.ind_minus + self.nullity
 
 
-def residue_form_matrix(f: ResidueForm) -> list[list[Fraction]]:
-    """Symmetric matrix of the form in real variables (x_0, y_0, ..., x_k, y_k).
+def scaled_residue_form_matrix(f: ResidueForm) -> tuple[int, list[list[int]]]:
+    """``(den, den * A)``: the form's matrix over the integers, and its scale.
 
-    Entries are exact rationals; ``Q(v) = v^T A v``.  Since
+    ``den`` is the lcm of the denominators of every real and imaginary part
+    of the coefficients, so ``den * A`` has Python-int entries and
+    ``Q(v) = v^T A v`` for the variables (x_0, y_0, ..., x_k, y_k).  Since
     ``Re(a_s w_i w_j) = alpha (x_i x_j - y_i y_j) - beta (x_i y_j + y_i x_j)``
     with ``a_s = alpha + i beta`` and ``s = k - l - 1 - i - j`` fixed by
     ``(i, j)``, every real cell receives exactly one term, assigned once per
     ordered pair ``(i, j)``.
     """
+    den = lcm(*(x.denominator for c in f.coefficients for x in (c.re, c.im)))
     size = 2 * (f.k + 1)
-    a = [[Fraction(0)] * size for _ in range(size)]
+    a = [[0] * size for _ in range(size)]
     target = f.k - f.l - 1
     for s, coeff in enumerate(f.coefficients):
         if coeff.is_zero():
             continue
-        alpha, minus_alpha, minus_beta = coeff.re, -coeff.re, -coeff.im
+        alpha = coeff.re.numerator * (den // coeff.re.denominator)
+        minus_alpha = -alpha
+        minus_beta = -coeff.im.numerator * (den // coeff.im.denominator)
         rest = target - s
         for i in range(max(0, rest - f.k), min(rest, f.k) + 1):
             xi, yi = 2 * i, 2 * i + 1
@@ -105,7 +124,15 @@ def residue_form_matrix(f: ResidueForm) -> list[list[Fraction]]:
             a[xi][xj] = alpha
             a[yi][yj] = minus_alpha
             a[xi][yj] = a[yi][xj] = minus_beta
-    return a
+    return den, a
+
+
+def residue_form_matrix(f: ResidueForm) -> list[list[Fraction]]:
+    """Symmetric matrix ``A`` of the form, ``Q(v) = v^T A v``, in exact
+    rationals: the integer build of :func:`scaled_residue_form_matrix`
+    divided by its scale."""
+    den, a = scaled_residue_form_matrix(f)
+    return [[Fraction(x, den) for x in row] for row in a]
 
 
 def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
@@ -117,24 +144,29 @@ def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
     (+1, -1).  Rows that are entirely zero are counted as nullity up front;
     they never enter a pivot or a support, so the pivot order is unchanged.
 
-    The elimination runs over the integers.  The matrix is first scaled by
-    the lcm of its denominators.  Invariant: the active block is the
-    primitive integer multiple of the current Schur complement.  A 1x1 pivot
-    ``d`` with column ``v`` replaces it by ``|d| S - sign(d) v v^T`` and a 2x2
-    pivot ``b`` with columns ``c_i, c_j`` by
-    ``|b| S - sign(b) (c_i c_j^T + c_j c_i^T)``, then the content is divided
-    out.  Only a positive scalar separates this from the rational
+    The elimination runs over the integers.  A matrix of Python ints is
+    copied row by row, so the caller's matrix is never changed; any other
+    matrix is first scaled by the lcm of its denominators.  Invariant: the
+    active block is the primitive integer multiple of the current Schur
+    complement.  A 1x1 pivot ``d`` with column ``v`` replaces it by
+    ``|d| S - sign(d) v v^T`` and a 2x2 pivot ``b`` with columns ``c_i, c_j``
+    by ``|b| S - sign(b) (c_i c_j^T + c_j c_i^T)``, then the content is
+    divided out.  Only a positive scalar separates this from the rational
     elimination, so every pivot has the same position and sign.  The update
     is nonzero only where the pivot column is (either column, for a 2x2
     pivot); it is symmetric, so each term is computed once per pair.
     Entries that are neither ``int`` nor ``Fraction`` are read through
     ``Fraction(x)``.
     """
-    if not set(map(type, chain.from_iterable(matrix))) <= {int, Fraction}:
-        matrix = [[Fraction(x) for x in row] for row in matrix]
-    ratios = [[x.as_integer_ratio() for x in row] for row in matrix]
-    scale = lcm(*{den for row in ratios for _, den in row})
-    a = [[num * (scale // den) if num else 0 for num, den in row] for row in ratios]
+    types = set(map(type, chain.from_iterable(matrix)))
+    if types <= {int}:
+        a = [list(row) for row in matrix]
+    else:
+        if not types <= {int, Fraction}:
+            matrix = [[Fraction(x) for x in row] for row in matrix]
+        ratios = [[x.as_integer_ratio() for x in row] for row in matrix]
+        scale = lcm(*{den for row in ratios for _, den in row})
+        a = [[num * (scale // den) if num else 0 for num, den in row] for row in ratios]
     active = [r for r in range(len(a)) if any(a[r])]
     zero = len(a) - len(active)
     plus = minus = 0
@@ -218,8 +250,9 @@ def _remove_content(a: list[list[int]], active: list[int]) -> None:
 
 def inertia(f: ResidueForm) -> InertiaResult:
     """Exact inertia of the residue form; expected (k-l, k-l) by the index
-    relations, which the caller may assert."""
-    return rational_inertia(residue_form_matrix(f))
+    relations, which the caller may assert.  The integer build goes to the
+    kernel directly: a positive scale cannot change an inertia."""
+    return rational_inertia(scaled_residue_form_matrix(f)[1])
 
 
 def a0_equivalence_check(f: ResidueForm) -> bool:

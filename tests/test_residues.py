@@ -1,7 +1,9 @@
 """Residue quadratic form: matrices, exact inertia, saddle indices."""
 
+import copy
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -26,6 +28,19 @@ def test_validation():
         ResidueForm(2, 0, (GR.of(0), GR.of(1)))  # a_0 = 0
     with pytest.raises(ValueError):
         ResidueForm(2, 1, (GR.of(1), GR.of(1)))  # deg P too big
+    # k and l are read through operator.index: no float or string slips in
+    with pytest.raises(ValueError):
+        ResidueForm(3.7, 1, (GR.of(1),))
+    with pytest.raises(ValueError):
+        ResidueForm(3, 1.5, (GR.of(1),))
+    with pytest.raises(ValueError):
+        ResidueForm("3", 1, (GR.of(1),))
+    with pytest.raises(ValueError):
+        ResidueForm(3, None, (GR.of(1),))
+    # integer-like values are accepted and stored as Python ints
+    f = ResidueForm(np.int64(3), np.int8(1), (GR.of(1),))
+    assert (type(f.k), type(f.l)) == (int, int)
+    assert residues.inertia(f) == InertiaResult(2, 2, 4)
 
 
 def matrix_of(f):
@@ -237,7 +252,10 @@ def test_rational_inertia_of_congruent_diagonal(case):
 def test_rational_inertia_int_entries_match_fractions(matrix):
     ints = [[int(x) for x in row] for row in matrix]
     fractions = [[Fraction(x) for x in row] for row in ints]
+    before = copy.deepcopy(ints)
     assert residues.rational_inertia(ints) == residues.rational_inertia(fractions)
+    # the all-int input is eliminated on a copy of its rows
+    assert ints == before
 
 
 def test_rational_inertia_int_entries_stay_exact():
@@ -298,6 +316,71 @@ def test_residue_form_matrix_matches_accumulating_construction(f):
     assert m == _add_sym_reference_matrix(f)
     assert all(type(x) is Fraction for row in m for x in row)
     assert all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
+
+
+big_denominator_rationals = st.builds(
+    Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)
+)
+big_gaussians = st.builds(GR.of, big_denominator_rationals, big_denominator_rationals)
+
+
+@st.composite
+def big_residue_forms(draw, max_k=10):
+    """Forms with denominators up to 1e6 and zero non-leading coefficients."""
+    k = draw(st.integers(1, max_k))
+    l = draw(st.integers(0, k - 1))
+    a0 = draw(big_gaussians.filter(bool))
+    coeff = st.one_of(st.just(GR.of(0)), big_gaussians)
+    rest = draw(st.lists(coeff, max_size=k - l - 1))
+    return ResidueForm(k, l, (a0, *rest))
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_residue_forms())
+def test_inertia_matches_rational_matrix_inertia(f):
+    expected = residues.rational_inertia(residues.residue_form_matrix(f))
+    assert residues.inertia(f) == expected
+    assert (expected.ind_plus, expected.ind_minus) == (f.k - f.l, f.k - f.l)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(residue_forms(), big_residue_forms()))
+def test_scaled_matrix_is_the_common_denominator_multiple(f):
+    den, a = residues.scaled_residue_form_matrix(f)
+    assert den == lcm(*(x.denominator for c in f.coefficients for x in (c.re, c.im)))
+    assert all(type(x) is int for row in a for x in row)
+    for rational in (_add_sym_reference_matrix(f), residues.residue_form_matrix(f)):
+        assert a == [[den * x for x in row] for row in rational]
+
+
+def test_inertia_passes_the_integer_build_to_the_kernel(monkeypatch):
+    seen = []
+    kernel = residues.rational_inertia
+
+    def recording(matrix):
+        seen.append(matrix)
+        return kernel(matrix)
+
+    monkeypatch.setattr(residues, "rational_inertia", recording)
+    f = ResidueForm(3, 0, (GR.of("1/2", "-2/3"), GR.of(0), GR.of(0, "5/7")))
+    assert residues.inertia(f) == InertiaResult(3, 3, 2)
+    assert seen == [residues.scaled_residue_form_matrix(f)[1]]
+    assert residues.scaled_residue_form_matrix(f)[0] == 42
+
+
+@pytest.mark.parametrize(
+    "f,expected",
+    [
+        # unit pivots leave the rows unscaled, so an aliased row is hit first
+        (form(4, 0, 1, (0, 1), 0, -1), InertiaResult(4, 4, 2)),
+        (form(6, 1, (3, -1), "2/9", 0, (-1, 4), 5), InertiaResult(5, 5, 4)),
+    ],
+)
+def test_rational_inertia_leaves_residue_build_unchanged(f, expected):
+    den, a = residues.scaled_residue_form_matrix(f)
+    before = copy.deepcopy(a)
+    assert residues.rational_inertia(a) == expected
+    assert a == before
 
 
 def _big_rational(rng):
