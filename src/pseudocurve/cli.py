@@ -127,7 +127,7 @@ def _cmd_cusp(args) -> int:
         "delta_formula_verbatim": cusps.nodal_number_formula(p),
         "bennequin": cusps.bennequin_index(delta),
         "codim": {
-            "cusp_stratum": cusps.cusp_stratum_codim(n, (p.p0 - 1,), 1)
+            "cusp_stratum": cusps.cusp_stratum_codim(n, (p.p0 - 1,))
             if p.p0 >= 2
             else 0,
             "cusp_type_stratum": cusps.cusp_type_stratum_codim(n, (p,)),
@@ -397,7 +397,9 @@ def build_parser() -> _Parser:
     p_saddle.add_argument("--k", type=int, required=True)
     p_saddle.add_argument("--l", type=int, required=True)
     p_saddle.add_argument(
-        "--poly", required=True, help="comma list of rationals, e.g. 2,-1,0"
+        "--poly", required=True,
+        help="comma list of rationals, e.g. 2,-1,0; a negative first "
+        "coefficient is written --poly=-1,2",
     )
     p_saddle.add_argument("--nu", type=int, default=0)
     p_saddle.set_defaults(func=_cmd_saddle)

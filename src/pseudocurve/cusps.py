@@ -227,16 +227,14 @@ def reducible_delta(
     return sum(branch_deltas) + sum(pairwise_intersections)
 
 
-def cusp_stratum_codim(n: int, k_tuple: Sequence[int], m: int) -> int:
-    """Real codimension 2*(n*|k| - m) of the stratum with m marked cusps of
-    orders k_i."""
+def cusp_stratum_codim(n: int, k_tuple: Sequence[int]) -> int:
+    """Real codimension 2*(n*|k| - m) of the stratum with m = len(k_tuple)
+    marked cusps of orders k_i."""
     if n < 2:
         raise ValueError("ambient complex dimension must be >= 2")
-    if m != len(k_tuple):
-        raise ValueError("m must equal the number of marked cusp points")
     if any(k < 1 for k in k_tuple):
         raise ValueError("cusp orders must be >= 1")
-    return 2 * (n * sum(k_tuple) - m)
+    return 2 * (n * sum(k_tuple) - len(k_tuple))
 
 
 def secondary_stratum_codim(n: int, l_tuple: Sequence[int]) -> int:

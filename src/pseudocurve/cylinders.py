@@ -18,6 +18,7 @@ the node family at parameter lambda is measured by ``log(1/|lambda|)``
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,20 +26,6 @@ from pseudocurve.errors import DegenerateMap, DomainError, SingularPoint
 
 GAMMA_STAR = 1.0 / math.cosh(2.0)  # best three-band constant, mode 1
 GAMMA_2 = 1.0 / math.cosh(4.0)  # best three-band constant, modes |m| >= 2
-
-
-@dataclass(frozen=True)
-class NodeParameter:
-    """Gluing parameter of the node family; 0 < |lambda| < eps or lambda = 0."""
-
-    lam: complex
-    eps: float = 0.1
-
-    def __post_init__(self) -> None:
-        if abs(self.lam) >= 1.0:
-            raise DomainError("|lambda| must be < 1")
-        if self.lam != 0 and abs(self.lam) >= self.eps:
-            raise DomainError(f"need |lambda| < eps = {self.eps} (or lambda = 0)")
 
 
 @dataclass(frozen=True)
@@ -72,7 +59,10 @@ class CylinderMap:
         norm = []
         dim = None
         for m, vec in self.modes:
-            m = int(m)
+            try:
+                m = operator.index(m)
+            except TypeError:
+                raise ValueError(f"mode number must be an integer, got {m!r}") from None
             vec = tuple(complex(c) for c in vec)
             if m in seen:
                 raise ValueError(f"duplicate mode {m}")

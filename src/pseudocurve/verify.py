@@ -22,50 +22,48 @@ from pseudocurve.gaussian import GaussianRational
 
 @dataclass
 class VerificationCertificate:
+    """Cases run and failed by one suite.  A case's ``key`` is its input text
+    or a zero-argument callable returning it, called only if the case fails."""
+
     suite: str
     cases_run: int = 0
-    cases_failed: int = 0
     failures: list = field(default_factory=list)
     seed: int = 0
-    versions: dict = field(default_factory=lambda: {"package": __version__, "format": 1})
 
-    def check(self, key: str, expected, got, anchor: str) -> bool:
+    def check(self, key, expected, got, anchor: str) -> bool:
+        return self._record(expected == got, key, lambda: repr(expected), got, anchor)
+
+    def check_le(self, key, value: float, bound: float, anchor: str) -> bool:
+        return self._record(value <= bound, key, lambda: f"<= {bound!r}", value, anchor)
+
+    def _record(self, ok: bool, key, expected: Callable[[], str], got, anchor: str):
         self.cases_run += 1
-        ok = expected == got
         if not ok:
-            self.cases_failed += 1
-            self.failures.append(
-                {"input": key, "expected": repr(expected), "got": repr(got), "anchor": anchor}
-            )
+            self.failures.append({
+                "input": key() if callable(key) else key,
+                "expected": expected(),
+                "got": repr(got),
+                "anchor": anchor,
+            })
         return ok
 
-    def check_le(self, key: str, value: float, bound: float, anchor: str) -> bool:
-        self.cases_run += 1
-        ok = value <= bound
-        if not ok:
-            self.cases_failed += 1
-            self.failures.append(
-                {"input": key, "expected": f"<= {bound!r}", "got": repr(value), "anchor": anchor}
-            )
-        return ok
-
-    def finalize(self) -> "VerificationCertificate":
-        self.failures.sort(key=lambda f: f["input"])
-        return self
+    @property
+    def cases_failed(self) -> int:
+        return len(self.failures)
 
     @property
     def passed(self) -> bool:
         """A certificate that ran no case proves nothing and does not pass."""
-        return self.cases_run > 0 and self.cases_failed == 0
+        return self.cases_run > 0 and not self.failures
 
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
             "cases_run": self.cases_run,
             "cases_failed": self.cases_failed,
-            "failures": self.failures,
+            "failures": sorted(self.failures, key=lambda f: f["input"]),
             "seed": self.seed,
-            "versions": self.versions,
+            "versions": {"package": __version__, "format": 1},
         }
 
 
@@ -116,18 +114,16 @@ def suite_saddle(seed: int = 0, cases: int = 50) -> VerificationCertificate:
                 coeffs += [_random_gaussian(rng) for _ in range(deg)]
                 form = residues.ResidueForm(k, l, tuple(coeffs))
                 result = residues.inertia(form)
-                key = f"k={k} l={l} case={case} P={[str(c) for c in coeffs]}"
+                key = lambda: f"k={k} l={l} case={case} P={[str(c) for c in coeffs]}"
                 expected = (k - l, k - l, 2 * (k + 1) - 2 * (k - l))
                 got = (result.ind_plus, result.ind_minus, result.nullity)
                 cert.check(key, expected, got, ANCHOR_SADDLE)
+                cert.check(lambda: key() + " s_ind", k - l, result.s_ind, ANCHOR_SADDLE)
+                a0_same = result == residues.inertia(form.with_constant_term_only())
                 cert.check(
-                    key + " s_ind", k - l, result.s_ind, ANCHOR_SADDLE
+                    lambda: key() + " a0-equivalence", True, a0_same, ANCHOR_SADDLE
                 )
-                a0_result = residues.inertia(form.with_constant_term_only())
-                cert.check(
-                    key + " a0-equivalence", True, result == a0_result, ANCHOR_SADDLE
-                )
-    return cert.finalize()
+    return cert
 
 
 def suite_delta(seed: int = 0, max_p_last: int = 30) -> VerificationCertificate:
@@ -136,10 +132,10 @@ def suite_delta(seed: int = 0, max_p_last: int = 30) -> VerificationCertificate:
     for p in cusps.enumerate_cusp_types(max_p_last):
         formula = cusps.nodal_number_formula(p)
         gaps = cusps.nodal_number_oracle(p)
-        key = f"p={list(p.exponents)}"
+        key = lambda: f"p={list(p.exponents)}"
         cert.check(key, 2 * gaps, formula, ANCHOR_DELTA)
-        cert.check(key + " delta", gaps, cusps.nodal_number(p), ANCHOR_DELTA)
-    return cert.finalize()
+        cert.check(lambda: key() + " delta", gaps, cusps.nodal_number(p), ANCHOR_DELTA)
+    return cert
 
 
 def suite_feasibility(seed: int = 0) -> VerificationCertificate:
@@ -150,7 +146,7 @@ def suite_feasibility(seed: int = 0) -> VerificationCertificate:
     cert.check("d=6 required", 17, report6.required, ANCHOR_FEASIBILITY)
     for d in range(1, 7):
         cert.check(
-            f"d={d} obstructed",
+            lambda: f"d={d} obstructed",
             True,
             indices.cp2_multiple_component_obstruction(d).obstructed,
             ANCHOR_FEASIBILITY,
@@ -161,7 +157,7 @@ def suite_feasibility(seed: int = 0) -> VerificationCertificate:
         indices.cp2_multiple_component_obstruction(7).obstructed,
         ANCHOR_FEASIBILITY,
     )
-    return cert.finalize()
+    return cert
 
 
 def suite_genus(seed: int = 0) -> VerificationCertificate:
@@ -170,12 +166,15 @@ def suite_genus(seed: int = 0) -> VerificationCertificate:
     for d in range(1, 11):
         data = indices.CurveData(n=2, mu=3 * d, self_int=d * d, genera=(0,), delta=0)
         solved = indices.genus_formula_solve(data, "genus")
-        cert.check(f"d={d}", (d - 1) * (d - 2) // 2, solved, ANCHOR_GENUS)
+        cert.check(lambda: f"d={d}", (d - 1) * (d - 2) // 2, solved, ANCHOR_GENUS)
         smooth = indices.cp2_smooth_curve(d)
         cert.check(
-            f"d={d} check", True, indices.genus_formula_check(smooth), ANCHOR_GENUS
+            lambda: f"d={d} check",
+            True,
+            indices.genus_formula_check(smooth),
+            ANCHOR_GENUS,
         )
-    return cert.finalize()
+    return cert
 
 
 def suite_index(seed: int = 0, cases: int = 10000) -> VerificationCertificate:
@@ -198,11 +197,11 @@ def suite_index(seed: int = 0, cases: int = 10000) -> VerificationCertificate:
             != 2 * (aut - indices.teichmueller_dim(g))
         ):
             mismatches += 1
-    cert.check(f"random sweep x{cases}", 0, mismatches, ANCHOR_INDEX)
+    cert.check(lambda: f"random sweep x{cases}", 0, mismatches, ANCHOR_INDEX)
     for d in range(1, 11):
         got = indices.marked_moduli_index(3 * d, 2, 0, 3 * d - 1)
-        cert.check(f"rigidity d={d}", 0, got, ANCHOR_INDEX)
-    return cert.finalize()
+        cert.check(lambda: f"rigidity d={d}", 0, got, ANCHOR_INDEX)
+    return cert
 
 
 def suite_cosh(seed: int = 0) -> VerificationCertificate:
@@ -214,9 +213,9 @@ def suite_cosh(seed: int = 0) -> VerificationCertificate:
         for k in (1.0, 4.0, 7.0):
             ratio = cylinders.three_band_ratio(u, k)
             cert.check_le(
-                f"m={m} k={k}", abs(ratio - target), 1e-12, ANCHOR_COSH
+                lambda: f"m={m} k={k}", abs(ratio - target), 1e-12, ANCHOR_COSH
             )
-    return cert.finalize()
+    return cert
 
 
 def suite_volume(seed: int = 0, grid: int = 200) -> VerificationCertificate:
@@ -224,8 +223,10 @@ def suite_volume(seed: int = 0, grid: int = 200) -> VerificationCertificate:
     cert = VerificationCertificate("volume", seed=seed)
     for lam in (0.5, 0.1, 0.01, 0.0):
         residual = cylinders.volume_identity_residual(lam, grid=grid)
-        cert.check_le(f"|lambda|={lam} grid={grid}", residual, 1e-10, ANCHOR_VOLUME)
-    return cert.finalize()
+        cert.check_le(
+            lambda: f"|lambda|={lam} grid={grid}", residual, 1e-10, ANCHOR_VOLUME
+        )
+    return cert
 
 
 def suite_gluing(seed: int = 0, grid: int = 1000) -> VerificationCertificate:
@@ -233,38 +234,36 @@ def suite_gluing(seed: int = 0, grid: int = 1000) -> VerificationCertificate:
     cert = VerificationCertificate("gluing", seed=seed)
     for lam in (0.5, 0.1, 0.01):
         worst = cylinders.gluing_inverse_residual(lam, grid)
-        cert.check_le(f"|lambda|={lam} inverse pair", worst, 1e-12, ANCHOR_GLUING)
         cert.check_le(
-            f"|lambda|={lam} R(-1)",
+            lambda: f"|lambda|={lam} inverse pair", worst, 1e-12, ANCHOR_GLUING
+        )
+        cert.check_le(
+            lambda: f"|lambda|={lam} R(-1)",
             abs(cylinders.r_of_rho(-1.0, lam) - lam),
             1e-14,
             ANCHOR_GLUING,
         )
         cert.check_le(
-            f"|lambda|={lam} R(0)",
+            lambda: f"|lambda|={lam} R(0)",
             abs(cylinders.r_of_rho(0.0, lam) - math.sqrt(lam)),
             1e-14,
             ANCHOR_GLUING,
         )
         cert.check_le(
-            f"|lambda|={lam} R(1)",
+            lambda: f"|lambda|={lam} R(1)",
             abs(cylinders.r_of_rho(1.0, lam) - 1.0),
             1e-14,
             ANCHOR_GLUING,
         )
-    return cert.finalize()
+    return cert
 
 
-def _random_cylinder_map(
-    rng: random.Random, length: float, max_mode: int = 5, dim: int = 2
-) -> cylinders.CylinderMap:
+def _random_cylinder_map(rng: random.Random, length: float) -> cylinders.CylinderMap:
+    """One to four distinct modes |m| <= 5 with random C^2 coefficients."""
     count = rng.randint(1, 4)
-    mode_numbers = rng.sample(range(-max_mode, max_mode + 1), count)
     modes = []
-    for m in mode_numbers:
-        vec = tuple(
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dim)
-        )
+    for m in rng.sample(range(-5, 6), count):
+        vec = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
         modes.append((m, vec))
     return cylinders.CylinderMap(tuple(modes), cylinders.Cylinder(0.0, length))
 
@@ -278,8 +277,8 @@ def suite_decay(seed: int = 0, cases: int = 100) -> VerificationCertificate:
     for case in range(cases):
         u = _random_cylinder_map(rng, float(l))
         report = cylinders.decay_estimate_check(u, l)
-        key = f"case={case} modes={u.mode_numbers()}"
-        cert.check(key + " finite C", True, report.passed, ANCHOR_DECAY)
+        key = lambda: f"case={case} modes={u.mode_numbers()}"
+        cert.check(lambda: key() + " finite C", True, report.passed, ANCHOR_DECAY)
         high = u.restrict_modes(lambda m: abs(m) >= 2)
         if high.modes:
             for k in range(1, l - 1):
@@ -288,12 +287,12 @@ def suite_decay(seed: int = 0, cases: int = 100) -> VerificationCertificate:
                 except DegenerateMap:
                     continue
                 cert.check_le(
-                    key + f" band {k}",
+                    lambda: key() + f" band {k}",
                     ratio,
                     cylinders.GAMMA_2 + 1e-12,
                     ANCHOR_DECAY,
                 )
-    return cert.finalize()
+    return cert
 
 
 def suite_roundtrip(seed: int = 0, max_p_last: int = 30) -> VerificationCertificate:
@@ -302,13 +301,17 @@ def suite_roundtrip(seed: int = 0, max_p_last: int = 30) -> VerificationCertific
     for p in cusps.enumerate_cusp_types(max_p_last):
         model = branches.branch_from_cusp_type(p)
         back = branches.cusp_type_of_branch(model)
-        key = f"p={list(p.exponents)}"
+        key = lambda: f"p={list(p.exponents)}"
         cert.check(key, tuple(p.exponents), tuple(back.exponents), ANCHOR_ROUNDTRIP)
         jet = branches.jet_normal_form(model)
-        cert.check(key + " P1(0)", False, jet.p1[0].is_zero(), ANCHOR_ROUNDTRIP)
+        cert.check(
+            lambda: key() + " P1(0)", False, jet.p1[0].is_zero(), ANCHOR_ROUNDTRIP
+        )
         p2_zero = all(c.is_zero() for c in jet.p2)
-        cert.check(key + " P2=0 iff l=k", jet.l == jet.k, p2_zero, ANCHOR_ROUNDTRIP)
-    return cert.finalize()
+        cert.check(
+            lambda: key() + " P2=0 iff l=k", jet.l == jet.k, p2_zero, ANCHOR_ROUNDTRIP
+        )
+    return cert
 
 
 def suite_intersection(seed: int = 0) -> VerificationCertificate:
@@ -329,16 +332,16 @@ def suite_intersection(seed: int = 0) -> VerificationCertificate:
         graph = branches.Branch.from_coordinates([{1: 1}, g], truncation)
         probe = branches.Branch.from_coordinates([{mu: c}, y], truncation)
         norm = branches.intersection_multiplicity(graph, probe)
-        key = f"graph case={case} mu={mu} k={k}"
+        key = lambda: f"graph case={case} mu={mu} k={k}"
         cert.check(key, k, norm, ANCHOR_INTERSECTION)
         cert.check(
-            key + " substitution",
+            lambda: key() + " substitution",
             branches.intersection_multiplicity_substitution(graph, probe),
             norm,
             ANCHOR_INTERSECTION,
         )
         cert.check(
-            key + " symmetry",
+            lambda: key() + " symmetry",
             norm,
             branches.intersection_multiplicity(probe, graph),
             ANCHOR_INTERSECTION,
@@ -352,15 +355,15 @@ def suite_intersection(seed: int = 0) -> VerificationCertificate:
         b1 = branches.branch_from_cusp_type(cusps.CuspType((a, b)))
         b2 = branches.branch_from_cusp_type(cusps.CuspType((c, d)))
         norm = branches.intersection_multiplicity(b1, b2)
-        key = f"monomial case={case} ({a},{b}) ({c},{d})"
+        key = lambda: f"monomial case={case} ({a},{b}) ({c},{d})"
         cert.check(key, min(a * d, b * c), norm, ANCHOR_INTERSECTION)
         cert.check(
-            key + " symmetry",
+            lambda: key() + " symmetry",
             norm,
             branches.intersection_multiplicity(b2, b1),
             ANCHOR_INTERSECTION,
         )
-    return cert.finalize()
+    return cert
 
 
 SUITES: dict[str, Callable[..., VerificationCertificate]] = {

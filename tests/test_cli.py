@@ -230,6 +230,13 @@ def test_saddle_command(capsys):
     assert payload["poly"] == [["2", "0"], ["-1", "0"]]
 
 
+def test_saddle_negative_first_coefficient(capsys):
+    code, payload, _ = run_json(["saddle", "--k", "3", "--l", "1", "--poly=-1,2"], capsys)
+    assert code == 0
+    assert payload["inertia"]["ind_plus"] == payload["inertia"]["ind_minus"] == 2
+    assert payload["poly"] == [["-1", "0"], ["2", "0"]]
+
+
 def test_saddle_rejects_bad_degree(capsys):
     code, out, err = run(["saddle", "--k", "2", "--l", "1", "--poly", "1,2"], capsys)
     assert code == 1

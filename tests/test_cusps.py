@@ -195,18 +195,16 @@ def test_reducible_delta():
 
 
 @pytest.mark.parametrize(
-    "n,k,m,expected",
-    [(2, (1,), 1, 2), (2, (1, 1), 2, 4), (3, (2,), 1, 10)],
+    "n,k,expected",
+    [(2, (1,), 2), (2, (1, 1), 4), (3, (2,), 10)],
 )
-def test_cusp_stratum_codim(n, k, m, expected):
-    assert cusps.cusp_stratum_codim(n, k, m) == expected
+def test_cusp_stratum_codim(n, k, expected):
+    assert cusps.cusp_stratum_codim(n, k) == expected
 
 
 def test_cusp_stratum_codim_validation():
     with pytest.raises(ValueError):
-        cusps.cusp_stratum_codim(2, (1, 1), 1)
-    with pytest.raises(ValueError):
-        cusps.cusp_stratum_codim(1, (1,), 1)
+        cusps.cusp_stratum_codim(1, (1,))
 
 
 @pytest.mark.parametrize(
@@ -235,7 +233,7 @@ def test_codimensions_even_and_nonnegative():
             c = cusps.cusp_type_stratum_codim(n, (p,))
             assert c >= 0 and c % 2 == 0
             if p.p0 >= 2:
-                c2 = cusps.cusp_stratum_codim(n, (p.p0 - 1,), 1)
+                c2 = cusps.cusp_stratum_codim(n, (p.p0 - 1,))
                 assert c2 >= 0 and c2 % 2 == 0
 
 

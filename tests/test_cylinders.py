@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pseudocurve import cylinders
@@ -195,6 +196,19 @@ def test_band_additivity_over_intervals():
 def test_band_outside_domain():
     with pytest.raises(DomainError):
         cylinders.band_energy(single(1), 9.5)
+
+
+def test_cylinder_map_validation():
+    with pytest.raises(ValueError):
+        CylinderMap(((1, (1 + 0j,)), (1, (2 + 0j,))), DOM)  # duplicate mode
+    with pytest.raises(ValueError):
+        CylinderMap(((1, (1 + 0j,)), (2, (1 + 0j, 0j))), DOM)  # mixed lengths
+    for bad in (2.7, 2.0, "3", None):
+        with pytest.raises(ValueError):
+            CylinderMap(((bad, (1 + 0j,)),), DOM)
+    u = CylinderMap(((np.int64(2), (1 + 0j,)), (np.int32(-1), (1j,))), DOM)
+    assert u.mode_numbers() == [-1, 2]
+    assert all(type(m) is int for m in u.mode_numbers())
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +415,3 @@ def test_holds_from_is_the_brute_force_smallest_k0():
                 assert report.holds_from == _brute_force_holds_from(report, l)
                 seen.add(report.holds_from)
     assert None in seen and len(seen) >= 4  # refusals and several k0 occur
-
-
-def test_node_parameter_validation():
-    cylinders.NodeParameter(0.05)
-    cylinders.NodeParameter(0.0)
-    with pytest.raises(DomainError):
-        cylinders.NodeParameter(0.5)  # outside default eps
-    cylinders.NodeParameter(0.5, eps=0.6)
-    with pytest.raises(DomainError):
-        cylinders.NodeParameter(1.2, eps=2.0)

@@ -1,0 +1,115 @@
+"""Certificate failure records: what a failing suite serialises, and that a
+passing suite formats no failure key."""
+
+from pseudocurve import cylinders, residues, verify
+from pseudocurve.gaussian import GaussianRational
+
+ANCHOR_SADDLE = "inertia of Re Res_0 z^(l-k) P(z) (sum w_i z^i)^2: ind+ = ind- = k - l"
+ANCHOR_COSH = "single-mode three-band ratio = 1/cosh(2m)"
+VERSIONS = {"package": "0.1.0", "format": 1}
+
+# Pinned from the certificate code before failures were sorted only in to_json.
+SADDLE_WRONG_AT_K2 = {
+    "suite": "saddle",
+    "cases_run": 63,
+    "cases_failed": 5,
+    "failures": [
+        {
+            "input": "k=2 l=0 case=0 P=['-1/2+6/5i', '-7/6']",
+            "expected": "(2, 2, 2)",
+            "got": "(3, 3, 0)",
+            "anchor": ANCHOR_SADDLE,
+        },
+        {
+            "input": "k=2 l=0 case=0 P=['-1/2+6/5i', '-7/6'] a0-equivalence",
+            "expected": "True",
+            "got": "False",
+            "anchor": ANCHOR_SADDLE,
+        },
+        {
+            "input": "k=2 l=0 case=0 P=['-1/2+6/5i', '-7/6'] s_ind",
+            "expected": "2",
+            "got": "3",
+            "anchor": ANCHOR_SADDLE,
+        },
+        {
+            "input": "k=2 l=1 case=0 P=['1/3-1i']",
+            "expected": "(1, 1, 4)",
+            "got": "(2, 2, 0)",
+            "anchor": ANCHOR_SADDLE,
+        },
+        {
+            "input": "k=2 l=1 case=0 P=['1/3-1i'] s_ind",
+            "expected": "1",
+            "got": "2",
+            "anchor": ANCHOR_SADDLE,
+        },
+    ],
+    "seed": 0,
+    "versions": VERSIONS,
+}
+
+COSH_RATIO_1E6 = {
+    "suite": "cosh",
+    "cases_run": 6,
+    "cases_failed": 6,
+    "failures": [
+        {
+            "input": f"m={m} k={k}",
+            "expected": "<= 1e-12",
+            "got": got,
+            "anchor": ANCHOR_COSH,
+        }
+        for m, got in ((1, "999999.7341977712"), (2, "999999.9633810065"))
+        for k in (1.0, 4.0, 7.0)
+    ],
+    "seed": 0,
+    "versions": VERSIONS,
+}
+
+
+def _assert_failure_record(cert):
+    assert cert.passed is False
+    assert cert.cases_failed == len(cert.failures) > 0
+    inputs = [f["input"] for f in cert.to_json()["failures"]]
+    assert inputs == sorted(inputs)
+
+
+def test_failing_saddle_certificate_is_pinned(monkeypatch):
+    real_inertia = residues.inertia
+
+    def wrong_at_k2(form):
+        # at k = 2 the answer grows with the coefficient count, so the
+        # a0-equivalence case fails for l = 0 and passes for l = 1
+        if form.k != 2:
+            return real_inertia(form)
+        n = len(form.coefficients)
+        return residues.InertiaResult(n + 1, n + 1, 0)
+
+    monkeypatch.setattr(residues, "inertia", wrong_at_k2)
+    cert = verify.suite_saddle(seed=0, cases=1)
+    _assert_failure_record(cert)
+    recorded = [f["input"] for f in cert.failures]
+    assert recorded != sorted(recorded)  # s_ind runs before a0-equivalence
+    assert cert.to_json() == SADDLE_WRONG_AT_K2
+
+
+def test_failing_check_le_certificate_is_pinned(monkeypatch):
+    monkeypatch.setattr(cylinders, "three_band_ratio", lambda u, k: 1e6)
+    cert = verify.suite_cosh()
+    _assert_failure_record(cert)
+    assert cert.to_json() == COSH_RATIO_1E6
+
+
+def test_passing_saddle_formats_no_failure_key(monkeypatch):
+    calls = []
+    real_str = GaussianRational.__str__
+
+    def counting_str(self):
+        calls.append(self)
+        return real_str(self)
+
+    monkeypatch.setattr(GaussianRational, "__str__", counting_str)
+    cert = verify.suite_saddle(seed=0, cases=2)
+    assert cert.passed and cert.cases_run == 126
+    assert calls == []
