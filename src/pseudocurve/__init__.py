@@ -27,13 +27,12 @@ from pseudocurve.gaussian import GaussianRational
 from pseudocurve.branches import Branch, BranchJetNormalForm
 from pseudocurve.cusps import CuspType
 from pseudocurve.residues import ResidueForm, InertiaResult
-from pseudocurve.indices import BundleData, CurveData
+from pseudocurve.indices import CurveData
 from pseudocurve.cylinders import Cylinder, CylinderMap
 
 __all__ = [
     "Branch",
     "BranchJetNormalForm",
-    "BundleData",
     "CurveData",
     "CuspType",
     "Cylinder",

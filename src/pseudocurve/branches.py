@@ -6,10 +6,11 @@ Gaussian rationals together with the order up to which the jet is trusted.
 Exponents are strictly increasing positive integers; no floating point is
 used anywhere in this module.
 
-Local invariants (multiplicity, cusp order, cusp type, jet normal form,
-secondary cusp index) are extracted from *prepared* branches, whose first
-coordinate is a single monomial ``c * t^mu``; :func:`prepare` reduces a
-branch to this form by exact shear substitutions whenever possible.
+Local invariants (multiplicity, cusp order, cusp type, and the jet normal
+form with its secondary cusp index l) are extracted from *prepared*
+branches, whose first coordinate is a single monomial ``c * t^mu``;
+:func:`prepare` reduces a branch to this form by exact shear substitutions
+whenever possible.
 The intersection multiplicity of two plane branches is ord_t of a local
 norm: the branch of smaller multiplicity n is reparametrised exactly to
 ``(c * s^n, y2(s))``, and I is the valuation of the product of the n
@@ -194,9 +195,6 @@ class Branch:
     def coordinate_support(self, index: int) -> list[int]:
         return [exp for exp, vec in self.terms if not vec[index].is_zero()]
 
-    def leading_vector(self) -> tuple[GR, ...]:
-        return self.terms[0][1]
-
     def to_json(self) -> dict:
         return {
             "ambient_dim": self.ambient_dim,
@@ -374,31 +372,6 @@ def jet_normal_form(b: Branch) -> BranchJetNormalForm:
     y = {exp: vec[1] for exp, vec in b.terms}
     p2 = tuple(y.get(q, ZERO) for q in range(q0, y_exps[-1] + 1))
     return BranchJetNormalForm(k, l, p1, p2)
-
-
-def secondary_cusp_index(b: Branch) -> int:
-    """The l of :func:`jet_normal_form`."""
-    return jet_normal_form(b).l
-
-
-def is_ordinary_cusp(b: Branch) -> bool:
-    """Cusp of order 1 with secondary index 0."""
-    if b.ambient_dim != 2:
-        raise InvalidBranch("ordinary cusps live in plane branches")
-    if cusp_order(b) != 1:
-        return False
-    return secondary_cusp_index(b) == 0
-
-
-def rescale_parameter(b: Branch, c) -> Branch:
-    """Exact reparameterization t -> c*t (c a nonzero Gaussian rational)."""
-    c = GR.of(c)
-    if c.is_zero():
-        raise ValueError("rescaling constant must be nonzero")
-    terms = tuple(
-        (exp, tuple((c ** exp) * v for v in vec)) for exp, vec in b.terms
-    )
-    return Branch(b.ambient_dim, terms, b.truncation_order)
 
 
 # ---------------------------------------------------------------------------

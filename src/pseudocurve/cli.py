@@ -12,6 +12,7 @@ Rationals are printed as decimal strings ("p/q"), complex values as
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -66,9 +67,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _parse_complex(text: str) -> complex:
     cleaned = text.strip().replace("i", "j").replace(" ", "")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError as exc:
         raise PseudocurveError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise PseudocurveError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -86,13 +90,19 @@ def _parse_modes(text: str) -> tuple[tuple[int, tuple[complex, ...]], ...]:
         if not chunk:
             continue
         head, _, rest = chunk.partition(":")
-        values = [float(v) for v in rest.split(",") if v.strip() != ""]
+        try:
+            m = int(head)
+            values = [float(v) for v in rest.split(",") if v.strip() != ""]
+        except ValueError as exc:
+            raise PseudocurveError(f"cannot parse --modes chunk {chunk!r}") from exc
         if len(values) % 2:
             values.append(0.0)
         vec = tuple(
             complex(values[i], values[i + 1]) for i in range(0, len(values), 2)
         )
-        modes.append((int(head), vec))
+        if not all(map(cmath.isfinite, vec)):
+            raise PseudocurveError(f"--modes chunk {chunk!r} is not finite")
+        modes.append((m, vec))
     if not modes:
         raise PseudocurveError(f"no modes in {text!r}")
     return tuple(modes)
@@ -195,7 +205,7 @@ def _cmd_saddle(args) -> int:
         },
         "expected": expected,
         "matches": matches,
-        "a0_equivalent": result == residues.inertia(form.with_constant_term_only()),
+        "a0_equivalent": residues.a0_equivalence_check(form, result),
         "saddle_contribution_nu": {
             "nu": args.nu,
             "value": residues.saddle_index_at_cusp(args.k, args.l, args.nu),

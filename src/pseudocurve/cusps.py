@@ -48,18 +48,6 @@ class CuspType:
     def p_last(self) -> int:
         return self.exponents[-1]
 
-    @property
-    def length_l(self) -> int:
-        """The index l in (p_0, ..., p_l)."""
-        return len(self.exponents) - 1
-
-    def to_json(self) -> dict:
-        return {"exponents": list(self.exponents)}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CuspType":
-        return cls(tuple(payload["exponents"]))
-
 
 @dataclass(frozen=True)
 class DivisorSequence:
@@ -211,22 +199,6 @@ def bennequin_index(delta: int) -> int:
     return 2 * delta - 1
 
 
-def smoothing_euler(chi: int, delta: int) -> int:
-    """chi - 2*delta, invariant under splitting singular points into nodes."""
-    return chi - 2 * delta
-
-
-def reducible_delta(
-    branch_deltas: Sequence[int], pairwise_intersections: Sequence[int]
-) -> int:
-    """Total delta of a reducible germ.
-
-    Report helper, not a new formula: sum of branch deltas plus the sum of
-    pairwise intersection multiplicities of distinct branches.
-    """
-    return sum(branch_deltas) + sum(pairwise_intersections)
-
-
 def cusp_stratum_codim(n: int, k_tuple: Sequence[int]) -> int:
     """Real codimension 2*(n*|k| - m) of the stratum with m = len(k_tuple)
     marked cusps of orders k_i."""
@@ -235,15 +207,6 @@ def cusp_stratum_codim(n: int, k_tuple: Sequence[int]) -> int:
     if any(k < 1 for k in k_tuple):
         raise ValueError("cusp orders must be >= 1")
     return 2 * (n * sum(k_tuple) - len(k_tuple))
-
-
-def secondary_stratum_codim(n: int, l_tuple: Sequence[int]) -> int:
-    """Real codimension 2*(n-1)*|l| for prescribed secondary cusp indices."""
-    if n < 2:
-        raise ValueError("ambient complex dimension must be >= 2")
-    if any(l < 0 for l in l_tuple):
-        raise ValueError("secondary indices must be >= 0")
-    return 2 * (n - 1) * sum(l_tuple)
 
 
 def cusp_type_stratum_codim(n: int, types: Sequence[CuspType]) -> int:

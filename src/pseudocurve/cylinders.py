@@ -9,10 +9,8 @@ its induced metric density, the coordinate maps between the annulus and the
 flat cylinder ``Z(-1,1)``, and the constant-volume-form identity those maps
 are designed to satisfy.
 
-Two conformal radius conventions coexist and are never mixed: a cylinder
-``Z(a,b)`` has radius ``e^(b-a)`` (tag ``radius_exp``), while the annulus of
-the node family at parameter lambda is measured by ``log(1/|lambda|)``
-(tag ``radius_log``).
+The annulus of the node family at parameter lambda has conformal radius
+``log(1/|lambda|)`` (tag ``radius_log``).
 """
 
 from __future__ import annotations
@@ -91,26 +89,12 @@ class DecayReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class SupersolutionReport:
-    a_plus: tuple[float, ...]  # index k = 1 .. l-1
-    a_minus: tuple[float, ...]
-    gamma: tuple[float, ...]
-    holds_from: int | None  # smallest k0 >= 2 with the inequality on [k0, l-k0]
-    failures: tuple[int, ...]
-
-
 # ---------------------------------------------------------------------------
-# conformal radii and the hyperbola metric
+# conformal radius and the hyperbola metric
 # ---------------------------------------------------------------------------
-
-def conformal_radius(c: Cylinder) -> float:
-    """radius_exp convention: e^(b-a) > 1."""
-    return math.exp(c.b - c.a)
-
 
 def node_conformal_radius(lam: complex) -> float:
-    """radius_log convention for the annulus z+ z- = lambda: log(1/|lambda|)."""
+    """radius_log of the annulus z+ z- = lambda: log(1/|lambda|)."""
     r = abs(lam)
     if r == 0 or r >= 1:
         raise DomainError("need 0 < |lambda| < 1")
@@ -232,17 +216,9 @@ def _vec_norm_sq(vec: Sequence[complex]) -> float:
     return sum(abs(c) ** 2 for c in vec)
 
 
-def _check_domain(u: CylinderMap, a: float, b: float, what: str) -> None:
-    if not u.domain.contains(Cylinder(a, b)):
-        raise DomainError(f"{what} outside the map domain")
-
-
-def _energy(u: CylinderMap, a: float, b: float) -> float:
-    total = 0.0
-    for m, vec in u.modes:
-        if m:
-            total += 4.0 * math.pi * m * m * _vec_norm_sq(vec) * _mode_integral(m, a, b)
-    return total
+def _check_band(u: CylinderMap, k: float) -> None:
+    if not u.domain.contains(Cylinder(k, k + 1)):
+        raise DomainError(f"band Z({k}, {k+1}) outside the map domain")
 
 
 def band_energy(u: CylinderMap, k: float) -> float:
@@ -251,20 +227,18 @@ def band_energy(u: CylinderMap, k: float) -> float:
     Modes are L^2-orthogonal on every band, so the energy is
     sum_m 4 pi m^2 |v_m|^2 * integral_k^{k+1} e^{-2mt} dt.
     """
-    _check_domain(u, k, k + 1, f"band Z({k}, {k+1})")
-    return _energy(u, k, k + 1)
-
-
-def interval_energy(u: CylinderMap, a: float, b: float) -> float:
-    """||du||^2 over Z(a, b) (b - a need not be an integer)."""
-    _check_domain(u, a, b, "interval")
-    return _energy(u, a, b)
+    _check_band(u, k)
+    total = 0.0
+    for m, vec in u.modes:
+        if m:
+            total += 4.0 * math.pi * m * m * _vec_norm_sq(vec) * _mode_integral(m, k, k + 1)
+    return total
 
 
 def l12_norm_sq(u: CylinderMap, k: float) -> float:
     """Sobolev norm ||u||^2 + ||du||^2 on the band Z_k, closed form: mode m
     gives 2 pi |v_m|^2 (1 + 2 m^2) integral_k^{k+1} e^{-2mt} dt."""
-    _check_domain(u, k, k + 1, f"band Z({k}, {k+1})")
+    _check_band(u, k)
     total = 0.0
     for m, vec in u.modes:
         integral = _mode_integral(m, k, k + 1) if m else 1.0  # not (k+1)-k: rounds
@@ -338,49 +312,3 @@ def three_term_truncation(u: CylinderMap, k: float) -> tuple[CylinderMap, float]
     rest = u.restrict_modes(lambda m: abs(m) >= 2)
     return low, math.sqrt(l12_norm_sq(rest, k))
 
-
-def supersolution_sequences(
-    l: int,
-    k_star: int | None = None,
-    c1: float = 0.0,
-    alpha: float = 1.0,
-    s: float = 0.5,
-) -> SupersolutionReport:
-    """The two comparison sequences used to force two-sided decay.
-
-    A+_k = e^{-2k - 1/k} for k <= k*, stitched at k* to
-    e^{-2k - 1/k* + 1/(l-k) - 1/(l-k*)}; A- is its mirror.  The report
-    checks ``A_k >= (gamma_k / 2)(A_{k-1} + A_{k+1})`` for
-    gamma_k = 1/cosh(2) + c1 (e^{-alpha s k} + e^{-alpha s (l-k)}) on
-    k = 2..l-2 and records the smallest k0 >= 2 from which the inequality
-    holds on all of [k0, l-k0].
-    """
-    if l < 4:
-        raise DomainError("need l >= 4")
-    if k_star is None:
-        k_star = l // 2  # the unique integer near l/2
-    if not (1 <= k_star <= l - 1):
-        raise DomainError("need 1 <= k* <= l-1")
-
-    def a_plus(k: int, stitch: int) -> float:
-        if k <= stitch:
-            return math.exp(-2.0 * k - 1.0 / k)
-        return math.exp(-2.0 * k - 1.0 / stitch + 1.0 / (l - k) - 1.0 / (l - stitch))
-
-    ap = [a_plus(k, k_star) for k in range(1, l)]
-    am = [a_plus(l - k, l - k_star) for k in range(1, l)]  # the mirror k -> l - k
-    gam = [
-        GAMMA_STAR
-        + c1 * (math.exp(-alpha * s * k) + math.exp(-alpha * s * (l - k)))
-        for k in range(1, l)
-    ]
-
-    def holds(a: list[float], k: int) -> bool:  # lists are indexed from k = 1
-        return a[k - 1] >= gam[k - 1] / 2.0 * (a[k - 2] + a[k])
-
-    failures = tuple(k for k in range(2, l - 1) if not (holds(ap, k) and holds(am, k)))
-    # [k0, l-k0] misses a failure f iff k0 > min(f, l - f)
-    holds_from = max([2] + [min(f, l - f) + 1 for f in failures])
-    if holds_from > l // 2:
-        holds_from = None
-    return SupersolutionReport(tuple(ap), tuple(am), tuple(gam), holds_from, failures)

@@ -33,10 +33,6 @@ class GenusFormulaInconsistent(PseudocurveError):
     """The genus identity has no integer solution for the requested unknown."""
 
 
-class LineBundleOnly(PseudocurveError):
-    """The vanishing criterion applies to line bundles only."""
-
-
 class SingularPoint(PseudocurveError):
     """Evaluation requested at the singular point of a chart."""
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from pseudocurve.errors import GenusFormulaInconsistent, LineBundleOnly
+from pseudocurve.errors import GenusFormulaInconsistent
 
 
 @dataclass(frozen=True)
@@ -44,27 +44,6 @@ class CurveData:
     @property
     def total_genus(self) -> int:
         return sum(self.genera)
-
-
-@dataclass(frozen=True)
-class BundleData:
-    """A complex bundle over a closed surface: Chern number, rank, genus."""
-
-    c1: int
-    rank: int = 1
-    genus: int = 0
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.genus < 0:
-            raise ValueError("genus must be >= 0")
-
-
-@dataclass(frozen=True)
-class VanishingFlags:
-    h0_zero: bool
-    h1_zero: bool
 
 
 @dataclass(frozen=True)
@@ -119,21 +98,6 @@ def gromov_operator_index(mu: int, n: int, g: int) -> int:
     return 2 * (mu + n * (1 - g))
 
 
-def d_cohomology_index(b: BundleData) -> int:
-    """Real index 2*(c1 + rank*(1-g)) of a Cauchy-Riemann type operator."""
-    return 2 * (b.c1 + b.rank * (1 - b.genus))
-
-
-def vanishing_predicate(b: BundleData) -> VanishingFlags:
-    """Line-bundle vanishing: h^0 = 0 if c1 < 0; h^1 = 0 if c1 > 2g - 2.
-
-    Both flags may be false; the criterion is silent then.
-    """
-    if b.rank != 1:
-        raise LineBundleOnly("the vanishing criterion needs a line bundle")
-    return VanishingFlags(h0_zero=b.c1 < 0, h1_zero=b.c1 > 2 * b.genus - 2)
-
-
 def moduli_projection_index(mu: int, n: int, g: int) -> int:
     """Real index 2*(mu + (n-3)*(1-g)) of the projection of the moduli space
     of parameterized curves to the space of structures."""
@@ -151,13 +115,11 @@ def h0_from_h1(mu: int, n: int, g: int, k_total: int, h1: int) -> int:
     """h^0 = h^1 + 2*(mu + (g-1)*(3-n) - |k|) along a cusp stratum.
 
     A negative return value signals that the stratum is empty; this is a
-    valid answer, not an error.
+    valid answer, not an error.  A negative h1 is an error.
     """
+    if h1 < 0:
+        raise ValueError("cohomology dimensions must be >= 0")
     return h1 + 2 * (mu + (g - 1) * (3 - n) - k_total)
-
-
-def stratum_is_empty(mu: int, n: int, g: int, k_total: int, h1: int) -> bool:
-    return h0_from_h1(mu, n, g, k_total, h1) < 0
 
 
 def h1_stratum_codim(h0: int, h1: int) -> int:

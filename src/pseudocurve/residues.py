@@ -74,9 +74,6 @@ class ResidueForm:
             raise ValueError("deg P must be <= k - l - 1")
         object.__setattr__(self, "coefficients", coeffs)
 
-    def with_constant_term_only(self) -> "ResidueForm":
-        return ResidueForm(self.k, self.l, (self.coefficients[0],))
-
 
 @dataclass(frozen=True)
 class InertiaResult:
@@ -255,12 +252,10 @@ def inertia(f: ResidueForm) -> InertiaResult:
     return rational_inertia(scaled_residue_form_matrix(f)[1])
 
 
-def a0_equivalence_check(f: ResidueForm) -> bool:
-    """True iff the form has the same inertia as the form with P := a_0.
-
-    Computed independently on both sides, not assumed.
-    """
-    return inertia(f) == inertia(f.with_constant_term_only())
+def a0_equivalence_check(f: ResidueForm, result: InertiaResult) -> bool:
+    """True iff ``result``, the inertia of ``f``, equals the inertia of the
+    form with P := a_0, which is computed here by its own elimination."""
+    return result == inertia(ResidueForm(f.k, f.l, f.coefficients[:1]))
 
 
 def saddle_index_at_cusp(k: int, l: int, nu: int) -> int:
@@ -275,8 +270,3 @@ def saddle_index_at_cusp(k: int, l: int, nu: int) -> int:
         raise ValueError("nu must be >= 0")
     return max(0, k - l - nu)
 
-
-def total_saddle_index(cusps: Sequence[tuple[int, int, int]]) -> int:
-    """Sum of per-cusp contributions; distinct cusps pair orthogonally, so
-    contributions add."""
-    return sum(saddle_index_at_cusp(k, l, nu) for k, l, nu in cusps)

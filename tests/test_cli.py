@@ -216,6 +216,14 @@ def test_index_h1_extension(capsys):
     assert payload["stratum_empty"] is False
 
 
+@pytest.mark.parametrize("mu", ["1", "5"])
+def test_index_rejects_negative_h1(mu, capsys):
+    # h0 would be negative at mu = 1 and positive at mu = 5: rejected either way
+    code, out, err = run(["index", "--mu", mu, "--genus", "1", "--h1", "-3"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "cohomology dimensions must be >= 0"}
+
+
 def test_saddle_command(capsys):
     code, payload, _ = run_json(
         ["saddle", "--k", "3", "--l", "1", "--poly", "2,-1,0"], capsys
@@ -228,6 +236,17 @@ def test_saddle_command(capsys):
     assert payload["a0_equivalent"] is True
     assert len(payload["matrix"]) == 8
     assert payload["poly"] == [["2", "0"], ["-1", "0"]]
+
+
+def test_saddle_a0_equivalent_comes_from_residues(monkeypatch, capsys):
+    from pseudocurve import residues
+
+    monkeypatch.setattr(residues, "a0_equivalence_check", lambda f, result: False)
+    code, payload, _ = run_json(
+        ["saddle", "--k", "3", "--l", "1", "--poly", "2,-1,0"], capsys
+    )
+    assert code == 0
+    assert payload["a0_equivalent"] is False
 
 
 def test_saddle_negative_first_coefficient(capsys):
@@ -278,6 +297,28 @@ def test_node_metric_and_radius(capsys):
 def test_node_domain_error(capsys):
     code, out, err = run(["node", "--lambda", "2.0", "--check", "volume"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        (["decay", "--modes", "2.5:1,0"], "2.5:1,0"),
+        (["decay", "--modes", "x"], "x"),
+        (["decay", "--modes", "1:nan,0"], "1:nan,0"),
+        (["decay", "--modes", "1:1e400,0"], "1:1e400,0"),
+        (["node", "--lambda", "nan"], "nan"),
+        (["node", "--lambda", "0.1", "--check", "metric", "--z", "nan"], "nan"),
+    ],
+    ids=["modes-2.5", "modes-x", "modes-nan", "modes-1e400", "lambda-nan", "z-nan"],
+)
+def test_malformed_or_non_finite_numbers_give_json_errors(argv, bad, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    message = json.loads(err)["error"]
+    assert repr(bad) in message
+    if argv[0] == "decay":
+        assert "--modes" in message
 
 
 def test_decay_command(capsys):
@@ -404,6 +445,14 @@ def test_branch_command_monomial(capsys):
     assert payload["ordinary_cusp"] is True
     assert payload["delta"] == 1
     assert payload["bennequin"] == 1
+
+
+@pytest.mark.parametrize("cusp_type", ["2,5", "3,4"])
+def test_branch_not_ordinary_cusp(cusp_type, capsys):
+    # (k, l) = (1, 1) and (2, 0): an ordinary cusp needs both k = 1 and l = 0
+    code, payload, _ = run_json(["branch", "--type", cusp_type], capsys)
+    assert code == 0
+    assert payload["ordinary_cusp"] is False
 
 
 def test_branch_command_file_and_intersection(tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_admissible_exponent_properties_exhaustive():
         ds = cusps.divisor_sequence(p).divisors
         data = cusps.admissible_exponents(p)
         # count identity
-        expected_lprime = p.length_l + sum(
+        expected_lprime = len(ps) - 1 + sum(
             (ps[i + 1] - ps[i]) // ds[i] for i in range(len(ps) - 1)
         )
         assert data.length_lprime == expected_lprime
@@ -182,18 +182,6 @@ def test_bennequin_index():
         cusps.bennequin_index(-1)
 
 
-def test_smoothing_euler():
-    assert cusps.smoothing_euler(1, 1) == -1  # disc with one node
-    assert cusps.smoothing_euler(2, 0) == 2  # smooth sphere
-    assert cusps.smoothing_euler(1, 0) == 1  # smooth disc
-
-
-def test_reducible_delta():
-    # two ordinary cusps meeting transversally
-    assert cusps.reducible_delta([1, 1], [2]) == 4
-    assert cusps.reducible_delta([], []) == 0
-
-
 @pytest.mark.parametrize(
     "n,k,expected",
     [(2, (1,), 2), (2, (1, 1), 4), (3, (2,), 10)],
@@ -205,13 +193,6 @@ def test_cusp_stratum_codim(n, k, expected):
 def test_cusp_stratum_codim_validation():
     with pytest.raises(ValueError):
         cusps.cusp_stratum_codim(1, (1,))
-
-
-@pytest.mark.parametrize(
-    "n,l,expected", [(2, (0,), 0), (2, (1,), 2), (3, (1, 2), 12)]
-)
-def test_secondary_stratum_codim(n, l, expected):
-    assert cusps.secondary_stratum_codim(n, l) == expected
 
 
 @pytest.mark.parametrize(

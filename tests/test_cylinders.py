@@ -19,15 +19,8 @@ def single(m, vec=(1.0 + 0j,), domain=DOM):
 
 
 # ---------------------------------------------------------------------------
-# radii and the hyperbola metric
+# radius and the hyperbola metric
 # ---------------------------------------------------------------------------
-
-def test_conformal_radius_exp_convention():
-    assert math.isclose(cylinders.conformal_radius(Cylinder(0, 1)), math.e)
-    assert math.isclose(
-        cylinders.conformal_radius(Cylinder(0, 0.0001)), 1.0001, rel_tol=1e-7
-    )
-
 
 def test_conformal_radius_log_convention():
     assert math.isclose(cylinders.node_conformal_radius(0.1), math.log(10.0))
@@ -185,14 +178,6 @@ def test_mode_orthogonality_energies_add():
         )
 
 
-def test_band_additivity_over_intervals():
-    u = CylinderMap(((1, (1 + 0j,)), (2, (0.5j,))), DOM)
-    left = cylinders.interval_energy(u, 0.0, 1.5)
-    right = cylinders.interval_energy(u, 1.5, 4.0)
-    total = cylinders.interval_energy(u, 0.0, 4.0)
-    assert math.isclose(left + right, total, rel_tol=1e-12)
-
-
 def test_band_outside_domain():
     with pytest.raises(DomainError):
         cylinders.band_energy(single(1), 9.5)
@@ -336,82 +321,3 @@ def test_l12_norm_of_the_constant_mode():
     for k in (0.0, 0.3, 2.0, 8.7):
         assert cylinders.l12_norm_sq(u, k) == 2.0 * math.pi
 
-
-# ---------------------------------------------------------------------------
-# supersolutions
-# ---------------------------------------------------------------------------
-
-def test_supersolutions_pure_gamma_star_hold_from_two():
-    for l in (10, 20, 40):
-        report = cylinders.supersolution_sequences(l)
-        assert report.failures == ()
-        assert report.holds_from == 2
-
-
-def test_supersolution_decay_bound():
-    for l in (10, 25):
-        report = cylinders.supersolution_sequences(l)
-        k_star = l // 2
-        for idx, a in enumerate(report.a_plus, start=1):
-            if idx <= k_star:
-                assert a <= math.exp(-2.0 * idx)
-            assert a <= math.e * math.exp(-2.0 * idx)
-
-
-def test_supersolution_symmetry():
-    l = 20
-    report = cylinders.supersolution_sequences(l, k_star=10)
-    for idx in range(1, l):
-        assert math.isclose(
-            report.a_minus[idx - 1], report.a_plus[l - idx - 1], rel_tol=1e-12
-        )
-
-
-def test_supersolution_k0_independent_of_length():
-    k0s = {
-        l: cylinders.supersolution_sequences(l, c1=0.05, alpha=1.0, s=0.5).holds_from
-        for l in (10, 20, 40)
-    }
-    assert len(set(k0s.values())) == 1
-    assert all(k0 is not None for k0 in k0s.values())
-
-
-def test_supersolution_mirror_for_every_stitch():
-    # A-_k at stitch k* is A+_{l-k} at stitch l - k*, exactly
-    for l in (4, 7, 12):
-        for k_star in range(1, l):
-            report = cylinders.supersolution_sequences(l, k_star)
-            mirror = cylinders.supersolution_sequences(l, l - k_star)
-            assert report.a_minus == mirror.a_plus[::-1]
-
-
-def _brute_force_holds_from(report, l):
-    """Smallest k0 >= 2 with the inequality on all of [k0, l - k0], read
-    directly off the sequences."""
-
-    def holds(k):
-        i, g = k - 1, report.gamma[k - 1]
-        return all(
-            a[i] >= g / 2.0 * (a[i - 1] + a[i + 1])
-            for a in (report.a_plus, report.a_minus)
-        )
-
-    return next(
-        (
-            k0
-            for k0 in range(2, l // 2 + 1)
-            if all(holds(k) for k in range(k0, l - k0 + 1))
-        ),
-        None,
-    )
-
-
-def test_holds_from_is_the_brute_force_smallest_k0():
-    seen = set()
-    for l in range(4, 31):
-        for k_star in range(1, l):
-            for c1 in (0.0, 0.5, 3.0, 20.0):
-                report = cylinders.supersolution_sequences(l, k_star, c1=c1)
-                assert report.holds_from == _brute_force_holds_from(report, l)
-                seen.add(report.holds_from)
-    assert None in seen and len(seen) >= 4  # refusals and several k0 occur

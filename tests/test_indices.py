@@ -5,8 +5,8 @@ import random
 import pytest
 
 from pseudocurve import indices
-from pseudocurve.errors import GenusFormulaInconsistent, LineBundleOnly
-from pseudocurve.indices import BundleData, CurveData
+from pseudocurve.errors import GenusFormulaInconsistent
+from pseudocurve.indices import CurveData
 
 
 # ---------------------------------------------------------------------------
@@ -65,24 +65,6 @@ def test_gromov_operator_index(mu, n, g, expected):
 
 
 @pytest.mark.parametrize(
-    "c1,rank,g,expected", [(0, 1, 1, 0), (2, 1, 0, 6), (-1, 2, 2, -6)]
-)
-def test_d_cohomology_index(c1, rank, g, expected):
-    assert indices.d_cohomology_index(BundleData(c1, rank, g)) == expected
-
-
-def test_vanishing_predicate():
-    flags = indices.vanishing_predicate(BundleData(-1, 1, 0))
-    assert flags.h0_zero and flags.h1_zero  # -1 < 0 and -1 > -2
-    flags = indices.vanishing_predicate(BundleData(0, 1, 1))
-    assert not flags.h0_zero and not flags.h1_zero  # boundary case: silent
-    flags = indices.vanishing_predicate(BundleData(3, 1, 1))
-    assert not flags.h0_zero and flags.h1_zero
-    with pytest.raises(LineBundleOnly):
-        indices.vanishing_predicate(BundleData(1, 2, 0))
-
-
-@pytest.mark.parametrize(
     "mu,n,g,expected", [(3, 2, 0, 4), (0, 3, 1, 0), (18, 2, 10, 54)]
 )
 def test_moduli_projection_index(mu, n, g, expected):
@@ -133,8 +115,16 @@ def test_h0_h1_parity():
 
 
 def test_empty_stratum_signal():
-    assert indices.stratum_is_empty(0, 2, 0, 10, 0)
-    assert not indices.stratum_is_empty(3, 2, 0, 0, 0)
+    # a negative h0 is the empty-stratum answer, not an error
+    assert indices.h0_from_h1(0, 2, 0, 10, 0) < 0
+    assert indices.h0_from_h1(3, 2, 0, 0, 0) >= 0
+
+
+def test_h0_from_h1_rejects_negative_h1():
+    # rejected whatever the sign of the h0 it would give
+    for mu in (1, 5):
+        with pytest.raises(ValueError, match="cohomology dimensions must be >= 0"):
+            indices.h0_from_h1(mu, 2, 1, 0, -3)
 
 
 def test_h1_stratum_codim():

@@ -125,9 +125,10 @@ def _random_any(rng):
 
 
 def test_a0_equivalence():
-    assert residues.a0_equivalence_check(form(2, 0, 1, 1))
-    assert residues.a0_equivalence_check(form(1, 0, 5))
-    assert residues.a0_equivalence_check(form(4, 1, 3, -2, 1))
+    for f in (form(2, 0, 1, 1), form(1, 0, 5), form(4, 1, 3, -2, 1)):
+        assert residues.a0_equivalence_check(f, residues.inertia(f))
+    # the a_0 side is computed, not taken from the caller's result
+    assert not residues.a0_equivalence_check(form(2, 0, 1, 1), InertiaResult(3, 3, 0))
 
 
 def test_rational_inertia_on_known_matrices():
@@ -463,8 +464,3 @@ def test_saddle_index_monotonicity():
                 assert here >= residues.saddle_index_at_cusp(k, l, nu + 1)
                 assert residues.saddle_index_at_cusp(k + 1, l, nu) >= here
 
-
-def test_total_saddle_index():
-    assert residues.total_saddle_index([(1, 0, 0)] * 3) == 3
-    assert residues.total_saddle_index([]) == 0
-    assert residues.total_saddle_index([(1, 0, 0), (2, 1, 0)]) == 2

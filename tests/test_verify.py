@@ -113,3 +113,12 @@ def test_passing_saddle_formats_no_failure_key(monkeypatch):
     cert = verify.suite_saddle(seed=0, cases=2)
     assert cert.passed and cert.cases_run == 126
     assert calls == []
+
+
+def test_saddle_sweep_checks_a0_through_residues(monkeypatch):
+    # the sweep's a0-equivalence case is the one residues.a0_equivalence_check
+    monkeypatch.setattr(residues, "a0_equivalence_check", lambda f, result: False)
+    cert = verify.suite_saddle(seed=0, cases=1)
+    _assert_failure_record(cert)
+    assert cert.cases_failed == 21  # one per (k, l) with 1 <= k <= 6, l < k
+    assert all(f["input"].endswith(" a0-equivalence") for f in cert.failures)
