@@ -23,13 +23,6 @@ sides of every inequality it checks.
 
 __version__ = "0.1.0"
 
-from pseudocurve.gaussian import GaussianRational
-from pseudocurve.branches import Branch, BranchJetNormalForm
-from pseudocurve.cusps import CuspType
-from pseudocurve.residues import ResidueForm, InertiaResult
-from pseudocurve.indices import CurveData
-from pseudocurve.cylinders import Cylinder, CylinderMap
-
 __all__ = [
     "Branch",
     "BranchJetNormalForm",
@@ -42,3 +35,33 @@ __all__ = [
     "ResidueForm",
     "__version__",
 ]
+
+# Home module of each exported name.  Importing the package loads none of
+# them: a name is imported on first access (PEP 562), so a CLI call loads
+# only the modules its subcommand runs.
+_HOMES = {
+    "Branch": "branches",
+    "BranchJetNormalForm": "branches",
+    "CurveData": "indices",
+    "CuspType": "cusps",
+    "Cylinder": "cylinders",
+    "CylinderMap": "cylinders",
+    "GaussianRational": "gaussian",
+    "InertiaResult": "residues",
+    "ResidueForm": "residues",
+}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

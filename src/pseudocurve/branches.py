@@ -41,6 +41,13 @@ from pseudocurve.gaussian import ONE, ZERO, GaussianRational, json_int
 
 GR = GaussianRational
 
+# Formula anchors quoted by the verify certificates.
+ANCHOR_ROUNDTRIP = "cusp type of monomial model = original type; jet constraints"
+ANCHOR_INTERSECTION = (
+    "I(b1, b2) = I(b2, b1); graph: ord_t(y(t) - g(x(t))); "
+    "(t^a, t^b), (s^c, s^d) coprime: min(a*d, b*c)"
+)
+
 
 def _integer(value, what: str) -> int:
     try:

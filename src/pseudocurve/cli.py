@@ -15,11 +15,20 @@ import argparse
 import cmath
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from pseudocurve import __version__, branches, cusps, cylinders, indices, residues, verify
+from pseudocurve import __version__
 from pseudocurve.errors import PseudocurveError
-from pseudocurve.gaussian import GaussianRational
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from pseudocurve.branches import Branch
+    from pseudocurve.gaussian import GaussianRational
+
+# Each subcommand imports the modules it runs when it runs, so that a call
+# loads nothing it does not use.  Calls go through module attributes
+# (``cusps.nodal_number(p)``), where a patched or traced function is seen.
 
 USAGE_EXIT = 64
 DOMAIN_EXIT = 1
@@ -76,6 +85,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_rational(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -119,6 +130,8 @@ def _maybe_complex_dim(value: int, use_complex: bool) -> int | float:
 # ---------------------------------------------------------------------------
 
 def _cmd_cusp(args) -> int:
+    from pseudocurve import cusps
+
     exponents = _parse_int_list(args.type)
     p = cusps.CuspType(exponents)  # raises InvalidCuspType -> exit 1
     adm = cusps.admissible_exponents(p)
@@ -143,7 +156,7 @@ def _cmd_cusp(args) -> int:
             "cusp_type_stratum": cusps.cusp_type_stratum_codim(n, (p,)),
         },
         "anchors": {
-            "delta": verify.ANCHOR_DELTA,
+            "delta": cusps.ANCHOR_DELTA,
             "bennequin": "beta = 2*delta - 1",
         },
     }
@@ -152,6 +165,8 @@ def _cmd_cusp(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    from pseudocurve import indices
+
     mu, n, g, m = args.mu, args.n, args.genus, args.marked
     cx = args.use_complex
     bounds = indices.cusp_count_bounds(mu, g, m)
@@ -171,7 +186,7 @@ def _cmd_index(args) -> int:
             "upper": bounds.upper,
             "contradictory": bounds.contradictory,
         },
-        "anchors": {"index": verify.ANCHOR_INDEX},
+        "anchors": {"index": indices.ANCHOR_INDEX},
     }
     if args.h1 is not None:
         h0 = indices.h0_from_h1(mu, n, g, args.k_total, args.h1)
@@ -184,6 +199,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_saddle(args) -> int:
+    from pseudocurve import residues
+
     coeffs = [_parse_rational(part) for part in args.poly.split(",") if part.strip()]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
@@ -210,13 +227,15 @@ def _cmd_saddle(args) -> int:
             "nu": args.nu,
             "value": residues.saddle_index_at_cusp(args.k, args.l, args.nu),
         },
-        "anchors": {"inertia": verify.ANCHOR_SADDLE},
+        "anchors": {"inertia": residues.ANCHOR_SADDLE},
     }
     _emit(payload)
     return 0 if matches else VERIFY_EXIT
 
 
 def _cmd_node(args) -> int:
+    from pseudocurve import cylinders
+
     lam = _parse_complex(args.lam)
     if abs(lam) >= 1:
         return _fail("need |lambda| < 1")
@@ -232,7 +251,7 @@ def _cmd_node(args) -> int:
                 "max_residual": residual,
                 "tolerance": 1e-10,
                 "passed": passed,
-                "anchors": {"volume": verify.ANCHOR_VOLUME},
+                "anchors": {"volume": cylinders.ANCHOR_VOLUME},
             }
         )
     elif check == "gluing":
@@ -251,7 +270,7 @@ def _cmd_node(args) -> int:
                 "inverse_pair_residual": worst,
                 "endpoints": endpoints,
                 "passed": passed,
-                "anchors": {"gluing": verify.ANCHOR_GLUING},
+                "anchors": {"gluing": cylinders.ANCHOR_GLUING},
             }
         )
     elif check == "radius":
@@ -276,6 +295,8 @@ def _cmd_node(args) -> int:
 
 
 def _cmd_decay(args) -> int:
+    from pseudocurve import cylinders
+
     modes = _parse_modes(args.modes)
     u = cylinders.CylinderMap(modes, cylinders.Cylinder(0.0, float(args.length)))
     report = cylinders.decay_estimate_check(u, args.length)
@@ -293,14 +314,16 @@ def _cmd_decay(args) -> int:
             "kept_modes": low.mode_numbers(),
             "remainder_l12_norm": remainder,
         },
-        "anchors": {"decay": verify.ANCHOR_DECAY},
+        "anchors": {"decay": cylinders.ANCHOR_DECAY},
     }
     _emit(payload)
     return 0 if report.passed else VERIFY_EXIT
 
 
-def _load_branch(type_text: str | None, path: str | None) -> branches.Branch | None:
+def _load_branch(type_text: str | None, path: str | None) -> Branch | None:
     """The monomial model of a cusp type, else a branch JSON file, else None."""
+    from pseudocurve import branches, cusps
+
     if type_text:
         exponents = _parse_int_list(type_text)
         return branches.branch_from_cusp_type(cusps.CuspType(exponents))
@@ -311,6 +334,8 @@ def _load_branch(type_text: str | None, path: str | None) -> branches.Branch | N
 
 
 def _cmd_branch(args) -> int:
+    from pseudocurve import branches, cusps
+
     b = _load_branch(args.type, args.file)
     if b is None:
         raise PseudocurveError("provide --type or --file")
@@ -348,6 +373,8 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
+    from pseudocurve import indices
+
     report = indices.cp2_multiple_component_obstruction(
         args.cp2_degree, all_splittings=args.all_splittings
     )
@@ -358,12 +385,14 @@ def _cmd_feasibility(args) -> int:
     }
     if args.json:
         payload["worst_splitting"] = [list(part) for part in report.worst_splitting]
-        payload["anchors"] = {"feasibility": verify.ANCHOR_FEASIBILITY}
+        payload["anchors"] = {"feasibility": indices.ANCHOR_FEASIBILITY}
     _emit(payload)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from pseudocurve import verify
+
     if args.suite == "all":
         certs = verify.run_all(seed=args.seed, cases=args.cases)
     else:
@@ -449,7 +478,9 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run oracle cross-check suites")
     p_verify.add_argument(
-        "--suite", default="all", help=f"one of {sorted(verify.SUITES)} or 'all'"
+        "--suite",
+        default="all",
+        help="a suite name or 'all'; an unknown name lists the suites",
     )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cases", type=_positive_int, default=None)

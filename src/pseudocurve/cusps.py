@@ -18,6 +18,9 @@ from typing import Iterable, Iterator, Sequence
 
 from pseudocurve.errors import InvalidCuspType
 
+# Formula anchors quoted by the verify certificates and the CLI payloads.
+ANCHOR_DELTA = "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"
+
 
 @dataclass(frozen=True, slots=True)
 class CuspType:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +25,12 @@ from pseudocurve.errors import DegenerateMap, DomainError, SingularPoint
 
 GAMMA_STAR = 1.0 / math.cosh(2.0)  # best three-band constant, mode 1
 GAMMA_2 = 1.0 / math.cosh(4.0)  # best three-band constant, modes |m| >= 2
+
+# Formula anchors quoted by the verify certificates and the CLI payloads.
+ANCHOR_COSH = "single-mode three-band ratio = 1/cosh(2m)"
+ANCHOR_VOLUME = "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"
+ANCHOR_GLUING = "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"
+ANCHOR_DECAY = "e_k <= C(e^{-2k} E_head + e^{-2(l-k)} E_tail), high modes <= 1/cosh 4"
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,16 @@ def hyperbola_metric_density(z_plus: complex, lam: complex) -> float:
     r = abs(z_plus)
     if r == 0:
         raise SingularPoint("density is singular at z+ = 0")
-    return 1.0 + (abs(lam) ** 2) / r**4
+    if r > 1e64:  # |lambda|^2 / r^4 < 1e-256 vanishes against 1
+        return 1.0
+    r4 = r**4
+    if r4 >= sys.float_info.min:
+        return 1.0 + (abs(lam) ** 2) / r4
+    q = abs(lam) / r / r  # r^4 underflows: divide by r twice instead
+    density = 1.0 + q * q
+    if not math.isfinite(density):
+        raise DomainError(f"density at |z+| = {r!r} overflows a double")
+    return density
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +145,20 @@ def rho_of_r(r: float, lam: complex) -> float:
     return (r * r - (m * m) / (r * r)) / (1.0 - m * m)
 
 
+def _r_squared(rho: float, m: float) -> tuple[float, float, float]:
+    """``(c, disc, u)`` with c = 1 - m^2, disc = sqrt(rho^2 c^2 + 4 m^2) and
+    u = R(rho)^2 = (rho c + disc) / 2, for 0 < m = |lambda| < 1."""
+    c = 1.0 - m * m
+    disc = math.sqrt(rho * rho * c * c + 4.0 * m * m)
+    u = (rho * c + disc) / 2.0
+    if u <= 0.0:  # the true u is positive: rho c + disc cancelled to 0
+        raise DomainError(
+            f"|lambda| = {m!r} is too small for the gluing coordinates "
+            f"in double precision: R({rho!r})^2 rounds to 0"
+        )
+    return c, disc, u
+
+
 def r_of_rho(rho: float, lam: complex) -> float:
     """Inverse of :func:`rho_of_r`; at lambda = 0 it degenerates to
     sqrt(rho) on (0, 1]."""
@@ -141,9 +171,8 @@ def r_of_rho(rho: float, lam: complex) -> float:
         if rho <= 0:
             raise DomainError("the limit map needs rho > 0")
         return math.sqrt(rho)
-    c = 1.0 - m * m
-    disc = math.sqrt(rho * rho * c * c + 4.0 * m * m)
-    return math.sqrt((rho * c + disc) / 2.0)
+    _, _, u = _r_squared(rho, m)
+    return math.sqrt(u)
 
 
 def r_of_rho_derivative(rho: float, lam: complex) -> float:
@@ -153,9 +182,7 @@ def r_of_rho_derivative(rho: float, lam: complex) -> float:
         if rho <= 0:
             raise DomainError("the limit map needs rho > 0")
         return 0.5 / math.sqrt(rho)
-    c = 1.0 - m * m
-    disc = math.sqrt(rho * rho * c * c + 4.0 * m * m)
-    u = (rho * c + disc) / 2.0
+    c, disc, u = _r_squared(rho, m)
     du = 0.5 * c * (1.0 + rho * c / disc)
     return du / (2.0 * math.sqrt(u))
 
@@ -209,11 +236,23 @@ def gluing_inverse_residual(lam: complex, grid: int) -> float:
 
 def _mode_integral(m: int, a: float, b: float) -> float:
     """integral over [a, b] of e^{-2mt} dt, for m != 0."""
-    return (math.exp(-2.0 * m * a) - math.exp(-2.0 * m * b)) / (2.0 * m)
+    try:
+        return (math.exp(-2.0 * m * a) - math.exp(-2.0 * m * b)) / (2.0 * m)
+    except OverflowError:
+        raise DomainError(f"mode {m} overflows a double on Z({a}, {b})") from None
 
 
 def _vec_norm_sq(vec: Sequence[complex]) -> float:
-    return sum(abs(c) ** 2 for c in vec)
+    try:
+        return sum(abs(c) ** 2 for c in vec)
+    except OverflowError:
+        raise DomainError("a mode coefficient squared overflows a double") from None
+
+
+def _finite_energy(total: float, k: float) -> float:
+    if not math.isfinite(total):
+        raise DomainError(f"the energy on the band Z({k}, {k + 1}) overflows a double")
+    return total
 
 
 def _check_band(u: CylinderMap, k: float) -> None:
@@ -232,7 +271,7 @@ def band_energy(u: CylinderMap, k: float) -> float:
     for m, vec in u.modes:
         if m:
             total += 4.0 * math.pi * m * m * _vec_norm_sq(vec) * _mode_integral(m, k, k + 1)
-    return total
+    return _finite_energy(total, k)
 
 
 def l12_norm_sq(u: CylinderMap, k: float) -> float:
@@ -243,7 +282,7 @@ def l12_norm_sq(u: CylinderMap, k: float) -> float:
     for m, vec in u.modes:
         integral = _mode_integral(m, k, k + 1) if m else 1.0  # not (k+1)-k: rounds
         total += _vec_norm_sq(vec) * integral * 2.0 * math.pi * (1.0 + 2.0 * m * m)
-    return total
+    return _finite_energy(total, k)
 
 
 def three_band_ratio(u: CylinderMap, k: float) -> float:

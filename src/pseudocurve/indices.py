@@ -11,6 +11,11 @@ from dataclasses import dataclass, field
 
 from pseudocurve.errors import GenusFormulaInconsistent
 
+# Formula anchors quoted by the verify certificates and the CLI payloads.
+ANCHOR_FEASIBILITY = "max over splittings of sum d_i(d_i+3)/2 vs required 3d - 1"
+ANCHOR_GENUS = "g = (d-1)(d-2)/2 from 2g = q - mu + 2 - 2*delta"
+ANCHOR_INDEX = "index = 2(mu + (n-3)(1-g) - m)"
+
 
 @dataclass(frozen=True)
 class CurveData:

@@ -47,6 +47,9 @@ from pseudocurve.gaussian import GaussianRational
 
 GR = GaussianRational
 
+# Formula anchors quoted by the verify certificates and the CLI payloads.
+ANCHOR_SADDLE = "inertia of Re Res_0 z^(l-k) P(z) (sum w_i z^i)^2: ind+ = ind- = k - l"
+
 
 @dataclass(frozen=True)
 class ResidueForm:

@@ -86,25 +86,10 @@ def _random_gaussian(rng: random.Random, nonzero: bool = False) -> GaussianRatio
 # suites
 # ---------------------------------------------------------------------------
 
-ANCHOR_SADDLE = "inertia of Re Res_0 z^(l-k) P(z) (sum w_i z^i)^2: ind+ = ind- = k - l"
-ANCHOR_DELTA = "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"
-ANCHOR_FEASIBILITY = "max over splittings of sum d_i(d_i+3)/2 vs required 3d - 1"
-ANCHOR_GENUS = "g = (d-1)(d-2)/2 from 2g = q - mu + 2 - 2*delta"
-ANCHOR_INDEX = "index = 2(mu + (n-3)(1-g) - m)"
-ANCHOR_COSH = "single-mode three-band ratio = 1/cosh(2m)"
-ANCHOR_VOLUME = "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"
-ANCHOR_GLUING = "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"
-ANCHOR_DECAY = "e_k <= C(e^{-2k} E_head + e^{-2(l-k)} E_tail), high modes <= 1/cosh 4"
-ANCHOR_ROUNDTRIP = "cusp type of monomial model = original type; jet constraints"
-ANCHOR_INTERSECTION = (
-    "I(b1, b2) = I(b2, b1); graph: ord_t(y(t) - g(x(t))); "
-    "(t^a, t^b), (s^c, s^d) coprime: min(a*d, b*c)"
-)
-
-
 def suite_saddle(seed: int = 0, cases: int = 50) -> VerificationCertificate:
     """Exact inertia sweep: every (k, l, random P) must give (k-l, k-l)."""
     cert = VerificationCertificate("saddle", seed=seed)
+    anchor = residues.ANCHOR_SADDLE
     rng = _rng(seed, "saddle")
     for k in range(1, 7):
         for l in range(0, k):
@@ -117,11 +102,11 @@ def suite_saddle(seed: int = 0, cases: int = 50) -> VerificationCertificate:
                 key = lambda: f"k={k} l={l} case={case} P={[str(c) for c in coeffs]}"
                 expected = (k - l, k - l, 2 * (k + 1) - 2 * (k - l))
                 got = (result.ind_plus, result.ind_minus, result.nullity)
-                cert.check(key, expected, got, ANCHOR_SADDLE)
-                cert.check(lambda: key() + " s_ind", k - l, result.s_ind, ANCHOR_SADDLE)
+                cert.check(key, expected, got, anchor)
+                cert.check(lambda: key() + " s_ind", k - l, result.s_ind, anchor)
                 a0_same = residues.a0_equivalence_check(form, result)
                 cert.check(
-                    lambda: key() + " a0-equivalence", True, a0_same, ANCHOR_SADDLE
+                    lambda: key() + " a0-equivalence", True, a0_same, anchor
                 )
     return cert
 
@@ -129,33 +114,35 @@ def suite_saddle(seed: int = 0, cases: int = 50) -> VerificationCertificate:
 def suite_delta(seed: int = 0, max_p_last: int = 30) -> VerificationCertificate:
     """Exhaustive: the combinatorial count is twice the semigroup gap count."""
     cert = VerificationCertificate("delta", seed=seed)
+    anchor = cusps.ANCHOR_DELTA
     for p in cusps.enumerate_cusp_types(max_p_last):
         formula = cusps.nodal_number_formula(p)
         gaps = cusps.nodal_number_oracle(p)
         key = lambda: f"p={list(p.exponents)}"
-        cert.check(key, 2 * gaps, formula, ANCHOR_DELTA)
-        cert.check(lambda: key() + " delta", gaps, cusps.nodal_number(p), ANCHOR_DELTA)
+        cert.check(key, 2 * gaps, formula, anchor)
+        cert.check(lambda: key() + " delta", gaps, cusps.nodal_number(p), anchor)
     return cert
 
 
 def suite_feasibility(seed: int = 0) -> VerificationCertificate:
     """Degree-6 anchor (16 vs 17) and the obstruction flip at degree 7."""
     cert = VerificationCertificate("feasibility", seed=seed)
+    anchor = indices.ANCHOR_FEASIBILITY
     report6 = indices.cp2_multiple_component_obstruction(6)
-    cert.check("d=6 worst_count", 16, report6.worst_count, ANCHOR_FEASIBILITY)
-    cert.check("d=6 required", 17, report6.required, ANCHOR_FEASIBILITY)
+    cert.check("d=6 worst_count", 16, report6.worst_count, anchor)
+    cert.check("d=6 required", 17, report6.required, anchor)
     for d in range(1, 7):
         cert.check(
             lambda: f"d={d} obstructed",
             True,
             indices.cp2_multiple_component_obstruction(d).obstructed,
-            ANCHOR_FEASIBILITY,
+            anchor,
         )
     cert.check(
         "d=7 obstructed",
         False,
         indices.cp2_multiple_component_obstruction(7).obstructed,
-        ANCHOR_FEASIBILITY,
+        anchor,
     )
     return cert
 
@@ -163,16 +150,17 @@ def suite_feasibility(seed: int = 0) -> VerificationCertificate:
 def suite_genus(seed: int = 0) -> VerificationCertificate:
     """Smooth plane curve of degree d has genus (d-1)(d-2)/2."""
     cert = VerificationCertificate("genus", seed=seed)
+    anchor = indices.ANCHOR_GENUS
     for d in range(1, 11):
         data = indices.CurveData(n=2, mu=3 * d, self_int=d * d, genera=(0,), delta=0)
         solved = indices.genus_formula_solve(data, "genus")
-        cert.check(lambda: f"d={d}", (d - 1) * (d - 2) // 2, solved, ANCHOR_GENUS)
+        cert.check(lambda: f"d={d}", (d - 1) * (d - 2) // 2, solved, anchor)
         smooth = indices.cp2_smooth_curve(d)
         cert.check(
             lambda: f"d={d} check",
             True,
             indices.genus_formula_check(smooth),
-            ANCHOR_GENUS,
+            anchor,
         )
     return cert
 
@@ -180,6 +168,7 @@ def suite_genus(seed: int = 0) -> VerificationCertificate:
 def suite_index(seed: int = 0, cases: int = 10000) -> VerificationCertificate:
     """Marked index at m = 0 equals the unmarked one; dimension count; rigidity."""
     cert = VerificationCertificate("index", seed=seed)
+    anchor = indices.ANCHOR_INDEX
     rng = _rng(seed, "index")
     mismatches = 0
     for _ in range(cases):
@@ -197,23 +186,24 @@ def suite_index(seed: int = 0, cases: int = 10000) -> VerificationCertificate:
             != 2 * (aut - indices.teichmueller_dim(g))
         ):
             mismatches += 1
-    cert.check(lambda: f"random sweep x{cases}", 0, mismatches, ANCHOR_INDEX)
+    cert.check(lambda: f"random sweep x{cases}", 0, mismatches, anchor)
     for d in range(1, 11):
         got = indices.marked_moduli_index(3 * d, 2, 0, 3 * d - 1)
-        cert.check(lambda: f"rigidity d={d}", 0, got, ANCHOR_INDEX)
+        cert.check(lambda: f"rigidity d={d}", 0, got, anchor)
     return cert
 
 
 def suite_cosh(seed: int = 0) -> VerificationCertificate:
     """Single-mode three-band ratios hit 1/cosh(2) and 1/cosh(4) exactly."""
     cert = VerificationCertificate("cosh", seed=seed)
+    anchor = cylinders.ANCHOR_COSH
     domain = cylinders.Cylinder(0.0, 10.0)
     for m, target in ((1, cylinders.GAMMA_STAR), (2, cylinders.GAMMA_2)):
         u = cylinders.CylinderMap(((m, (1.0 + 0j,)),), domain)
         for k in (1.0, 4.0, 7.0):
             ratio = cylinders.three_band_ratio(u, k)
             cert.check_le(
-                lambda: f"m={m} k={k}", abs(ratio - target), 1e-12, ANCHOR_COSH
+                lambda: f"m={m} k={k}", abs(ratio - target), 1e-12, anchor
             )
     return cert
 
@@ -221,10 +211,11 @@ def suite_cosh(seed: int = 0) -> VerificationCertificate:
 def suite_volume(seed: int = 0, grid: int = 200) -> VerificationCertificate:
     """Constant-volume-form identity of the gluing coordinates."""
     cert = VerificationCertificate("volume", seed=seed)
+    anchor = cylinders.ANCHOR_VOLUME
     for lam in (0.5, 0.1, 0.01, 0.0):
         residual = cylinders.volume_identity_residual(lam, grid=grid)
         cert.check_le(
-            lambda: f"|lambda|={lam} grid={grid}", residual, 1e-10, ANCHOR_VOLUME
+            lambda: f"|lambda|={lam} grid={grid}", residual, 1e-10, anchor
         )
     return cert
 
@@ -232,28 +223,29 @@ def suite_volume(seed: int = 0, grid: int = 200) -> VerificationCertificate:
 def suite_gluing(seed: int = 0, grid: int = 1000) -> VerificationCertificate:
     """Inverse-pair and endpoint identities of rho and R."""
     cert = VerificationCertificate("gluing", seed=seed)
+    anchor = cylinders.ANCHOR_GLUING
     for lam in (0.5, 0.1, 0.01):
         worst = cylinders.gluing_inverse_residual(lam, grid)
         cert.check_le(
-            lambda: f"|lambda|={lam} inverse pair", worst, 1e-12, ANCHOR_GLUING
+            lambda: f"|lambda|={lam} inverse pair", worst, 1e-12, anchor
         )
         cert.check_le(
             lambda: f"|lambda|={lam} R(-1)",
             abs(cylinders.r_of_rho(-1.0, lam) - lam),
             1e-14,
-            ANCHOR_GLUING,
+            anchor,
         )
         cert.check_le(
             lambda: f"|lambda|={lam} R(0)",
             abs(cylinders.r_of_rho(0.0, lam) - math.sqrt(lam)),
             1e-14,
-            ANCHOR_GLUING,
+            anchor,
         )
         cert.check_le(
             lambda: f"|lambda|={lam} R(1)",
             abs(cylinders.r_of_rho(1.0, lam) - 1.0),
             1e-14,
-            ANCHOR_GLUING,
+            anchor,
         )
     return cert
 
@@ -272,13 +264,14 @@ def suite_decay(seed: int = 0, cases: int = 100) -> VerificationCertificate:
     """Random Laurent maps obey the two-sided decay shape; their high-mode
     parts never beat the 1/cosh(4) band ratio."""
     cert = VerificationCertificate("decay", seed=seed)
+    anchor = cylinders.ANCHOR_DECAY
     rng = _rng(seed, "decay")
     l = 10
     for case in range(cases):
         u = _random_cylinder_map(rng, float(l))
         report = cylinders.decay_estimate_check(u, l)
         key = lambda: f"case={case} modes={u.mode_numbers()}"
-        cert.check(lambda: key() + " finite C", True, report.passed, ANCHOR_DECAY)
+        cert.check(lambda: key() + " finite C", True, report.passed, anchor)
         high = u.restrict_modes(lambda m: abs(m) >= 2)
         if high.modes:
             for k in range(1, l - 1):
@@ -290,7 +283,7 @@ def suite_decay(seed: int = 0, cases: int = 100) -> VerificationCertificate:
                     lambda: key() + f" band {k}",
                     ratio,
                     cylinders.GAMMA_2 + 1e-12,
-                    ANCHOR_DECAY,
+                    anchor,
                 )
     return cert
 
@@ -298,18 +291,19 @@ def suite_decay(seed: int = 0, cases: int = 100) -> VerificationCertificate:
 def suite_roundtrip(seed: int = 0, max_p_last: int = 30) -> VerificationCertificate:
     """Monomial model round trip and jet normal form constraints."""
     cert = VerificationCertificate("roundtrip", seed=seed)
+    anchor = branches.ANCHOR_ROUNDTRIP
     for p in cusps.enumerate_cusp_types(max_p_last):
         model = branches.branch_from_cusp_type(p)
         back = branches.cusp_type_of_branch(model)
         key = lambda: f"p={list(p.exponents)}"
-        cert.check(key, tuple(p.exponents), tuple(back.exponents), ANCHOR_ROUNDTRIP)
+        cert.check(key, tuple(p.exponents), tuple(back.exponents), anchor)
         jet = branches.jet_normal_form(model)
         cert.check(
-            lambda: key() + " P1(0)", False, jet.p1[0].is_zero(), ANCHOR_ROUNDTRIP
+            lambda: key() + " P1(0)", False, jet.p1[0].is_zero(), anchor
         )
         p2_zero = all(c.is_zero() for c in jet.p2)
         cert.check(
-            lambda: key() + " P2=0 iff l=k", jet.l == jet.k, p2_zero, ANCHOR_ROUNDTRIP
+            lambda: key() + " P2=0 iff l=k", jet.l == jet.k, p2_zero, anchor
         )
     return cert
 
@@ -319,6 +313,7 @@ def suite_intersection(seed: int = 0) -> VerificationCertificate:
     the closed form on coprime monomial pairs, both ways round.  Every case
     is built so that its stored jets determine I."""
     cert = VerificationCertificate("intersection", seed=seed)
+    anchor = branches.ANCHOR_INTERSECTION
     rng = _rng(seed, "intersection")
     truncation = 5
     for case in range(3):
@@ -333,18 +328,18 @@ def suite_intersection(seed: int = 0) -> VerificationCertificate:
         probe = branches.Branch.from_coordinates([{mu: c}, y], truncation)
         norm = branches.intersection_multiplicity(graph, probe)
         key = lambda: f"graph case={case} mu={mu} k={k}"
-        cert.check(key, k, norm, ANCHOR_INTERSECTION)
+        cert.check(key, k, norm, anchor)
         cert.check(
             lambda: key() + " substitution",
             branches.intersection_multiplicity_substitution(graph, probe),
             norm,
-            ANCHOR_INTERSECTION,
+            anchor,
         )
         cert.check(
             lambda: key() + " symmetry",
             norm,
             branches.intersection_multiplicity(probe, graph),
-            ANCHOR_INTERSECTION,
+            anchor,
         )
     coprime = [(p, q) for p in range(2, 5) for q in range(p + 1, 2 * p + 2)
                if math.gcd(p, q) == 1]
@@ -356,12 +351,12 @@ def suite_intersection(seed: int = 0) -> VerificationCertificate:
         b2 = branches.branch_from_cusp_type(cusps.CuspType((c, d)))
         norm = branches.intersection_multiplicity(b1, b2)
         key = lambda: f"monomial case={case} ({a},{b}) ({c},{d})"
-        cert.check(key, min(a * d, b * c), norm, ANCHOR_INTERSECTION)
+        cert.check(key, min(a * d, b * c), norm, anchor)
         cert.check(
             lambda: key() + " symmetry",
             norm,
             branches.intersection_multiplicity(b2, b1),
-            ANCHOR_INTERSECTION,
+            anchor,
         )
     return cert
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import shlex
 import time
 from pathlib import Path
@@ -249,6 +250,22 @@ def test_saddle_a0_equivalent_comes_from_residues(monkeypatch, capsys):
     assert payload["a0_equivalent"] is False
 
 
+def test_cusp_and_branch_call_through_module_attributes(monkeypatch, capsys):
+    """The subcommands import their modules when they run; a function patched
+    on the module (as the benchmark tracer does) is still the one called."""
+    from pseudocurve import branches, cusps
+
+    monkeypatch.setattr(cusps, "nodal_number", lambda p: 1000)
+    monkeypatch.setattr(branches, "intersection_multiplicity", lambda b1, b2: 999)
+    code, payload, _ = run_json(["cusp", "--type", "2,3"], capsys)
+    assert (code, payload["delta"], payload["bennequin"]) == (0, 1000, 1999)
+    code, payload, _ = run_json(
+        ["branch", "--type", "2,3", "--other-type", "3,4"], capsys
+    )
+    assert code == 0
+    assert (payload["delta"], payload["intersection_multiplicity"]) == (1000, 999)
+
+
 def test_saddle_negative_first_coefficient(capsys):
     code, payload, _ = run_json(["saddle", "--k", "3", "--l", "1", "--poly=-1,2"], capsys)
     assert code == 0
@@ -319,6 +336,42 @@ def test_malformed_or_non_finite_numbers_give_json_errors(argv, bad, capsys):
     assert repr(bad) in message
     if argv[0] == "decay":
         assert "--modes" in message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay", "--modes=1:1e200,0"],
+        ["decay", "--modes=-1000:1,0"],
+        ["decay", "--modes=-36:1,0;2:1,0"],
+        ["decay", "--modes=1:1e154,0"],
+        ["decay", "--modes=-30:1e150,0"],
+        ["node", "--lambda", "0.1", "--check", "metric", "--z", "1e-200"],
+        ["node", "--lambda", "1e-100", "--check", "volume"],
+        ["node", "--lambda", "1e-100", "--check", "gluing"],
+    ],
+    ids=[
+        "norm-overflow", "integral-overflow", "integral-overflow-late",
+        "energy-overflow", "energy-overflow-mode-30", "density-overflow",
+        "volume-tiny-lambda", "gluing-tiny-lambda",
+    ],
+)
+def test_finite_inputs_beyond_double_range_give_json_domain_errors(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert "double" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "lam,z,density",
+    [("1e-150", "1e-90", 1e60), ("0", "1e-200", 1.0), ("0.1", "1e100", 1.0)],
+)
+def test_metric_density_at_extreme_sample_points(lam, z, density, capsys):
+    argv = ["node", "--lambda", lam, "--check", "metric", "--z", z]
+    code, payload, err = run_json(argv, capsys)
+    assert (code, err) == (0, "")
+    assert math.isclose(payload["density"], density, rel_tol=1e-15)
 
 
 def test_decay_command(capsys):

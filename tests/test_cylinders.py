@@ -77,6 +77,24 @@ def test_domain_errors():
         cylinders.rho_of_r(0.05, 0.1)  # below |lambda|
 
 
+def test_results_beyond_double_range_raise_domain_error():
+    # R(-1)^2 = |lambda|^2 cancels to 0; at 1e-170, |lambda|^2 underflows too
+    with pytest.raises(DomainError):
+        cylinders.volume_identity_residual(1e-100)
+    with pytest.raises(DomainError):
+        cylinders.gluing_inverse_residual(1e-100, 10)
+    with pytest.raises(DomainError):
+        cylinders.r_of_rho_derivative(0.0, 1e-170)
+    with pytest.raises(DomainError):
+        cylinders.hyperbola_metric_density(1e-200, 0.1)
+    with pytest.raises(DomainError):
+        cylinders.band_energy(single(1, (1e200 + 0j,)), 0.0)
+    with pytest.raises(DomainError):
+        cylinders.band_energy(single(-1000), 0.0)
+    with pytest.raises(DomainError):
+        cylinders.l12_norm_sq(single(2, (1e154 + 0j,)), 0.0)
+
+
 def test_derivative_matches_difference_quotient():
     for lam in (0.5, 0.1, 0.01):
         for rho in (-0.9, -0.3, 0.0, 0.4, 0.9):
