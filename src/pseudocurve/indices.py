@@ -7,9 +7,7 @@ arithmetic on homological data; no operator is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from pseudocurve.errors import GenusFormulaInconsistent
+from pseudocurve.errors import GenusFormulaInconsistent, _set_field, _Value
 
 # Formula anchors quoted by the verify certificates and the CLI payloads.
 ANCHOR_FEASIBILITY = "max over splittings of sum d_i(d_i+3)/2 vs required 3d - 1"
@@ -17,8 +15,7 @@ ANCHOR_GENUS = "g = (d-1)(d-2)/2 from 2g = q - mu + 2 - 2*delta"
 ANCHOR_INDEX = "index = 2(mu + (n-3)(1-g) - m)"
 
 
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(_Value):
     """Homological and topological record of a curve.
 
     n: complex dimension of the ambient manifold (>= 2)
@@ -28,19 +25,22 @@ class CurveData:
     delta: geometric self-intersection count (nodes after perturbation)
     """
 
-    n: int
-    mu: int
-    self_int: int
-    genera: tuple[int, ...]
-    delta: int = 0
+    __slots__ = ("n", "mu", "self_int", "genera", "delta")
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(
+        self, n: int, mu: int, self_int: int, genera: tuple[int, ...], delta: int = 0
+    ) -> None:
+        if n < 2:
             raise ValueError("ambient complex dimension must be >= 2")
-        if not self.genera or any(g < 0 for g in self.genera):
+        if not genera or any(g < 0 for g in genera):
             raise ValueError("need one non-negative genus per component")
-        if self.delta < 0:
+        if delta < 0:
             raise ValueError("delta must be non-negative")
+        _set_field(self, "n", n)
+        _set_field(self, "mu", mu)
+        _set_field(self, "self_int", self_int)
+        _set_field(self, "genera", genera)
+        _set_field(self, "delta", delta)
 
     @property
     def components(self) -> int:
@@ -51,12 +51,20 @@ class CurveData:
         return sum(self.genera)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    obstructed: bool
-    worst_count: int
-    required: int
-    worst_splitting: tuple[tuple[int, int], ...] = field(default=())
+class ObstructionReport(_Value):
+    __slots__ = ("obstructed", "worst_count", "required", "worst_splitting")
+
+    def __init__(
+        self,
+        obstructed: bool,
+        worst_count: int,
+        required: int,
+        worst_splitting: tuple[tuple[int, int], ...] = (),
+    ) -> None:
+        _set_field(self, "obstructed", obstructed)
+        _set_field(self, "worst_count", worst_count)
+        _set_field(self, "required", required)
+        _set_field(self, "worst_splitting", worst_splitting)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +142,12 @@ def h1_stratum_codim(h0: int, h1: int) -> int:
     return h0 * h1
 
 
-@dataclass(frozen=True)
-class CuspCountBounds:
-    lower: int
-    upper: int
+class CuspCountBounds(_Value):
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: int, upper: int) -> None:
+        _set_field(self, "lower", lower)
+        _set_field(self, "upper", upper)
 
     @property
     def contradictory(self) -> bool:

@@ -37,12 +37,12 @@ step updates only the rows and columns where the pivot column is nonzero.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
+from pseudocurve.errors import _set_field, _Value
 from pseudocurve.gaussian import GaussianRational
 
 GR = GaussianRational
@@ -51,40 +51,39 @@ GR = GaussianRational
 ANCHOR_SADDLE = "inertia of Re Res_0 z^(l-k) P(z) (sum w_i z^i)^2: ind+ = ind- = k - l"
 
 
-@dataclass(frozen=True)
-class ResidueForm:
+class ResidueForm(_Value):
     """Data (k, l, P) of the residue quadratic form at a cusp."""
 
-    k: int
-    l: int
-    coefficients: tuple[GR, ...]
+    __slots__ = ("k", "l", "coefficients")
 
-    def __post_init__(self) -> None:
+    def __init__(self, k: int, l: int, coefficients: Sequence[object]) -> None:
         try:
-            k, l = operator.index(self.k), operator.index(self.l)
+            k, l = operator.index(k), operator.index(l)
         except TypeError:
-            raise ValueError(f"k, l must be integers: {self.k!r}, {self.l!r}") from None
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
+            raise ValueError(f"k, l must be integers: {k!r}, {l!r}") from None
         if k < 1:
             raise ValueError("cusp order k must be >= 1")
         if not (0 <= l < k):
             raise ValueError("need 0 <= l < k")
-        coeffs = tuple(GR.of(c) for c in self.coefficients)
+        coeffs = tuple(GR.of(c) for c in coefficients)
         if not coeffs or coeffs[0].is_zero():
             raise ValueError("P(0) = a_0 must be nonzero")
         if len(coeffs) - 1 > k - l - 1:
             raise ValueError("deg P must be <= k - l - 1")
-        object.__setattr__(self, "coefficients", coeffs)
+        _set_field(self, "k", k)
+        _set_field(self, "l", l)
+        _set_field(self, "coefficients", coeffs)
 
 
-@dataclass(frozen=True)
-class InertiaResult:
+class InertiaResult(_Value):
     """Signature data of a real symmetric form."""
 
-    ind_plus: int
-    ind_minus: int
-    nullity: int
+    __slots__ = ("ind_plus", "ind_minus", "nullity")
+
+    def __init__(self, ind_plus: int, ind_minus: int, nullity: int) -> None:
+        _set_field(self, "ind_plus", ind_plus)
+        _set_field(self, "ind_minus", ind_minus)
+        _set_field(self, "nullity", nullity)
 
     @property
     def s_ind(self) -> int:

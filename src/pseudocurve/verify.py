@@ -11,24 +11,31 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from pseudocurve import __version__, branches, cusps, cylinders, indices, residues
-from pseudocurve.errors import DegenerateMap
+from pseudocurve.errors import DegenerateMap, _Value
 from pseudocurve.gaussian import GaussianRational
 
 
-@dataclass
-class VerificationCertificate:
+class VerificationCertificate(_Value):
     """Cases run and failed by one suite.  A case's ``key`` is its input text
-    or a zero-argument callable returning it, called only if the case fails."""
+    or a zero-argument callable returning it, called only if the case fails.
+    Unlike the other value types it is mutable, and so unhashable."""
 
-    suite: str
-    cases_run: int = 0
-    failures: list = field(default_factory=list)
-    seed: int = 0
+    __slots__ = ("suite", "cases_run", "failures", "seed")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, suite: str, cases_run: int = 0, failures: list | None = None, seed: int = 0
+    ) -> None:
+        self.suite = suite
+        self.cases_run = cases_run
+        self.failures = [] if failures is None else failures
+        self.seed = seed
 
     def check(self, key, expected, got, anchor: str) -> bool:
         return self._record(expected == got, key, lambda: repr(expected), got, anchor)

@@ -347,8 +347,8 @@ def test_malformed_or_non_finite_numbers_give_json_errors(argv, bad, capsys):
         ["decay", "--modes=1:1e154,0"],
         ["decay", "--modes=-30:1e150,0"],
         ["node", "--lambda", "0.1", "--check", "metric", "--z", "1e-200"],
-        ["node", "--lambda", "1e-100", "--check", "volume"],
-        ["node", "--lambda", "1e-100", "--check", "gluing"],
+        ["node", "--lambda", "1e-160", "--check", "volume"],
+        ["node", "--lambda", "1e-160", "--check", "gluing"],
     ],
     ids=[
         "norm-overflow", "integral-overflow", "integral-overflow-late",
@@ -462,20 +462,32 @@ NODE_CASES = [
     (lam, check)
     for lam in ("0.1+0i", "0.3-0.1i", "0.01")
     for check in ("volume", "gluing", "radius", "metric")
+] + [
+    (lam, check)
+    for lam in ("0.001", "0.0001", "1e-6", "1e-100")
+    for check in ("volume", "gluing")
 ]
 NODE_PINS = """\
-{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.1", "0.0"], "max_residual": 3.3306690738754696e-15, "passed": true, "tolerance": 1e-10}
-{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.10000000000000005, "R(0)": 0.31622776601683794, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 5.551115123125783e-15, "lambda": ["0.1", "0.0"], "passed": true}
+{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.1", "0.0"], "max_residual": 3.3306690738754696e-16, "passed": true, "tolerance": 1e-10}
+{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.1, "R(0)": 0.31622776601683794, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 2.220446049250313e-16, "lambda": ["0.1", "0.0"], "passed": true}
 {"check": "radius", "convention": "radius_log = log(1/|lambda|)", "lambda": ["0.1", "0.0"], "radius_log": 2.302585092994046}
 {"check": "metric", "density": 1.1600000000000001, "lambda": ["0.1", "0.0"], "z_plus": ["0.5", "0.0"]}
-{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.3", "-0.1"], "max_residual": 4.996003610813204e-16, "passed": true, "tolerance": 1e-10}
-{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.316227766016838, "R(0)": 0.5623413251903491, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 1.1102230246251565e-15, "lambda": ["0.3", "-0.1"], "passed": true}
+{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.3", "-0.1"], "max_residual": 2.220446049250313e-16, "passed": true, "tolerance": 1e-10}
+{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.31622776601683794, "R(0)": 0.5623413251903491, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 3.3306690738754696e-16, "lambda": ["0.3", "-0.1"], "passed": true}
 {"check": "radius", "convention": "radius_log = log(1/|lambda|)", "lambda": ["0.3", "-0.1"], "radius_log": 1.1512925464970227}
 {"check": "metric", "density": 2.6, "lambda": ["0.3", "-0.1"], "z_plus": ["0.5", "0.0"]}
-{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.01", "0.0"], "max_residual": 3.640976409258201e-13, "passed": true, "tolerance": 1e-10}
-{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.009999999999999449, "R(0)": 0.1, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 4.716227408607665e-13, "lambda": ["0.01", "0.0"], "passed": true}
+{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.01", "0.0"], "max_residual": 3.3306690738754696e-16, "passed": true, "tolerance": 1e-10}
+{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.01, "R(0)": 0.1, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 3.3306690738754696e-16, "lambda": ["0.01", "0.0"], "passed": true}
 {"check": "radius", "convention": "radius_log = log(1/|lambda|)", "lambda": ["0.01", "0.0"], "radius_log": 4.605170185988092}
 {"check": "metric", "density": 1.0016, "lambda": ["0.01", "0.0"], "z_plus": ["0.5", "0.0"]}
+{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.001", "0.0"], "max_residual": 2.7755575615628914e-16, "passed": true, "tolerance": 1e-10}
+{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.001, "R(0)": 0.03162277660168379, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 2.220446049250313e-16, "lambda": ["0.001", "0.0"], "passed": true}
+{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.0001", "0.0"], "max_residual": 3.3306690738754696e-16, "passed": true, "tolerance": 1e-10}
+{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 0.0001, "R(0)": 0.01, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 3.3306690738754696e-16, "lambda": ["0.0001", "0.0"], "passed": true}
+{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["1e-06", "0.0"], "max_residual": 2.7755575615628914e-16, "passed": true, "tolerance": 1e-10}
+{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 1e-06, "R(0)": 0.001, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 3.3306690738754696e-16, "lambda": ["1e-06", "0.0"], "passed": true}
+{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["1e-100", "0.0"], "max_residual": 3.885780586188048e-16, "passed": true, "tolerance": 1e-10}
+{"anchors": {"gluing": "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"}, "check": "gluing", "endpoints": {"R(-1)": 1e-100, "R(0)": 1e-50, "R(1)": 1.0}, "grid": 200, "inverse_pair_residual": 2.220446049250313e-16, "lambda": ["1e-100", "0.0"], "passed": true}
 """.splitlines()
 
 

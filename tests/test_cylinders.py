@@ -50,7 +50,8 @@ def test_r_endpoints(lam):
     assert abs(cylinders.r_of_rho(1.0, lam) - 1.0) < 1e-14
 
 
-@pytest.mark.parametrize("lam", [0.5, 0.1, 0.01])
+# Small |lambda| used to push R(-1) below |lambda| by cancellation.
+@pytest.mark.parametrize("lam", [0.5, 0.1, 0.01, 1e-3, 1e-4, 1e-6, 1e-100])
 def test_inverse_pair(lam):
     for i in range(1001):
         rho = -1.0 + 2.0 * i / 1000
@@ -78,11 +79,11 @@ def test_domain_errors():
 
 
 def test_results_beyond_double_range_raise_domain_error():
-    # R(-1)^2 = |lambda|^2 cancels to 0; at 1e-170, |lambda|^2 underflows too
+    # R(-1)^2 = |lambda|^2 is subnormal at 1e-160 and 0 at 1e-170
     with pytest.raises(DomainError):
-        cylinders.volume_identity_residual(1e-100)
+        cylinders.volume_identity_residual(1e-160)
     with pytest.raises(DomainError):
-        cylinders.gluing_inverse_residual(1e-100, 10)
+        cylinders.gluing_inverse_residual(1e-160, 10)
     with pytest.raises(DomainError):
         cylinders.r_of_rho_derivative(0.0, 1e-170)
     with pytest.raises(DomainError):
@@ -107,7 +108,7 @@ def test_derivative_matches_difference_quotient():
             )
 
 
-@pytest.mark.parametrize("lam", [0.5, 0.1, 0.01, 0.0])
+@pytest.mark.parametrize("lam", [0.5, 0.1, 0.01, 1e-3, 1e-4, 1e-6, 1e-100, 0.0])
 def test_volume_identity(lam):
     assert cylinders.volume_identity_residual(lam, grid=100) < 1e-10
 

@@ -1,8 +1,9 @@
 """What importing the package and running one CLI call loads, and the lazy
 re-exports of the package namespace.
 
-A CLI call should import only the modules its subcommand runs.  Each
-footprint case runs in a fresh interpreter and reads ``sys.modules``.
+A CLI call should import only the modules its subcommand runs, and never
+``dataclasses`` or ``inspect``, which cost several milliseconds to import.
+Each footprint case runs in a fresh interpreter and reads ``sys.modules``.
 """
 
 import importlib
@@ -18,15 +19,18 @@ import pseudocurve
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs cli.main(sys.argv[1:]) and prints the pseudocurve modules it added.
+# Runs cli.main(sys.argv[1:]) and prints the modules it added, then all of
+# the modules loaded.
 FOOTPRINT = """\
 import contextlib, io, json, sys
 import pseudocurve.cli as cli
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(sys.argv[1:])
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(json.dumps([sorted(set(sys.modules) - before), sorted(sys.modules)]))
 """
+
+SLOW_STDLIB = {"dataclasses", "inspect"}
 
 
 def _python(*args: str) -> str:
@@ -54,7 +58,9 @@ def _ours(names) -> set:
 )
 def test_importing_loads_no_computational_module(module, loaded):
     probe = f"import json, sys, {module}; print(json.dumps(list(sys.modules)))"
-    assert _ours(json.loads(_python("-c", probe))) == loaded
+    modules = json.loads(_python("-c", probe))
+    assert _ours(modules) == loaded
+    assert not SLOW_STDLIB & set(modules)
 
 
 @pytest.mark.parametrize(
@@ -78,8 +84,9 @@ def test_importing_loads_no_computational_module(module, loaded):
     ids=lambda value: value[0] if isinstance(value, list) else None,
 )
 def test_each_subcommand_imports_only_what_it_runs(argv, added):
-    got = _ours(json.loads(_python("-c", FOOTPRINT, *argv)))
-    assert got == {f"pseudocurve.{name}" for name in added}
+    new, modules = json.loads(_python("-c", FOOTPRINT, *argv))
+    assert _ours(new) == {f"pseudocurve.{name}" for name in added}
+    assert not SLOW_STDLIB & set(modules)
 
 
 def test_exported_names_are_the_objects_of_their_home_modules():
