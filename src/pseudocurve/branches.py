@@ -62,7 +62,7 @@ def _integer(value, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _trim(coeffs: list[GR]) -> list[GR]:
-    while coeffs and coeffs[-1].is_zero():
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
@@ -86,24 +86,24 @@ def _mul_trunc(a: Sequence[GR], b: Sequence[GR], order: int) -> list[GR]:
         return []
     out = [ZERO] * (min(order, len(a) + len(b) - 2) + 1)
     for i, ca in enumerate(a):
-        if ca.is_zero() or i > order:
+        if not ca or i > order:
             continue
         for j, cb in enumerate(b):
             if i + j > order:
                 break
-            if not cb.is_zero():
+            if cb:
                 out[i + j] = out[i + j] + ca * cb
     return _trim(out)
 
 
 def _compose_trunc(outer: Sequence[GR], inner: Sequence[GR], order: int) -> list[GR]:
     """outer(inner(t)) up to degree <= order; inner must have no constant term."""
-    if inner and not inner[0].is_zero():
+    if inner and inner[0]:
         raise ValueError("inner series must vanish at 0")
     result: list[GR] = []
     power: list[GR] = [ONE]
     for coeff in outer:
-        if not coeff.is_zero():
+        if coeff:
             result = _add(result, _mul_trunc([coeff], power, order))
         power = _mul_trunc(power, inner, order)
         if not power:
@@ -117,7 +117,7 @@ def _series_inverse(coeffs: Sequence[GR], order: int) -> list[GR]:
     Lagrange inversion: its t^k coefficient is the t^(k-1) coefficient of
     q^k divided by k, where q = t / f(t); each power of q is one product.
     """
-    if len(coeffs) < 2 or not coeffs[0].is_zero() or coeffs[1].is_zero():
+    if len(coeffs) < 2 or coeffs[0] or not coeffs[1]:
         raise ValueError("series must have order exactly 1")
     f = coeffs[1:]
     inv_c1 = f[0].inverse()
@@ -125,7 +125,7 @@ def _series_inverse(coeffs: Sequence[GR], order: int) -> list[GR]:
     for k in range(1, order):
         acc = ZERO
         for j in range(1, min(k, len(f) - 1) + 1):
-            if not f[j].is_zero():
+            if f[j]:
                 acc = acc + f[j] * q[k - j]
         q.append(-acc * inv_c1)
     q = _trim(q)
@@ -139,7 +139,7 @@ def _series_inverse(coeffs: Sequence[GR], order: int) -> list[GR]:
 
 def _ord(coeffs: Sequence[GR]) -> int | None:
     for i, c in enumerate(coeffs):
-        if not c.is_zero():
+        if c:
             return i
     return None
 
@@ -176,7 +176,7 @@ class Branch(_Value):
                 raise InvalidBranch("exponents must be strictly increasing and positive")
             if exp > order:
                 raise InvalidBranch("exponent exceeds truncation order")
-            if all(c.is_zero() for c in vec):
+            if not any(vec):
                 raise InvalidBranch("zero coefficient vector")
             norm.append((exp, vec))
             prev = exp
@@ -197,13 +197,13 @@ class Branch(_Value):
             truncation_order = max(exps, default=0)
         terms = []
         for e in exps:
-            vec = tuple(GR.of(coord.get(e, 0)) for coord in coordinates)
-            if any(not c.is_zero() for c in vec):
+            vec = tuple(GR.of(coord.get(e, ZERO)) for coord in coordinates)
+            if any(vec):
                 terms.append((e, vec))
-        return cls(n, tuple(terms), truncation_order)
+        return cls(n, terms, truncation_order)
 
     def coordinate_support(self, index: int) -> list[int]:
-        return [exp for exp, vec in self.terms if not vec[index].is_zero()]
+        return [exp for exp, vec in self.terms if vec[index]]
 
     def to_json(self) -> dict:
         return {
@@ -242,15 +242,15 @@ class BranchJetNormalForm(_Value):
     def __init__(self, k: int, l: int, p1: tuple[GR, ...], p2: tuple[GR, ...]) -> None:
         if not (0 <= l <= k):
             raise InvalidBranch(f"secondary index l={l} outside [0, {k}]")
-        if not p1 or p1[0].is_zero():
+        if not p1 or not p1[0]:
             raise InvalidBranch("P1(0) must be nonzero")
         if len(p1) - 1 > k:
             raise InvalidBranch("deg P1 exceeds k")
         if l == k:
-            if any(not c.is_zero() for c in p2):
+            if any(p2):
                 raise InvalidBranch("P2 must vanish when l = k")
         else:
-            if not p2 or p2[0].is_zero():
+            if not p2 or not p2[0]:
                 raise InvalidBranch("P2(0) must be nonzero when l < k")
             if len(p2) - 1 > k - l - 1:
                 raise InvalidBranch("deg P2 exceeds k - l - 1")
@@ -300,17 +300,14 @@ def prepare(b: Branch) -> Branch:
             "first coordinate must be a single monomial at the multiplicity; "
             f"its support is {support0}"
         )
-    c0 = b.terms[0][1][0]
-    coords = [dict() for _ in range(b.ambient_dim)]
+    blank = (ZERO,) * (b.ambient_dim - 1)
+    terms = []
     for exp, vec in b.terms:
-        for i, c in enumerate(vec):
-            if not c.is_zero():
-                coords[i][exp] = c
-    for i in range(1, b.ambient_dim):
-        for exp in sorted(coords[i]):
-            if exp % mu == 0:
-                del coords[i][exp]
-    return Branch.from_coordinates(coords, b.truncation_order)
+        if exp % mu == 0:
+            vec = vec[:1] + blank
+        if any(vec):
+            terms.append((exp, vec))
+    return Branch(b.ambient_dim, terms, b.truncation_order)
 
 
 def cusp_type_of_branch(b: Branch) -> CuspType:
@@ -349,10 +346,9 @@ def branch_from_cusp_type(p: CuspType) -> Branch:
     form of the model is always defined.
     """
     exps = p.exponents
-    x_coord = {exps[0]: 1}
-    y_coord = {q: 1 for q in exps[1:]}
+    terms = [(exps[0], (ONE, ZERO))] + [(q, (ZERO, ONE)) for q in exps[1:]]
     truncation = max(exps[-1], 2 * exps[0] - 1)
-    return Branch.from_coordinates([x_coord, y_coord], truncation)
+    return Branch(2, terms, truncation)
 
 
 def jet_normal_form(b: Branch) -> BranchJetNormalForm:
@@ -537,9 +533,7 @@ def _gauss_ints(c: GR) -> tuple[int, int, int]:
 
 def _plane_terms(b: Branch) -> tuple[dict[int, GR], dict[int, GR]]:
     """The nonzero coefficients of the two coordinates, by exponent."""
-    return tuple(
-        {exp: vec[i] for exp, vec in b.terms if not vec[i].is_zero()} for i in (0, 1)
-    )
+    return tuple({exp: vec[i] for exp, vec in b.terms if vec[i]} for i in (0, 1))
 
 
 def _ring_key(b: Branch):
@@ -594,7 +588,7 @@ def _reparametrised(
                 hr, hi = h[k - q]
                 den = (n * n * scale) ** (k - q)
                 acc = acc + c * q * GR(Fraction(hr, den), Fraction(hi, den))
-        if not acc.is_zero():
+        if acc:
             out[k] = acc * Fraction(1, k)
     return out
 

@@ -206,7 +206,7 @@ def _cmd_saddle(args) -> int:
         coeffs.pop()
     form = residues.ResidueForm(args.k, args.l, tuple(coeffs))
     matrix = residues.residue_form_matrix(form)
-    result = residues.rational_inertia(matrix)
+    result = residues.inertia(form)
     expected = args.k - args.l
     matches = result.ind_plus == expected and result.ind_minus == expected
     payload = {

@@ -67,9 +67,6 @@ class GaussianRational(_Value):
     def __bool__(self) -> bool:
         return self.re.numerator != 0 or self.im.numerator != 0
 
-    def is_zero(self) -> bool:
-        return not self
-
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         other = _coerce(other)
         return GaussianRational(self.re + other.re, self.im + other.im)

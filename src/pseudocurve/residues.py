@@ -66,7 +66,7 @@ class ResidueForm(_Value):
         if not (0 <= l < k):
             raise ValueError("need 0 <= l < k")
         coeffs = tuple(GR.of(c) for c in coefficients)
-        if not coeffs or coeffs[0].is_zero():
+        if not coeffs or not coeffs[0]:
             raise ValueError("P(0) = a_0 must be nonzero")
         if len(coeffs) - 1 > k - l - 1:
             raise ValueError("deg P must be <= k - l - 1")
@@ -111,7 +111,7 @@ def scaled_residue_form_matrix(f: ResidueForm) -> tuple[int, list[list[int]]]:
     a = [[0] * size for _ in range(size)]
     target = f.k - f.l - 1
     for s, coeff in enumerate(f.coefficients):
-        if coeff.is_zero():
+        if not coeff:
             continue
         alpha = coeff.re.numerator * (den // coeff.re.denominator)
         minus_alpha = -alpha

@@ -85,7 +85,7 @@ def _random_rational(rng: random.Random) -> Fraction:
 def _random_gaussian(rng: random.Random, nonzero: bool = False) -> GaussianRational:
     while True:
         value = GaussianRational(_random_rational(rng), _random_rational(rng))
-        if not nonzero or not value.is_zero():
+        if not nonzero or value:
             return value
 
 
@@ -305,12 +305,9 @@ def suite_roundtrip(seed: int = 0, max_p_last: int = 30) -> VerificationCertific
         key = lambda: f"p={list(p.exponents)}"
         cert.check(key, tuple(p.exponents), tuple(back.exponents), anchor)
         jet = branches.jet_normal_form(model)
+        cert.check(lambda: key() + " P1(0)", False, not jet.p1[0], anchor)
         cert.check(
-            lambda: key() + " P1(0)", False, jet.p1[0].is_zero(), anchor
-        )
-        p2_zero = all(c.is_zero() for c in jet.p2)
-        cert.check(
-            lambda: key() + " P2=0 iff l=k", jet.l == jet.k, p2_zero, anchor
+            lambda: key() + " P2=0 iff l=k", jet.l == jet.k, not any(jet.p2), anchor
         )
     return cert
 
@@ -384,13 +381,20 @@ SUITES: dict[str, Callable[..., VerificationCertificate]] = {
 
 
 def run_suite(name: str, seed: int = 0, cases: int | None = None) -> VerificationCertificate:
+    """Run one suite.  A suite that raises yields its certificate with one
+    failed case naming the exception, so every certificate still prints."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
     kwargs = {"seed": seed}
     if cases is not None and name in ("saddle", "index", "decay"):
         kwargs["cases"] = cases
-    return fn(**kwargs)
+    try:
+        return fn(**kwargs)
+    except Exception as exc:
+        cert = VerificationCertificate(name, seed=seed)
+        cert._record(False, "suite raised", lambda: "no exception", exc, fn.__name__)
+        return cert
 
 
 def run_all(seed: int = 0, cases: int | None = None) -> list[VerificationCertificate]:

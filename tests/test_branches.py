@@ -198,6 +198,47 @@ def test_prepare_requires_monomial_first_coordinate():
         branches.cusp_type_of_branch(b)
 
 
+def _prepare_by_coordinates(b):
+    """Reference for prepare(): per-coordinate {exponent: coefficient} maps,
+    multiples of mu deleted from the non-leading ones, rebuilt by
+    from_coordinates."""
+    mu = branches.multiplicity(b)
+    coords = [dict() for _ in range(b.ambient_dim)]
+    for exp, vec in b.terms:
+        for i, c in enumerate(vec):
+            if c:
+                coords[i][exp] = c
+    for i in range(1, b.ambient_dim):
+        for exp in sorted(coords[i]):
+            if exp % mu == 0:
+                del coords[i][exp]
+    return Branch.from_coordinates(coords, b.truncation_order)
+
+
+@st.composite
+def monomial_first_branches(draw):
+    """First coordinate c t^mu; later terms at exponents <= 12, with some at
+    multiples of mu, which prepare() blanks and so often drops entirely."""
+    n = draw(st.integers(2, 3))
+    mu = draw(st.integers(1, 6))
+    others = st.tuples(*[small_gaussians] * (n - 1))
+    exps = draw(st.sets(st.integers(mu + 1, 12), max_size=5))
+    multiples = range(2 * mu, 13, mu)
+    if multiples:
+        exps |= draw(st.sets(st.sampled_from(multiples), max_size=3))
+    terms = [(mu, (draw(small_gaussians.filter(bool)),) + draw(others))]
+    terms += [(e, (GR.of(0),) + draw(others.filter(any))) for e in sorted(exps)]
+    return Branch(n, terms, terms[-1][0] + draw(st.integers(0, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_first_branches())
+def test_prepare_equals_the_coordinate_construction(b):
+    prepared = branches.prepare(b)
+    assert prepared == _prepare_by_coordinates(b)
+    assert branches.is_prepared(prepared)
+
+
 # ---------------------------------------------------------------------------
 # cusp type extraction
 # ---------------------------------------------------------------------------
@@ -230,6 +271,17 @@ def test_monomial_models():
     assert branches.branch_from_cusp_type(CuspType((2, 5))) == mk({2: 1}, {5: 1}, 5)
     b = branches.branch_from_cusp_type(CuspType((4, 6, 7)))
     assert b == mk({4: 1}, {6: 1, 7: 1}, 7)
+
+
+def test_monomial_models_equal_the_coordinate_construction():
+    types = list(cusps.enumerate_cusp_types(30))
+    assert len(types) == 777
+    for p in types:
+        p0, *rest = p.exponents
+        expected = Branch.from_coordinates(
+            [{p0: 1}, {q: 1 for q in rest}], max(p.p_last, 2 * p0 - 1)
+        )
+        assert branches.branch_from_cusp_type(p) == expected
 
 
 def test_perturbation_stability_of_the_scan():
@@ -291,11 +343,11 @@ def test_rescaling_invariance():
 def test_jet_normal_form_examples(x, y, trunc, k, l):
     jet = branches.jet_normal_form(mk(x, y, trunc))
     assert (jet.k, jet.l) == (k, l)
-    assert not jet.p1[0].is_zero()
+    assert jet.p1[0]
     if jet.l == jet.k:
-        assert all(c.is_zero() for c in jet.p2)
+        assert not any(jet.p2)
     else:
-        assert not jet.p2[0].is_zero()
+        assert jet.p2[0]
         assert len(jet.p2) - 1 <= jet.k - jet.l - 1
 
 
@@ -342,8 +394,8 @@ def test_is_ordinary_cusp():
 def test_jet_invariants_on_all_monomial_models():
     for p in cusps.enumerate_cusp_types(30):
         jet = branches.jet_normal_form(branches.branch_from_cusp_type(p))
-        assert not jet.p1[0].is_zero()
-        assert (jet.l == jet.k) == all(c.is_zero() for c in jet.p2)
+        assert jet.p1[0]
+        assert (jet.l == jet.k) == (not any(jet.p2))
         assert 0 <= jet.l <= jet.k
 
 
@@ -409,7 +461,7 @@ def test_equal_to_one_iff_transversal_smooth():
             va = a.terms[0][1]
             vb = b.terms[0][1]
             det = va[0] * vb[1] - va[1] * vb[0]
-            if det.is_zero():
+            if not det:
                 continue  # parallel: same tangent, not transversal
             assert branches.intersection_multiplicity(a, b) == 1
     # non-smooth or non-transversal pairs exceed 1
@@ -703,7 +755,7 @@ def test_invariant_under_reparametrisation_and_linear_change(pair, data):
     answer = _norm(*exact)
     assume(answer is not None)  # the jets meet with finite multiplicity
     m = [[data.draw(small_gaussians) for _ in range(2)] for _ in range(2)]
-    if (m[0][0] * m[1][1] - m[0][1] * m[1][0]).is_zero():
+    if not m[0][0] * m[1][1] - m[0][1] * m[1][0]:
         m = [[GR.of(0), GR.of(1)], [GR.of(1), GR.of(0)]]
     moved = []
     for b in exact:

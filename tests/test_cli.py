@@ -666,6 +666,29 @@ def test_verify_unknown_suite(capsys):
     assert code == 1
 
 
+def test_a_suite_that_raises_is_a_failed_certificate(monkeypatch, capsys):
+    from pseudocurve import cusps
+
+    def broken(p):
+        raise TypeError("broken oracle")
+
+    monkeypatch.setattr(cusps, "nodal_number_oracle", broken)
+    code, out, err = run(["verify", "--suite", "delta"], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["suite"] == "delta"
+    assert payload["cases_run"] == payload["cases_failed"] == 1
+    assert payload["failures"][0]["input"] == "suite raised"
+    assert payload["failures"][0]["got"] == "TypeError('broken oracle')"
+    code, out, err = run(["verify", "--suite", "all"], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    certs = json.loads(out)
+    assert len(certs) == 11
+    assert [c["suite"] for c in certs if c["cases_failed"]] == ["delta"]
+
+
 def test_verify_deterministic_output(capsys):
     _, first, _ = run(["verify", "--suite", "saddle", "--seed", "3",
                        "--cases", "5"], capsys)

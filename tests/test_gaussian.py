@@ -49,3 +49,25 @@ def test_quad_serialization_roundtrip():
 
 def test_complex_conversion():
     assert complex(GR.of(Fraction(1, 2), Fraction(-3, 4))) == 0.5 - 0.75j
+
+
+@pytest.mark.parametrize(
+    "re,im",
+    [
+        (0, 0),
+        (Fraction(0, 7), Fraction(0, 3)),
+        (0, 1),
+        (0, Fraction(-2, 9)),
+        (-3, 0),
+        (Fraction(-5, 7), Fraction(-1, 4)),
+        (Fraction(1, 10**40), 0),
+        (0, Fraction(-1, 3**60)),
+        (Fraction(10**30 + 1, 10**30), Fraction(7, 2**100)),
+    ],
+)
+def test_a_value_is_falsy_exactly_when_zero(re, im):
+    assert bool(GR(re, im)) == (re != 0 or im != 0)
+
+
+def test_truthiness_is_the_one_zero_test():
+    assert not hasattr(GR, "is_zero")

@@ -113,7 +113,7 @@ def test_index_relation_sweep_with_float_crosscheck():
 def _random_nonzero(rng):
     while True:
         c = _random_any(rng)
-        if not c.is_zero():
+        if c:
             return c
 
 
