@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from pseudocurve.cusps import CuspType
+from pseudocurve.cusps import CuspType, critical_mask, divisor_sequence
 from pseudocurve.errors import (
     IndeterminateWithinTruncation,
     InvalidBranch,
@@ -313,30 +314,21 @@ def prepare(b: Branch) -> Branch:
 def cusp_type_of_branch(b: Branch) -> CuspType:
     """Critical exponents by the gcd-drop scan over non-leading coordinates.
 
-    Scans the union of exponent supports of coordinates 2..n in increasing
-    order and records every exponent at which the running gcd drops; stops
-    once the gcd reaches 1.
+    Runs ``divisor_sequence`` over the multiplicity followed by the union of
+    the exponent supports of coordinates 2..n in increasing order, and keeps
+    the positions that ``critical_mask`` marks; the gcd must end at 1.
     """
     if not is_prepared(b):
         raise NotPreparedBranch("cusp type extraction requires prepared form")
-    mu = multiplicity(b)
-    support = sorted(
+    scan = [multiplicity(b)] + sorted(
         {e for i in range(1, b.ambient_dim) for e in b.coordinate_support(i)}
     )
-    exponents = [mu]
-    d = mu
-    for q in support:
-        if d == 1:
-            break
-        g = gcd(d, q)
-        if g < d:
-            exponents.append(q)
-            d = g
-    if d != 1:
+    divisors = divisor_sequence(scan)
+    if divisors[-1] != 1:
         raise MultipleOrTruncatedBranch(
-            f"gcd stalls at {d} within truncation order {b.truncation_order}"
+            f"gcd stalls at {divisors[-1]} within truncation order {b.truncation_order}"
         )
-    return CuspType(tuple(exponents))
+    return CuspType(compress(scan, critical_mask(divisors)))
 
 
 def branch_from_cusp_type(p: CuspType) -> Branch:

@@ -139,7 +139,7 @@ def _cmd_cusp(args) -> int:
     n = args.n
     payload = {
         "type": list(p.exponents),
-        "divisors": list(cusps.divisor_sequence(p).divisors),
+        "divisors": list(cusps.divisor_sequence(p)),
         "admissible": {
             "exponents": list(adm.exponents),
             "divisors": list(adm.divisors),
@@ -346,16 +346,18 @@ def _cmd_branch(args) -> int:
     }
     prepared = branches.is_prepared(b)
     payload["prepared"] = prepared
+    # The shear of prepare() moves b alone, so only the local invariants
+    # read the prepared copy; the intersection below takes b as loaded.
+    local = b if prepared else branches.prepare(b)
     if not prepared:
-        b = branches.prepare(b)
-        payload["prepared_branch"] = b.to_json()
-    p = branches.cusp_type_of_branch(b)
+        payload["prepared_branch"] = local.to_json()
+    p = branches.cusp_type_of_branch(local)
     delta = cusps.nodal_number(p)
     payload["cusp_type"] = list(p.exponents)
     payload["delta"] = delta
     payload["bennequin"] = cusps.bennequin_index(delta)
     if b.ambient_dim == 2 and b.truncation_order >= 2 * branches.cusp_order(b) + 1:
-        jet = branches.jet_normal_form(b)
+        jet = branches.jet_normal_form(local)
         payload["jet"] = {
             "k": jet.k,
             "l": jet.l,

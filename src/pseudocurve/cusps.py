@@ -12,6 +12,7 @@ prescribed cusps.
 from __future__ import annotations
 
 import operator
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -50,20 +51,11 @@ class CuspType(_Value):
         return self.exponents[-1]
 
 
-class DivisorSequence(_Value):
-    """Running gcds ``d_i = gcd(p_0, ..., p_i)`` of a cusp type."""
-
-    __slots__ = ("divisors",)
-
-    def __init__(self, divisors: tuple[int, ...]) -> None:
-        _set_field(self, "divisors", divisors)
-
-
 class AdmissibleExponentData(_Value):
     """All admissible exponents of a cusp type, with divisors and criticality.
 
-    ``exponents[j]`` is critical iff ``j == 0`` or ``divisors[j] <
-    divisors[j-1]``; the critical ones are exactly the original cusp type.
+    ``critical_mask`` is :func:`critical_mask` of ``divisors``; the critical
+    exponents are exactly the original cusp type.
     """
 
     __slots__ = ("exponents", "divisors", "critical_mask")
@@ -84,32 +76,27 @@ class AdmissibleExponentData(_Value):
         return len(self.exponents) - 1
 
 
+def divisor_sequence(p: Iterable[int]) -> tuple[int, ...]:
+    """Running gcds ``d_i = gcd(p_0, ..., p_i)``."""
+    return tuple(accumulate(p, gcd))
+
+
+def critical_mask(divisors: Sequence[int]) -> tuple[bool, ...]:
+    """Position j is critical iff j == 0 or the running gcd drops there."""
+    return (True, *map(operator.gt, divisors, divisors[1:])) if divisors else ()
+
+
 def validate_cusp_type(exponents: Sequence[int]) -> bool:
-    """True iff the sequence is strictly increasing with strict gcd drops
-    ending at 1."""
-    if not exponents or any(p <= 0 for p in exponents):
+    """True iff the first exponent is positive, the sequence strictly
+    increases, every position is critical and the last gcd is 1."""
+    if not exponents or exponents[0] <= 0:
         return False
-    d = exponents[0]
-    prev = None
-    for i, p in enumerate(exponents):
-        if prev is not None:
-            if p <= prev:
-                return False
-            d_next = gcd(d, p)
-            if d_next >= d:
-                return False
-            d = d_next
-        prev = p
-    return d == 1
-
-
-def divisor_sequence(p: Iterable[int]) -> DivisorSequence:
-    divisors = []
-    d = 0
-    for q in p:
-        d = gcd(d, q)
-        divisors.append(d)
-    return DivisorSequence(tuple(divisors))
+    divisors = divisor_sequence(exponents)
+    return (
+        divisors[-1] == 1
+        and all(map(operator.lt, exponents, exponents[1:]))
+        and all(critical_mask(divisors))
+    )
 
 
 def admissible_exponents(p: CuspType) -> AdmissibleExponentData:
@@ -120,19 +107,14 @@ def admissible_exponents(p: CuspType) -> AdmissibleExponentData:
     final exponent ``p_l`` closes the list.
     """
     ps = p.exponents
-    ds = divisor_sequence(p).divisors
+    ds = divisor_sequence(p)
     exponents: list[int] = []
     for i in range(len(ps) - 1):
         count = (ps[i + 1] - ps[i]) // ds[i]
         exponents.extend(ps[i] + j * ds[i] for j in range(count + 1))
     exponents.append(ps[-1])
-    exponents.sort()
-
-    divisors = divisor_sequence(exponents).divisors
-    mask = tuple(
-        j == 0 or divisors[j] < divisors[j - 1] for j in range(len(exponents))
-    )
-    return AdmissibleExponentData(tuple(exponents), divisors, mask)
+    divisors = divisor_sequence(exponents)
+    return AdmissibleExponentData(tuple(exponents), divisors, critical_mask(divisors))
 
 
 def nodal_number_formula(p: CuspType) -> int:
@@ -142,7 +124,7 @@ def nodal_number_formula(p: CuspType) -> int:
     :func:`nodal_number`.  Both conventions are exposed on purpose and the
     factor two is asserted, never silently fixed.
     """
-    ds = divisor_sequence(p).divisors
+    ds = divisor_sequence(p)
     ps = p.exponents
     return sum((ds[i - 1] - ds[i]) * (ps[i] - 1) for i in range(1, len(ps)))
 
@@ -166,7 +148,7 @@ def semigroup_generators(p: CuspType) -> tuple[int, ...]:
     ``b_{i+1} = (d_{i-1}/d_i) * b_i + p_{i+1} - p_i``.
     """
     ps = p.exponents
-    ds = divisor_sequence(p).divisors
+    ds = divisor_sequence(p)
     gens = [ps[0]]
     for i in range(len(ps) - 1):
         ratio = ds[i - 1] // ds[i] if i >= 1 else 1

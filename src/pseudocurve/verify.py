@@ -18,6 +18,11 @@ from pseudocurve import __version__, branches, cusps, cylinders, indices, residu
 from pseudocurve.errors import DegenerateMap, _Value
 from pseudocurve.gaussian import GaussianRational
 
+# Suite sizes; the certificates (case counts and keys) are pinned to them.
+_MAX_P_LAST = 30
+_VOLUME_GRID = 200
+_GLUING_GRID = 1000
+
 
 class VerificationCertificate(_Value):
     """Cases run and failed by one suite.  A case's ``key`` is its input text
@@ -118,11 +123,11 @@ def suite_saddle(seed: int = 0, cases: int = 50) -> VerificationCertificate:
     return cert
 
 
-def suite_delta(seed: int = 0, max_p_last: int = 30) -> VerificationCertificate:
+def suite_delta(seed: int = 0) -> VerificationCertificate:
     """Exhaustive: the combinatorial count is twice the semigroup gap count."""
     cert = VerificationCertificate("delta", seed=seed)
     anchor = cusps.ANCHOR_DELTA
-    for p in cusps.enumerate_cusp_types(max_p_last):
+    for p in cusps.enumerate_cusp_types(_MAX_P_LAST):
         formula = cusps.nodal_number_formula(p)
         gaps = cusps.nodal_number_oracle(p)
         key = lambda: f"p={list(p.exponents)}"
@@ -215,24 +220,24 @@ def suite_cosh(seed: int = 0) -> VerificationCertificate:
     return cert
 
 
-def suite_volume(seed: int = 0, grid: int = 200) -> VerificationCertificate:
+def suite_volume(seed: int = 0) -> VerificationCertificate:
     """Constant-volume-form identity of the gluing coordinates."""
     cert = VerificationCertificate("volume", seed=seed)
     anchor = cylinders.ANCHOR_VOLUME
     for lam in (0.5, 0.1, 0.01, 0.0):
-        residual = cylinders.volume_identity_residual(lam, grid=grid)
+        residual = cylinders.volume_identity_residual(lam, grid=_VOLUME_GRID)
         cert.check_le(
-            lambda: f"|lambda|={lam} grid={grid}", residual, 1e-10, anchor
+            lambda: f"|lambda|={lam} grid={_VOLUME_GRID}", residual, 1e-10, anchor
         )
     return cert
 
 
-def suite_gluing(seed: int = 0, grid: int = 1000) -> VerificationCertificate:
+def suite_gluing(seed: int = 0) -> VerificationCertificate:
     """Inverse-pair and endpoint identities of rho and R."""
     cert = VerificationCertificate("gluing", seed=seed)
     anchor = cylinders.ANCHOR_GLUING
     for lam in (0.5, 0.1, 0.01):
-        worst = cylinders.gluing_inverse_residual(lam, grid)
+        worst = cylinders.gluing_inverse_residual(lam, _GLUING_GRID)
         cert.check_le(
             lambda: f"|lambda|={lam} inverse pair", worst, 1e-12, anchor
         )
@@ -295,11 +300,11 @@ def suite_decay(seed: int = 0, cases: int = 100) -> VerificationCertificate:
     return cert
 
 
-def suite_roundtrip(seed: int = 0, max_p_last: int = 30) -> VerificationCertificate:
+def suite_roundtrip(seed: int = 0) -> VerificationCertificate:
     """Monomial model round trip and jet normal form constraints."""
     cert = VerificationCertificate("roundtrip", seed=seed)
     anchor = branches.ANCHOR_ROUNDTRIP
-    for p in cusps.enumerate_cusp_types(max_p_last):
+    for p in cusps.enumerate_cusp_types(_MAX_P_LAST):
         model = branches.branch_from_cusp_type(p)
         back = branches.cusp_type_of_branch(model)
         key = lambda: f"p={list(p.exponents)}"

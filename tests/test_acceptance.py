@@ -41,7 +41,7 @@ def test_criterion_02_delta_oracle_equivalence():
     # every valid cusp type with p_l <= 30, exhaustively: the combinatorial
     # count equals twice the semigroup-gap oracle; exact; < 30 s
     cert = _run(2, "delta oracle equivalence", verify.suite_delta, budget=30.0,
-                seed=0, max_p_last=30)
+                seed=0)
     assert cert.cases_run == 2 * 777  # the factor-2 reading is certified
 
 
@@ -71,14 +71,13 @@ def test_criterion_06_cosh_constants():
 def test_criterion_07_volume_identity():
     # max residual of the constant-volume-form identity < 1e-10 on a
     # 200 x 200 grid for |lambda| in {0.5, 0.1, 0.01}; < 5 s
-    _run(7, "volume identity", verify.suite_volume, budget=5.0, seed=0,
-         grid=200)
+    _run(7, "volume identity", verify.suite_volume, budget=5.0, seed=0)
 
 
 def test_criterion_08_gluing_maps():
     # inverse-pair residual < 1e-12 on 1000-point grids; endpoint values
     # R(-1) = |lambda|, R(0) = sqrt|lambda|, R(1) = 1 to 1e-14
-    _run(8, "gluing coordinate maps", verify.suite_gluing, seed=0, grid=1000)
+    _run(8, "gluing coordinate maps", verify.suite_gluing, seed=0)
 
 
 def test_criterion_09_decay_property():
@@ -91,5 +90,4 @@ def test_criterion_09_decay_property():
 def test_criterion_10_branch_round_trip():
     # cusp-type extraction inverts the monomial model for all types with
     # p_l <= 30, and their jet normal forms satisfy the P1/P2 constraints
-    _run(10, "branch round trip", verify.suite_roundtrip, seed=0,
-         max_p_last=30)
+    _run(10, "branch round trip", verify.suite_roundtrip, seed=0)

@@ -260,6 +260,60 @@ def test_multiple_branch_detected():
         branches.cusp_type_of_branch(mk({4: 1}, {6: 1}, 8))
 
 
+def _gcd_drop_scan(b):
+    """Reference: the explicit gcd-drop loop that cusp_type_of_branch
+    replaced by divisor_sequence, critical_mask and compress."""
+    if not branches.is_prepared(b):
+        raise NotPreparedBranch("cusp type extraction requires prepared form")
+    mu = branches.multiplicity(b)
+    support = sorted(
+        {e for i in range(1, b.ambient_dim) for e in b.coordinate_support(i)}
+    )
+    exponents = [mu]
+    d = mu
+    for q in support:
+        if d == 1:
+            break
+        g = math.gcd(d, q)
+        if g < d:
+            exponents.append(q)
+            d = g
+    if d != 1:
+        raise MultipleOrTruncatedBranch(
+            f"gcd stalls at {d} within truncation order {b.truncation_order}"
+        )
+    return CuspType(tuple(exponents))
+
+
+@st.composite
+def prepared_branches(draw):
+    """Prepared branches in C^2 or C^3 with exponents <= 40.  With step > 1
+    every later exponent is a multiple of step, so the gcd stalls whenever
+    step divides mu."""
+    n = draw(st.integers(2, 3))
+    mu = draw(st.integers(1, 12))
+    step = draw(st.sampled_from([1, 1, 2, 3, 4]))
+    others = st.tuples(*[small_gaussians] * (n - 1)).filter(any)
+    exps = draw(st.sets(st.integers(mu // step + 1, 40 // step).map(step.__mul__), max_size=8))
+    terms = [(mu, (draw(small_gaussians.filter(bool)),) + (GR.of(0),) * (n - 1))]
+    terms += [(e, (GR.of(0),) + draw(others)) for e in sorted(exps)]
+    return Branch(n, terms, terms[-1][0] + draw(st.integers(0, 3)))
+
+
+def _outcome(fn, b):
+    try:
+        return fn(b)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prepared_branches())
+def test_cusp_type_of_branch_equals_the_gcd_drop_loop(b):
+    assert branches.is_prepared(b)
+    assert _outcome(branches.cusp_type_of_branch, b) == _outcome(_gcd_drop_scan, b)
+
+
 def test_roundtrip_exhaustive():
     for p in cusps.enumerate_cusp_types(30):
         model = branches.branch_from_cusp_type(p)
@@ -292,7 +346,7 @@ def test_perturbation_stability_of_the_scan():
         if len(p) == 1:
             continue
         ps = p.exponents
-        ds = cusps.divisor_sequence(p).divisors
+        ds = cusps.divisor_sequence(p)
         model = branches.branch_from_cusp_type(p)
         y = {q: 1 for q in ps[1:]}
         # pick a slot between consecutive criticals and a non-critical exponent

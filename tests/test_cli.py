@@ -501,6 +501,37 @@ def test_node_stdout_is_pinned(lam, check, want, capsys):
     assert run(argv, capsys) == (0, want + "\n", "")
 
 
+# Stdout of the CUSP_ARGVS commands in order, pinned byte for byte.
+CUSP_ARGVS = [
+    argv
+    for t in ("1", "2,5", "3,4", "4,6,7", "6,9,13", "8,12,14,15")
+    for argv in (["cusp", "--type", t, "--json"], ["branch", "--type", t])
+]
+CUSP_PINS = """\
+{"admissible": {"critical": [true], "divisors": [1], "exponents": [1], "l_prime": 0}, "anchors": {"bennequin": "beta = 2*delta - 1", "delta": "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"}, "bennequin": -1, "codim": {"cusp_stratum": 0, "cusp_type_stratum": 0}, "delta": 0, "delta_formula_verbatim": 0, "divisors": [1], "type": [1]}
+{"bennequin": -1, "branch": {"ambient_dim": 2, "terms": [{"coeff": [["1", "1", "0", "1"], ["0", "1", "0", "1"]], "exp": 1}], "truncation_order": 1}, "cusp_order": 0, "cusp_type": [1], "delta": 0, "jet": {"P1": [["1", "0"]], "P2": [], "k": 0, "l": 0}, "multiplicity": 1, "ordinary_cusp": false, "prepared": true}
+{"admissible": {"critical": [true, false, true], "divisors": [2, 2, 1], "exponents": [2, 4, 5], "l_prime": 2}, "anchors": {"bennequin": "beta = 2*delta - 1", "delta": "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"}, "bennequin": 3, "codim": {"cusp_stratum": 2, "cusp_type_stratum": 2}, "delta": 2, "delta_formula_verbatim": 4, "divisors": [2, 1], "type": [2, 5]}
+{"bennequin": 3, "branch": {"ambient_dim": 2, "terms": [{"coeff": [["1", "1", "0", "1"], ["0", "1", "0", "1"]], "exp": 2}, {"coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]], "exp": 5}], "truncation_order": 5}, "cusp_order": 1, "cusp_type": [2, 5], "delta": 2, "jet": {"P1": [["1", "0"]], "P2": [], "k": 1, "l": 1}, "multiplicity": 2, "ordinary_cusp": false, "prepared": true}
+{"admissible": {"critical": [true, true], "divisors": [3, 1], "exponents": [3, 4], "l_prime": 1}, "anchors": {"bennequin": "beta = 2*delta - 1", "delta": "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"}, "bennequin": 5, "codim": {"cusp_stratum": 6, "cusp_type_stratum": 0}, "delta": 3, "delta_formula_verbatim": 6, "divisors": [3, 1], "type": [3, 4]}
+{"bennequin": 5, "branch": {"ambient_dim": 2, "terms": [{"coeff": [["1", "1", "0", "1"], ["0", "1", "0", "1"]], "exp": 3}, {"coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]], "exp": 4}], "truncation_order": 5}, "cusp_order": 2, "cusp_type": [3, 4], "delta": 3, "jet": {"P1": [["1", "0"]], "P2": [["1", "0"]], "k": 2, "l": 0}, "multiplicity": 3, "ordinary_cusp": false, "prepared": true}
+{"admissible": {"critical": [true, true, true], "divisors": [4, 2, 1], "exponents": [4, 6, 7], "l_prime": 2}, "anchors": {"bennequin": "beta = 2*delta - 1", "delta": "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"}, "bennequin": 15, "codim": {"cusp_stratum": 10, "cusp_type_stratum": 2}, "delta": 8, "delta_formula_verbatim": 16, "divisors": [4, 2, 1], "type": [4, 6, 7]}
+{"bennequin": 15, "branch": {"ambient_dim": 2, "terms": [{"coeff": [["1", "1", "0", "1"], ["0", "1", "0", "1"]], "exp": 4}, {"coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]], "exp": 6}, {"coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]], "exp": 7}], "truncation_order": 7}, "cusp_order": 3, "cusp_type": [4, 6, 7], "delta": 8, "jet": {"P1": [["1", "0"]], "P2": [["1", "0"], ["1", "0"]], "k": 3, "l": 1}, "multiplicity": 4, "ordinary_cusp": false, "prepared": true}
+{"admissible": {"critical": [true, true, false, true], "divisors": [6, 3, 3, 1], "exponents": [6, 9, 12, 13], "l_prime": 3}, "anchors": {"bennequin": "beta = 2*delta - 1", "delta": "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"}, "bennequin": 47, "codim": {"cusp_stratum": 18, "cusp_type_stratum": 8}, "delta": 24, "delta_formula_verbatim": 48, "divisors": [6, 3, 1], "type": [6, 9, 13]}
+{"bennequin": 47, "branch": {"ambient_dim": 2, "terms": [{"coeff": [["1", "1", "0", "1"], ["0", "1", "0", "1"]], "exp": 6}, {"coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]], "exp": 9}, {"coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]], "exp": 13}], "truncation_order": 13}, "cusp_order": 5, "cusp_type": [6, 9, 13], "delta": 24, "jet": {"P1": [["1", "0"]], "P2": [["1", "0"]], "k": 5, "l": 2}, "multiplicity": 6, "ordinary_cusp": false, "prepared": true}
+{"admissible": {"critical": [true, true, true, true], "divisors": [8, 4, 2, 1], "exponents": [8, 12, 14, 15], "l_prime": 3}, "anchors": {"bennequin": "beta = 2*delta - 1", "delta": "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"}, "bennequin": 83, "codim": {"cusp_stratum": 26, "cusp_type_stratum": 8}, "delta": 42, "delta_formula_verbatim": 84, "divisors": [8, 4, 2, 1], "type": [8, 12, 14, 15]}
+{"bennequin": 83, "branch": {"ambient_dim": 2, "terms": [{"coeff": [["1", "1", "0", "1"], ["0", "1", "0", "1"]], "exp": 8}, {"coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]], "exp": 12}, {"coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]], "exp": 14}, {"coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]], "exp": 15}], "truncation_order": 15}, "cusp_order": 7, "cusp_type": [8, 12, 14, 15], "delta": 42, "jet": {"P1": [["1", "0"]], "P2": [["1", "0"], ["0", "0"], ["1", "0"], ["1", "0"]], "k": 7, "l": 3}, "multiplicity": 8, "ordinary_cusp": false, "prepared": true}
+""".splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    list(zip(CUSP_ARGVS, CUSP_PINS)),
+    ids=[f"{argv[0]}-{argv[2]}" for argv in CUSP_ARGVS],
+)
+def test_cusp_layer_stdout_is_pinned(argv, want, capsys):
+    assert run(argv, capsys) == (0, want + "\n", "")
+
+
 def test_branch_command_monomial(capsys):
     code, payload, _ = run_json(["branch", "--type", "2,3"], capsys)
     assert code == 0
@@ -538,6 +569,43 @@ def test_branch_command_file_and_intersection(tmp_path, capsys):
     assert out["multiplicity"] == 1
     # the parabola and the cusp share the tangent line: contact order 3
     assert out["intersection_multiplicity"] == 3
+
+
+# b = (t^2, t^2 + t^3) is not prepared: prepare() shears it to (t^2, t^3)
+# for its cusp type and jet, but its intersections are those of b itself.
+_SHEARED = [{"exp": 2, "coeff": [["1", "1", "0", "1"], ["1", "1", "0", "1"]]},
+            {"exp": 3, "coeff": [["0", "1", "0", "1"], ["1", "1", "0", "1"]]}]
+_LINE = [{"exp": 1, "coeff": [["1", "1", "0", "1"], ["1", "1", "0", "1"]]}]
+
+
+@pytest.mark.parametrize(
+    "other,want",
+    [
+        (["--other-file", "@line"], 3),  # y - x = t^3 along b
+        (["--other-type", "2,3"], 4),  # ((y - x)^2 - x^3)(s^2, s^3) = s^4 - 2 s^5
+        (["--other-file", "@sheared"], None),  # the same germ
+    ],
+    ids=["line", "model", "itself"],
+)
+def test_branch_file_intersects_the_branch_as_loaded(other, want, tmp_path, capsys):
+    files = {"@sheared": _SHEARED, "@line": _LINE}
+    for name, terms in files.items():
+        (tmp_path / name).write_text(
+            json.dumps({"ambient_dim": 2, "truncation_order": 6, "terms": terms})
+        )
+    argv = ["branch", "--file", str(tmp_path / "@sheared")]
+    argv += [str(tmp_path / arg) if arg in files else arg for arg in other]
+    code, out, err = run(argv, capsys)
+    if want is None:
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "the two jets are identical"}
+        return
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["prepared"] is False
+    assert payload["prepared_branch"]["terms"][0]["coeff"][1] == ["0", "1", "0", "1"]
+    assert payload["cusp_type"] == [2, 3]
+    assert payload["intersection_multiplicity"] == want
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Cusp-type combinatorics against small-instance oracles."""
 
 import time
+from itertools import product
 from math import gcd
 
 import pytest
@@ -51,6 +52,46 @@ def test_validate_cusp_type():
     # gcd chain 4,2,1,1 -- the last step does not drop, hence invalid
 
 
+def _validate_by_loop(exponents):
+    """Reference: the explicit running-gcd loop that validate_cusp_type
+    replaced by divisor_sequence and critical_mask."""
+    if not exponents or any(p <= 0 for p in exponents):
+        return False
+    d = exponents[0]
+    prev = None
+    for p in exponents:
+        if prev is not None:
+            if p <= prev:
+                return False
+            d_next = gcd(d, p)
+            if d_next >= d:
+                return False
+            d = d_next
+        prev = p
+    return d == 1
+
+
+def test_validate_cusp_type_equals_the_loop_exhaustively():
+    tuples = [t for length in range(5) for t in product(range(-1, 13), repeat=length)]
+    assert len(tuples) == 41371
+    for exponents in tuples:
+        assert cusps.validate_cusp_type(exponents) == _validate_by_loop(exponents), exponents
+
+
+@pytest.mark.parametrize(
+    "divisors,mask",
+    [
+        ((), ()),
+        ((1,), (True,)),
+        ((4, 2, 1), (True, True, True)),
+        ((6, 3, 3, 1), (True, True, False, True)),
+        ((2, 2, 2), (True, False, False)),
+    ],
+)
+def test_critical_mask(divisors, mask):
+    assert cusps.critical_mask(divisors) == mask
+
+
 def test_invalid_type_raises():
     with pytest.raises(InvalidCuspType):
         CuspType((2, 4))
@@ -65,12 +106,12 @@ def test_invalid_type_raises():
     [((2, 3), (2, 1)), ((4, 6, 7), (4, 2, 1)), ((6, 9, 13), (6, 3, 1))],
 )
 def test_divisor_sequence(exponents, divisors):
-    assert cusps.divisor_sequence(CuspType(exponents)).divisors == divisors
+    assert cusps.divisor_sequence(CuspType(exponents)) == divisors
 
 
 def test_divisor_sequence_monotone_ends_at_one():
     for p in ALL_TYPES:
-        ds = cusps.divisor_sequence(p).divisors
+        ds = cusps.divisor_sequence(p)
         assert ds[0] == p.p0
         assert all(ds[i] > ds[i + 1] for i in range(len(ds) - 1))
         assert ds[-1] == 1
@@ -89,7 +130,7 @@ def test_admissible_exponents_examples(exponents, admissible, lprime):
 def test_admissible_exponent_properties_exhaustive():
     for p in ALL_TYPES:
         ps = p.exponents
-        ds = cusps.divisor_sequence(p).divisors
+        ds = cusps.divisor_sequence(p)
         data = cusps.admissible_exponents(p)
         # count identity
         expected_lprime = len(ps) - 1 + sum(
@@ -113,7 +154,7 @@ def test_inserted_exponents_never_hit_next_critical():
     # p_{i+1} is never a multiple of d_i, so p_i + j*d_i != p_{i+1}
     for p in ALL_TYPES:
         ps = p.exponents
-        ds = cusps.divisor_sequence(p).divisors
+        ds = cusps.divisor_sequence(p)
         for i in range(len(ps) - 1):
             assert ps[i + 1] % ds[i] != 0
 

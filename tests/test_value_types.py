@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pseudocurve.branches import Branch, BranchJetNormalForm
-from pseudocurve.cusps import AdmissibleExponentData, CuspType, DivisorSequence
+from pseudocurve.cusps import AdmissibleExponentData, CuspType
 from pseudocurve.cylinders import Cylinder, CylinderMap, DecayReport
 from pseudocurve.gaussian import GaussianRational
 from pseudocurve.indices import CuspCountBounds, CurveData, ObstructionReport
@@ -29,7 +29,6 @@ CASES = [
     ),
     (BranchJetNormalForm, {"k": 2, "l": 1, "p1": (GR(1),), "p2": (GR(2),)}, {}),
     (CuspType, {"exponents": (4, 6, 7)}, {}),
-    (DivisorSequence, {"divisors": (4, 2, 1)}, {}),
     (
         AdmissibleExponentData,
         {"exponents": (4, 6, 7), "divisors": (4, 2, 1), "critical_mask": (True, True, True)},
