@@ -135,16 +135,17 @@ def _cmd_cusp(args) -> int:
     exponents = _parse_int_list(args.type)
     p = cusps.CuspType(exponents)  # raises InvalidCuspType -> exit 1
     adm = cusps.admissible_exponents(p)
+    adm_divisors = cusps.divisor_sequence(adm)
     delta = cusps.nodal_number(p)
     n = args.n
     payload = {
         "type": list(p.exponents),
         "divisors": list(cusps.divisor_sequence(p)),
         "admissible": {
-            "exponents": list(adm.exponents),
-            "divisors": list(adm.divisors),
-            "critical": list(adm.critical_mask),
-            "l_prime": adm.length_lprime,
+            "exponents": list(adm),
+            "divisors": list(adm_divisors),
+            "critical": list(cusps.critical_mask(adm_divisors)),
+            "l_prime": len(adm) - 1,
         },
         "delta": delta,
         "delta_formula_verbatim": cusps.nodal_number_formula(p),
@@ -244,12 +245,12 @@ def _cmd_node(args) -> int:
     passed = True
     if check == "volume":
         residual = cylinders.volume_identity_residual(lam, grid=args.grid)
-        passed = residual < 1e-10
+        passed = residual <= cylinders.VOLUME_TOLERANCE
         payload.update(
             {
                 "grid": args.grid,
                 "max_residual": residual,
-                "tolerance": 1e-10,
+                "tolerance": cylinders.VOLUME_TOLERANCE,
                 "passed": passed,
                 "anchors": {"volume": cylinders.ANCHOR_VOLUME},
             }
@@ -263,7 +264,7 @@ def _cmd_node(args) -> int:
             "R(0)": cylinders.r_of_rho(0.0, lam),
             "R(1)": cylinders.r_of_rho(1.0, lam),
         }
-        passed = worst < 1e-12
+        passed = worst <= cylinders.GLUING_TOLERANCE
         payload.update(
             {
                 "grid": args.grid,
@@ -305,7 +306,7 @@ def _cmd_decay(args) -> int:
         "length": args.length,
         "modes": [[m, [[c.real, c.imag] for c in vec]] for m, vec in u.modes],
         "band_energies": list(report.band_energies),
-        "gamma_star": report.gamma_star,
+        "gamma_star": cylinders.GAMMA_STAR,
         "gamma_2": cylinders.GAMMA_2,
         "constants": report.constants,
         "passed": report.passed,

@@ -51,31 +51,6 @@ class CuspType(_Value):
         return self.exponents[-1]
 
 
-class AdmissibleExponentData(_Value):
-    """All admissible exponents of a cusp type, with divisors and criticality.
-
-    ``critical_mask`` is :func:`critical_mask` of ``divisors``; the critical
-    exponents are exactly the original cusp type.
-    """
-
-    __slots__ = ("exponents", "divisors", "critical_mask")
-
-    def __init__(
-        self,
-        exponents: tuple[int, ...],
-        divisors: tuple[int, ...],
-        critical_mask: tuple[bool, ...],
-    ) -> None:
-        _set_field(self, "exponents", exponents)
-        _set_field(self, "divisors", divisors)
-        _set_field(self, "critical_mask", critical_mask)
-
-    @property
-    def length_lprime(self) -> int:
-        """The index l' in (p'_0, ..., p'_{l'})."""
-        return len(self.exponents) - 1
-
-
 def divisor_sequence(p: Iterable[int]) -> tuple[int, ...]:
     """Running gcds ``d_i = gcd(p_0, ..., p_i)``."""
     return tuple(accumulate(p, gcd))
@@ -99,12 +74,14 @@ def validate_cusp_type(exponents: Sequence[int]) -> bool:
     )
 
 
-def admissible_exponents(p: CuspType) -> AdmissibleExponentData:
+def admissible_exponents(p: CuspType) -> tuple[int, ...]:
     """Insert the non-critical exponents ``p_i + j*d_i`` between critical ones.
 
     Between ``p_i`` and ``p_{i+1}`` there are exactly
     ``floor((p_{i+1} - p_i) / d_i)`` non-critical admissible exponents; the
-    final exponent ``p_l`` closes the list.
+    final exponent ``p_l`` closes the list.  The result ``(p'_0, ..., p'_{l'})``
+    has :func:`critical_mask` of its :func:`divisor_sequence` true exactly at
+    the original cusp type.
     """
     ps = p.exponents
     ds = divisor_sequence(p)
@@ -113,8 +90,7 @@ def admissible_exponents(p: CuspType) -> AdmissibleExponentData:
         count = (ps[i + 1] - ps[i]) // ds[i]
         exponents.extend(ps[i] + j * ds[i] for j in range(count + 1))
     exponents.append(ps[-1])
-    divisors = divisor_sequence(exponents)
-    return AdmissibleExponentData(tuple(exponents), divisors, critical_mask(divisors))
+    return tuple(exponents)
 
 
 def nodal_number_formula(p: CuspType) -> int:
@@ -207,7 +183,7 @@ def cusp_type_stratum_codim(n: int, types: Sequence[CuspType]) -> int:
         raise ValueError("ambient complex dimension must be >= 2")
     total = 0
     for p in types:
-        lprime = admissible_exponents(p).length_lprime
+        lprime = len(admissible_exponents(p)) - 1
         total += p.p_last - p.p0 - lprime
     return 2 * (n - 1) * total
 

@@ -90,10 +90,6 @@ class InertiaResult(_Value):
         """Saddle index: min of the two inertia indices."""
         return min(self.ind_plus, self.ind_minus)
 
-    @property
-    def dimension(self) -> int:
-        return self.ind_plus + self.ind_minus + self.nullity
-
 
 def scaled_residue_form_matrix(f: ResidueForm) -> tuple[int, list[list[int]]]:
     """``(den, den * A)``: the form's matrix over the integers, and its scale.

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 import shlex
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pseudocurve import cli
+from pseudocurve import cli, cusps
 
 
 def run(argv, capsys):
@@ -298,6 +299,25 @@ def test_node_gluing(capsys):
     assert abs(payload["endpoints"]["R(1)"] - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "check,residual,bound",
+    [
+        ("volume", "volume_identity_residual", "VOLUME_TOLERANCE"),
+        ("gluing", "gluing_inverse_residual", "GLUING_TOLERANCE"),
+    ],
+)
+def test_node_and_verify_share_each_bound(check, residual, bound, monkeypatch, capsys):
+    # a residual at the bound passes both, and the next float above fails both
+    from pseudocurve import cylinders, verify
+
+    limit = getattr(cylinders, bound)
+    for value, passed in ((limit, True), (math.nextafter(limit, 1.0), False)):
+        monkeypatch.setattr(cylinders, residual, lambda lam, grid: value)
+        code, payload, _ = run_json(["node", "--lambda", "0.1", "--check", check], capsys)
+        assert (code, payload["passed"]) == ((0, True) if passed else (2, False))
+        assert verify.run_suite(check).passed is passed
+
+
 def test_node_metric_and_radius(capsys):
     code, payload, _ = run_json(
         ["node", "--lambda", "0.1", "--check", "metric", "--z", "1.0+0i"], capsys
@@ -530,6 +550,72 @@ CUSP_PINS = """\
 )
 def test_cusp_layer_stdout_is_pinned(argv, want, capsys):
     assert run(argv, capsys) == (0, want + "\n", "")
+
+
+# sha256 of the stdout of `cusp --type T --json` and `cusp --type T --n 3
+# --json`, in that order for each cusp type T of enumerate_cusp_types(30),
+# concatenated; CUSP_TYPE_DIGESTS has the first 4 hex digits of the sha256 of
+# each type's two lines, so that a failure names the first type that differs.
+CUSP_ALL_SHA256 = "cbf724f7213ded7fe35f2e3e97e4f91133e852f33b78538c7411344b589ff657"
+CUSP_TYPE_DIGESTS = """\
+72eafcb9cb58e315adb38568bc5e46416781eeda651ea7b28a49dc11e3ab5c15a8e104000cac
+6e03d163ec694c58d9ae2b2851918333c56a4a43a570526cb5e9c04b2a3cb2d4e5b46cfc533d
+52c857e3b3d303ae6605ecea483c2707856f6df77742e0c0a892b73c269a2e79489efdba75d0
+3c7b575d83c6a54b94e7219a8cb30a905f2cf3649857bf4b412237b0928633235ba7ca902dbd
+c4c4af4df316e4af1e33179f6cb3936c8aed7ea1c15034e364141d8f1fe242cd8ef5df431280
+f45a2aa1bfb308fd91599bbff22202e77f13d8acc0d4a64f4126432d12b7457da58aefd9acb5
+53c85bc9e9c6f8f3edade0e00fef0835304450cac262291a351673d5b0f4da26f7a602b6f1e7
+0d518b8ca435591a926892e84f9655ce0ba637b53f845b0c05cde9f58175175473863689ae7c
+2b980c3581ace5a17e26bee02ec8425c47f17d67e0e7db1892512cadf078c6a5430dcd04de11
+0a2a8c7556efcb85aaadf22f617d9daa9ca53901658c045bff6f19f1535082f06cdb3a34b5d4
+b51c3a241210af16f40683ec2c74bcbbdf76728550e55f751df2030c1aa4ed4e2c5ab5f29018
+29865686a5220154911d6e97daf6f03158bbd5d296129d8dd5f131cb790e484034eeaca022b6
+d787e9b4e87d09be464b06593f0373281ae4ebaabf60269ac7e40bcc19583016fd38245d0d3e
+f3793c7ed91cee79bd4c206cd2e5aa18a723ba4b0d4b8e85f4efeacdc5f21c39eba6ba8d7dd9
+681bb572037039c0c4edbaedf097f6acab34b9b06adbbe1231cd6576e175ff445de65dc1be23
+7bc42097dca5cf58affdc286ecd0a15f858ec753cfc76dabdecf308f74e032bc87ce953414fa
+372c05f7ff2b73969fecc9eef16a9856682637e80ab778a8b29a02c248b67fd62c81624972c6
+649cb9c2f9ee36007bd2a653d04cf1f11d198fc14507673376222724add1286e1cabd4ae295b
+e31289d6ab1bb6459257b85e1ea4a4d91573a2d415d5da8a09e08d0e9046b6e53a91df233fea
+fe8600fb4e6e12735ebdade8cfdfa8014c407bb83e30cefa50a429d70fafc78ae585818d7ae5
+4bebfb1d6248e13682aacde9cb56afc3f61665b2f66a154e2d1c8b6bb0b471651e62158c3046
+c7ed104b31389ccd3c4e2d2da2614c97eb7cdd192070eb87c1468ccb5c0938c8392e52441114
+bcab1a981d72803c9e9fbf13554715f50c52d334a80b84fa6b8feaccc31d40d34d8e25727d48
+4839e4838fc1399358c2daa698a0bd95715bf2b7bf0a079864692d893f96627a059572c397a9
+55bb94d1f8215551591d5708de73a229993f5596e9ac0607613639b8e4aa8346133cfe89c2e8
+21d8225609439e3f4f1eed555cbd9e62e5fc0fac11c8112954972676cc0ed29d1f9d71f81167
+d88575de0b9ceee183f4abd9dee30eaeedad7074ce7c4a41cf72ab8c0ec8fa8ec4bd9f76816a
+4bc27d874d1ed14ffd552a98971a42e331344a39acd15175b6e71b97e5700eccfe94f1a8d419
+43a2d3ce95a2160d2d403017ef959f2f33cb2471deb76d5f03b7960d7be2c93f805bbedefb6c
+6506933e5c1042c7f27b7bb636f60b2014674bf1859044f92d2c317261ddd6dfb83868f7fd44
+7f26e0a115fe77e9c5b2e4e75f49aa1871ac45be7f27bafcf4915770bad0a46abcb38987f01a
+512ae68106d594961191fa229581ba680c7cec3391f099a14e3e8ddabee9117afdd444ade4fb
+20352704f0fd60c0585abd2617d7feb6cb01862bb6757283bcec5e6dd892885637336dbcc66e
+a015dfe5d0aab49a907fe11f3ae5c128eb1ca94d9ac1ef3078b24b34cd78fbd209af2257d2de
+1ff3ce0ef003dcf10b20ad6c487b95a2a4fab346890d8ffb4fbf9ba901f4f8dea65beb2f9160
+4fbea896c664e957a59a0c8c1b9b011eeff70eb0ec5b83bf38c27024c675a15e3c62fc43ced2
+d225def93e98fe5eeece549d1140ec6e6bc662514ff9b33730050805bf2506ae9ac48944b498
+ed18924576c87c5909d60208554e44ffb8d90c79cf332bd2826497a6665d79da88b6230235f7
+0cda5412cfb49e69e5a8854f15f7228f64d46ff77ae1e8e92f9b7ead6811eb6748f274cd66d0
+f586061c114e3887353dafa2c7e2a013a4cc6dd7b76b950d425bed20635882b2f658e5c89c4c
+f422d68f8b8db2df36a35afe36cf86933db64c7a2c7826deedc9cba0251ec2507ad7
+""".replace("\n", "")
+
+
+def test_cusp_payload_of_every_type_is_pinned(capsys):
+    types = [",".join(map(str, p.exponents)) for p in cusps.enumerate_cusp_types(30)]
+    assert 4 * len(types) == len(CUSP_TYPE_DIGESTS) == 4 * 777
+    whole, changed = hashlib.sha256(), []
+    for i, text in enumerate(types):
+        lines = "".join(
+            run(["cusp", "--type", text, *extra, "--json"], capsys)[1]
+            for extra in ([], ["--n", "3"])
+        ).encode()
+        whole.update(lines)
+        if hashlib.sha256(lines).hexdigest()[:4] != CUSP_TYPE_DIGESTS[4 * i : 4 * i + 4]:
+            changed.append(text)
+    first = changed[0] if changed else "none by the 4-digit digests"
+    assert whole.hexdigest() == CUSP_ALL_SHA256, f"first type whose line differs: {first}"
 
 
 def test_branch_command_monomial(capsys):

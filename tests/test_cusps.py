@@ -123,8 +123,8 @@ def test_divisor_sequence_monotone_ends_at_one():
 )
 def test_admissible_exponents_examples(exponents, admissible, lprime):
     data = cusps.admissible_exponents(CuspType(exponents))
-    assert data.exponents == admissible
-    assert data.length_lprime == lprime
+    assert data == admissible
+    assert len(data) - 1 == lprime
 
 
 def test_admissible_exponent_properties_exhaustive():
@@ -132,22 +132,20 @@ def test_admissible_exponent_properties_exhaustive():
         ps = p.exponents
         ds = cusps.divisor_sequence(p)
         data = cusps.admissible_exponents(p)
+        divisors = cusps.divisor_sequence(data)
+        mask = cusps.critical_mask(divisors)
         # count identity
         expected_lprime = len(ps) - 1 + sum(
             (ps[i + 1] - ps[i]) // ds[i] for i in range(len(ps) - 1)
         )
-        assert data.length_lprime == expected_lprime
+        assert len(data) - 1 == expected_lprime
         # criticality: admissible exponent > p'_0 is critical iff its divisor drops
-        critical = [
-            data.exponents[j]
-            for j in range(len(data.exponents))
-            if data.critical_mask[j]
-        ]
+        critical = [data[j] for j in range(len(data)) if mask[j]]
         assert tuple(critical) == ps
         # no inserted exponent collides with the next critical one
-        assert len(set(data.exponents)) == len(data.exponents)
+        assert len(set(data)) == len(data)
         # divisors of the admissible sequence are the d_i, repeated
-        assert set(data.divisors) == set(ds)
+        assert set(divisors) == set(ds)
 
 
 def test_inserted_exponents_never_hit_next_critical():

@@ -81,7 +81,7 @@ def test_domain_errors():
 def test_results_beyond_double_range_raise_domain_error():
     # R(-1)^2 = |lambda|^2 is subnormal at 1e-160 and 0 at 1e-170
     with pytest.raises(DomainError):
-        cylinders.volume_identity_residual(1e-160)
+        cylinders.volume_identity_residual(1e-160, 10)
     with pytest.raises(DomainError):
         cylinders.gluing_inverse_residual(1e-160, 10)
     with pytest.raises(DomainError):

@@ -92,7 +92,7 @@ def test_inertia_examples(k, l, coeffs, expected):
     result = residues.inertia(form(k, l, *coeffs))
     assert result == expected
     assert result.s_ind == k - l
-    assert result.dimension == 2 * (k + 1)
+    assert result.ind_plus + result.ind_minus + result.nullity == 2 * (k + 1)
 
 
 def test_index_relation_sweep_with_float_crosscheck():
@@ -407,7 +407,7 @@ def test_rational_inertia_large_entries_match_dense_elimination(n, rank):
         ]
     expected = _dense_reference_inertia(matrix)
     assert residues.rational_inertia(matrix) == expected
-    assert expected.dimension == n
+    assert expected.ind_plus + expected.ind_minus + expected.nullity == n
 
 
 def test_rational_inertia_float_and_str_entries_are_read_exactly():

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from pseudocurve.branches import Branch, BranchJetNormalForm
-from pseudocurve.cusps import AdmissibleExponentData, CuspType
+from pseudocurve.cusps import CuspType
 from pseudocurve.cylinders import Cylinder, CylinderMap, DecayReport
+from pseudocurve.errors import _Value
 from pseudocurve.gaussian import GaussianRational
 from pseudocurve.indices import CuspCountBounds, CurveData, ObstructionReport
 from pseudocurve.residues import InertiaResult, ResidueForm
@@ -29,19 +30,9 @@ CASES = [
     ),
     (BranchJetNormalForm, {"k": 2, "l": 1, "p1": (GR(1),), "p2": (GR(2),)}, {}),
     (CuspType, {"exponents": (4, 6, 7)}, {}),
-    (
-        AdmissibleExponentData,
-        {"exponents": (4, 6, 7), "divisors": (4, 2, 1), "critical_mask": (True, True, True)},
-        {},
-    ),
     (Cylinder, {"a": 0.0, "b": 2.5}, {}),
     (CylinderMap, {"modes": ((-1, (1j,)), (2, (0.5 + 0j,))), "domain": Cylinder(0.0, 3.0)}, {}),
-    (
-        DecayReport,
-        {"band_energies": (1.0, 0.5), "gamma_star": 0.25, "constants": {"shape": 1.0},
-         "passed": True},
-        {},
-    ),
+    (DecayReport, {"band_energies": (1.0, 0.5), "constants": {"shape": 1.0}, "passed": True}, {}),
     (CurveData, {"n": 2, "mu": 3, "self_int": 1, "genera": (0, 1)}, {"delta": 0}),
     (ObstructionReport, {"obstructed": False, "worst_count": 5, "required": 4},
      {"worst_splitting": ()}),
@@ -62,6 +53,9 @@ def test_value_semantics(cls, given, defaults):
 
     assert by_keyword == by_position and not by_keyword != by_position
     assert by_keyword.__eq__(values) is NotImplemented
+    # one equality and hash, the shared ones, for every value type
+    assert cls.__eq__ is _Value.__eq__
+    assert cls.__hash__ is (None if cls is VerificationCertificate else _Value.__hash__)
     other = InertiaResult(0, 0, 0) if cls is not InertiaResult else CuspCountBounds(0, 0)
     assert by_keyword != other and other != by_keyword
 
