@@ -458,7 +458,8 @@ def build_parser() -> _Parser:
     p_decay = sub.add_parser("decay", help="cylinder band energies and decay")
     p_decay.add_argument(
         "--modes", required=True,
-        help="m:re,im,re,im;m2:... (pairs per coordinate)",
+        help="m:re,im,re,im;m2:... (pairs per coordinate); a negative "
+        "first mode is written --modes=-1:1,0",
     )
     p_decay.add_argument("--length", type=int, default=10)
     p_decay.add_argument("--k", type=int, default=1, help="band for the truncation")

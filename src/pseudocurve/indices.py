@@ -155,7 +155,7 @@ class CuspCountBounds(_Value):
         return self.lower > self.upper
 
 
-def cusp_count_bounds(mu: int, g: int, m: int = 0) -> CuspCountBounds:
+def cusp_count_bounds(mu: int, g: int, m: int) -> CuspCountBounds:
     """Possible number of cusps on a critical curve: mu - m <= kappa <=
     mu - m + g - 1.  A contradictory range means no critical points (g = 0)
     or an empty relative moduli space (mu - m + g - 1 < 0)."""

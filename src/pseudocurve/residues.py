@@ -21,7 +21,10 @@ divides it by ``den``.
 
 The inertia is computed by exact symmetric Gaussian elimination with 1x1 and
 2x2 pivots (2x2 hyperbolic blocks avoid square roots), so the expected
-signature ``ind_+ = ind_- = k - l`` is checked with zero tolerance.  The
+signature ``ind_+ = ind_- = k - l`` is checked with zero tolerance.  Both
+pivot kinds take one update step: a pivot is a pair ``(i, j)`` of active
+indices, and a 1x1 pivot is the case ``i = j``, the degenerate block of the
+symmetric 1x1/2x2 pivoting of Bunch & Kaufman (Math. Comp. 31, 1977).  The
 elimination is fraction-free: a matrix of Python ints is used as it is (on a
 copy), any other matrix is scaled by the positive lcm of its denominators,
 and after each pivot the active block is kept as the primitive integer
@@ -31,7 +34,7 @@ growth is no worse than Bareiss elimination.  Positive scalars do not change
 signs, so the pivot order is exactly that of the rational elimination: the
 first nonzero diagonal entry, else the first nonzero off-diagonal pair.  The
 matrix is sparse (w_i and w_j couple only when i + j <= k - l - 1), so each
-step updates only the rows and columns where the pivot column is nonzero.
+step updates only the rows and columns where a pivot column is nonzero.
 """
 
 from __future__ import annotations
@@ -141,25 +144,22 @@ def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
 
     The elimination runs over the integers.  A matrix of Python ints is
     copied row by row, so the caller's matrix is never changed; any other
-    matrix is first scaled by the lcm of its denominators.  Invariant: the
-    active block is the primitive integer multiple of the current Schur
-    complement.  A 1x1 pivot ``d`` with column ``v`` replaces it by
-    ``|d| S - sign(d) v v^T`` and a 2x2 pivot ``b`` with columns ``c_i, c_j``
-    by ``|b| S - sign(b) (c_i c_j^T + c_j c_i^T)``, then the content is
-    divided out.  Only a positive scalar separates this from the rational
-    elimination, so every pivot has the same position and sign.  The update
-    is nonzero only where the pivot column is (either column, for a 2x2
-    pivot); it is symmetric, so each term is computed once per pair.
-    Entries that are neither ``int`` nor ``Fraction`` are read through
-    ``Fraction(x)``.
+    matrix is read through ``Fraction(x)`` and scaled by the lcm of its
+    denominators.  Invariant: the active block is the primitive integer
+    multiple of the current Schur complement.  A pivot ``b = S[i][j]`` with
+    columns ``c_i, c_j`` and ``(s_i, s_j) = sign(b) (c_i, c_j)`` replaces it
+    by ``|b| S - (s_i c_j^T + s_j c_i^T)``, then the content is divided out;
+    a 1x1 pivot is the case ``i = j`` with ``s_j = 0``, which leaves
+    ``|b| S - sign(b) v v^T`` for its column ``v``.  Only a positive scalar
+    separates this from the rational elimination, so every pivot has the
+    same position and sign.  The update is nonzero only where a pivot column
+    is; it is symmetric, so each term is computed once per pair.
     """
     types = set(map(type, chain.from_iterable(matrix)))
     if types <= {int}:
         a = [list(row) for row in matrix]
     else:
-        if not types <= {int, Fraction}:
-            matrix = [[Fraction(x) for x in row] for row in matrix]
-        ratios = [[x.as_integer_ratio() for x in row] for row in matrix]
+        ratios = [[Fraction(x).as_integer_ratio() for x in row] for row in matrix]
         scale = lcm(*{den for row in ratios for _, den in row})
         a = [[num * (scale // den) if num else 0 for num, den in row] for row in ratios]
     active = [r for r in range(len(a)) if any(a[r])]
@@ -167,28 +167,7 @@ def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
     plus = minus = 0
 
     while active:
-        pivot = next((i for i in active if a[i][i]), None)
-        if pivot is not None:
-            d = a[pivot][pivot]
-            if d > 0:
-                plus += 1
-            else:
-                minus += 1
-            active.remove(pivot)
-            support = [(r, a[r][pivot]) for r in active if a[r][pivot]]
-            _scale_rows(a, active, abs(d))
-            for idx, (r, cr) in enumerate(support):
-                sr = cr if d > 0 else -cr
-                row = a[r]
-                row[r] -= sr * cr
-                row[pivot] = 0
-                for c, cc in support[idx + 1 :]:
-                    term = sr * cc
-                    row[c] -= term
-                    a[c][r] -= term
-            _remove_content(a, active)
-            continue
-        pair = next(
+        pivot = next(((i, i) for i in active if a[i][i]), None) or next(
             (
                 (i, j)
                 for idx, i in enumerate(active)
@@ -197,21 +176,28 @@ def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
             ),
             None,
         )
-        if pair is None:
+        if pivot is None:
             zero += len(active)
             break
-        i, j = pair
+        i, j = pivot
         b = a[i][j]
-        plus += 1
-        minus += 1
         active.remove(i)
-        active.remove(j)
+        if i != j:
+            active.remove(j)
+            plus += 1
+            minus += 1
+        elif b > 0:
+            plus += 1
+        else:
+            minus += 1
         support = [(r, a[r][i], a[r][j]) for r in active if a[r][i] or a[r][j]]
         _scale_rows(a, active, abs(b))
         for idx, (r, ci, cj) in enumerate(support):
             si, sj = (ci, cj) if b > 0 else (-ci, -cj)
+            if i == j:
+                sj = 0
             row = a[r]
-            row[r] -= 2 * si * cj
+            row[r] -= si * cj + sj * ci
             row[i] = row[j] = 0
             for c, di, dj in support[idx + 1 :]:
                 term = si * dj + sj * di

@@ -405,6 +405,17 @@ def test_decay_command(capsys):
     assert payload["three_term"]["kept_modes"] == [1]
 
 
+def test_decay_negative_first_mode_is_joined_with_equals(capsys):
+    code, payload, _ = run_json(["decay", "--modes=-1:1,0", "--length", "10"], capsys)
+    assert code == 0
+    assert payload["modes"] == [[-1, [[1.0, 0.0]]]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decay", "--help"])
+    assert exc.value.code == 0
+    # argparse may wrap the help text anywhere, so compare without whitespace
+    assert "--modes=-1:1,0" in "".join(capsys.readouterr().out.split())
+
+
 # Stdout of `decay --length 10 --k K --modes M --json` for K = 1, 3, 7, pinned
 # byte for byte.  Per map: band energies, constants, the printed modes, the
 # kept modes of the three-term truncation and its remainder at each K.  The

@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import numpy as np
@@ -235,6 +236,31 @@ def _dense_reference_inertia(matrix):
 @given(symmetric_matrices())
 def test_rational_inertia_matches_dense_elimination(matrix):
     assert residues.rational_inertia(matrix) == _dense_reference_inertia(matrix)
+
+
+def _small_symmetric_matrices():
+    """Every symmetric matrix of size <= 3 with entries in {-1, 0, 1}, and
+    every size-4 one with a zero diagonal, which forces 2x2 pivots."""
+    for n, zero_diagonal in ((0, False), (1, False), (2, False), (3, False), (4, True)):
+        cells = [(i, j) for i in range(n) for j in range(i + zero_diagonal, n)]
+        for values in product((-1, 0, 1), repeat=len(cells)):
+            m = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(cells, values):
+                m[i][j] = m[j][i] = v
+            yield m
+
+
+def test_rational_inertia_matches_dense_elimination_exhaustively():
+    # 1x1 and 2x2 pivots share one update step; each matrix is read both as
+    # ints and, halved, through the Fraction entry path
+    count = 0
+    for m in _small_symmetric_matrices():
+        expected = _dense_reference_inertia(m)
+        assert residues.rational_inertia(m) == expected, m
+        halved = [[Fraction(x, 2) for x in row] for row in m]
+        assert residues.rational_inertia(halved) == expected, m
+        count += 1
+    assert count == 1 + 3 + 3**3 + 3**6 + 3**6
 
 
 @settings(max_examples=150, deadline=None)
