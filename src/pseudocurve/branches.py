@@ -449,7 +449,7 @@ class _Series:
     @classmethod
     def of(cls, terms: Mapping[int, GR], prec: int) -> "_Series":
         """sum of c * t^e over the terms with e < prec."""
-        parts = [(exp, _gauss_ints(c)) for exp, c in terms.items() if exp < prec]
+        parts = [(exp, c.as_integers()) for exp, c in terms.items() if exp < prec]
         den = lcm(*(d for _, (_, _, d) in parts))
         re, im = [0] * prec, [0] * prec
         for exp, (p, q, d) in parts:
@@ -466,7 +466,7 @@ class _Series:
         return None
 
     def scaled(self, c: GR) -> "_Series":
-        p, q, d = _gauss_ints(c)
+        p, q, d = c.as_integers()
         return _Series(
             [r * p - i * q for r, i in zip(self.re, self.im)],
             [r * q + i * p for r, i in zip(self.re, self.im)],
@@ -513,16 +513,6 @@ class _Series:
         return _Series(re, im, self.den * other.den)
 
 
-def _gauss_ints(c: GR) -> tuple[int, int, int]:
-    """c = (p + q*i) / d with integers p, q and d > 0."""
-    d = lcm(c.re.denominator, c.im.denominator)
-    return (
-        c.re.numerator * (d // c.re.denominator),
-        c.im.numerator * (d // c.im.denominator),
-        d,
-    )
-
-
 def _plane_terms(b: Branch) -> tuple[dict[int, GR], dict[int, GR]]:
     """The nonzero coefficients of the two coordinates, by exponent."""
     return tuple({exp: vec[i] for exp, vec in b.terms if vec[i]} for i in (0, 1))
@@ -556,10 +546,10 @@ def _reparametrised(
         return {exp: c for exp, c in y.items() if exp <= top}
     inv_c = x[n].inverse()
     g = {exp - n: c * inv_c for exp, c in x.items() if 0 < exp - n < top}
-    scale = lcm(*(_gauss_ints(c)[2] for c in g.values()))
+    scale = lcm(*(c.as_integers()[2] for c in g.values()))
     units = {}  # n^(2i-1) g_i L^i, a Gaussian integer
     for i, c in g.items():
-        p, q, _ = _gauss_ints(c * scale ** i)
+        p, q, _ = (c * scale ** i).as_integers()
         units[i] = (p * n ** (2 * i - 1), q * n ** (2 * i - 1))
     low = min(y, default=top + 1)
     out: dict[int, GR] = {}

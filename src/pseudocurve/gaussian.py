@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 
 from pseudocurve.errors import InvalidBranch, _set_field, _Value
@@ -105,6 +106,16 @@ class GaussianRational(_Value):
             base = base * base
             exponent >>= 1
         return result
+
+    def as_integers(self) -> tuple[int, int, int]:
+        """``(p, q, d)`` with ``self = (p + q*i) / d``: integers over the
+        least positive common denominator of the two parts."""
+        d = lcm(self.re.denominator, self.im.denominator)
+        return (
+            self.re.numerator * (d // self.re.denominator),
+            self.im.numerator * (d // self.im.denominator),
+            d,
+        )
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

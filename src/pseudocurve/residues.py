@@ -15,9 +15,9 @@ form is used for.
 The form's matrix has one builder, :func:`scaled_residue_form_matrix`: it
 returns the Python-int matrix ``den * A``, where ``den`` is the lcm of the
 denominators of the coefficients' real and imaginary parts.
-:func:`inertia` hands that integer matrix straight to the kernel, and
-:func:`residue_form_matrix` (the exact rational ``A`` that ``saddle`` prints)
-divides it by ``den``.
+:func:`inertia` hands that integer matrix straight to the kernel, which
+reads only Python ints, and :func:`residue_form_matrix` (the exact rational
+``A`` that ``saddle`` prints) divides it by ``den``.
 
 The inertia is computed by exact symmetric Gaussian elimination with 1x1 and
 2x2 pivots (2x2 hyperbolic blocks avoid square roots), so the expected
@@ -25,8 +25,7 @@ signature ``ind_+ = ind_- = k - l`` is checked with zero tolerance.  Both
 pivot kinds take one update step: a pivot is a pair ``(i, j)`` of active
 indices, and a 1x1 pivot is the case ``i = j``, the degenerate block of the
 symmetric 1x1/2x2 pivoting of Bunch & Kaufman (Math. Comp. 31, 1977).  The
-elimination is fraction-free: a matrix of Python ints is used as it is (on a
-copy), any other matrix is scaled by the positive lcm of its denominators,
+elimination is fraction-free: it runs on a copy of the Python-int matrix,
 and after each pivot the active block is kept as the primitive integer
 multiple of the current Schur complement (multiply by |pivot|, subtract,
 divide out the content), so all arithmetic is on Python ints and coefficient
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
@@ -105,16 +103,17 @@ def scaled_residue_form_matrix(f: ResidueForm) -> tuple[int, list[list[int]]]:
     ``(i, j)``, every real cell receives exactly one term, assigned once per
     ordered pair ``(i, j)``.
     """
-    den = lcm(*(x.denominator for c in f.coefficients for x in (c.re, c.im)))
+    parts = [c.as_integers() for c in f.coefficients]
+    den = lcm(*(d for _, _, d in parts))
     size = 2 * (f.k + 1)
     a = [[0] * size for _ in range(size)]
     target = f.k - f.l - 1
-    for s, coeff in enumerate(f.coefficients):
-        if not coeff:
+    for s, (p, q, d) in enumerate(parts):
+        if not (p or q):
             continue
-        alpha = coeff.re.numerator * (den // coeff.re.denominator)
+        alpha = p * (den // d)
         minus_alpha = -alpha
-        minus_beta = -coeff.im.numerator * (den // coeff.im.denominator)
+        minus_beta = -q * (den // d)
         rest = target - s
         for i in range(max(0, rest - f.k), min(rest, f.k) + 1):
             xi, yi = 2 * i, 2 * i + 1
@@ -133,8 +132,8 @@ def residue_form_matrix(f: ResidueForm) -> list[list[Fraction]]:
     return [[Fraction(x, den) for x in row] for row in a]
 
 
-def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
-    """Exact inertia of a rational symmetric matrix.
+def rational_inertia(matrix: Sequence[Sequence[int]]) -> InertiaResult:
+    """Exact inertia of a symmetric matrix of Python ints.
 
     Symmetric congruence elimination: 1x1 pivots on the first active nonzero
     diagonal entry; when the active diagonal is entirely zero, the first
@@ -142,26 +141,21 @@ def rational_inertia(matrix: Sequence[Sequence[Fraction]]) -> InertiaResult:
     (+1, -1).  Rows that are entirely zero are counted as nullity up front;
     they never enter a pivot or a support, so the pivot order is unchanged.
 
-    The elimination runs over the integers.  A matrix of Python ints is
-    copied row by row, so the caller's matrix is never changed; any other
-    matrix is read through ``Fraction(x)`` and scaled by the lcm of its
-    denominators.  Invariant: the active block is the primitive integer
-    multiple of the current Schur complement.  A pivot ``b = S[i][j]`` with
-    columns ``c_i, c_j`` and ``(s_i, s_j) = sign(b) (c_i, c_j)`` replaces it
-    by ``|b| S - (s_i c_j^T + s_j c_i^T)``, then the content is divided out;
-    a 1x1 pivot is the case ``i = j`` with ``s_j = 0``, which leaves
+    A rational matrix is passed as a positive integer multiple, such as the
+    build of :func:`scaled_residue_form_matrix`: a positive scale cannot
+    change an inertia.  The elimination runs on a row-by-row copy, so the
+    caller's matrix is never changed.  Invariant: the active block is the
+    primitive integer multiple of the current Schur complement.  A pivot
+    ``b = S[i][j]`` with columns ``c_i, c_j`` and
+    ``(s_i, s_j) = sign(b) (c_i, c_j)`` replaces it by
+    ``|b| S - (s_i c_j^T + s_j c_i^T)``, then the content is divided out; a
+    1x1 pivot is the case ``i = j`` with ``s_j = 0``, which leaves
     ``|b| S - sign(b) v v^T`` for its column ``v``.  Only a positive scalar
     separates this from the rational elimination, so every pivot has the
     same position and sign.  The update is nonzero only where a pivot column
     is; it is symmetric, so each term is computed once per pair.
     """
-    types = set(map(type, chain.from_iterable(matrix)))
-    if types <= {int}:
-        a = [list(row) for row in matrix]
-    else:
-        ratios = [[Fraction(x).as_integer_ratio() for x in row] for row in matrix]
-        scale = lcm(*{den for row in ratios for _, den in row})
-        a = [[num * (scale // den) if num else 0 for num, den in row] for row in ratios]
+    a = [list(row) for row in matrix]
     active = [r for r in range(len(a)) if any(a[r])]
     zero = len(a) - len(active)
     plus = minus = 0

@@ -822,3 +822,131 @@ def test_invariant_under_reparametrisation_and_linear_change(pair, data):
         ]
         moved.append(Branch.from_coordinates(coords, 10**9))
     assert _norm(*moved) == answer
+
+
+# ---------------------------------------------------------------------------
+# Halphen-Zeuthen: an exact oracle for pairs with monomial first coordinates
+# ---------------------------------------------------------------------------
+
+# the roots of unity in Q(i), each with its angle k: e(k) = exp(2 pi i k)
+_UNITS = {GR.of(1): Fraction(0), GR.of(0, 1): Fraction(1, 4),
+          GR.of(-1): Fraction(1, 2), GR.of(0, -1): Fraction(3, 4)}
+
+
+def _puiseux_roots(b):
+    """The n Puiseux roots of (t^n, y(t)) as {x exponent: (c, angle)}, the
+    term c * e(angle) * x^(p/n) of y(zeta^a x^(1/n)), zeta = e(1/n)."""
+    x, y = ({exp: vec[i] for exp, vec in b.terms if vec[i]} for i in (0, 1))
+    [(n, lead)] = x.items()
+    assert lead == GR.of(1)
+    return n, [
+        {Fraction(p, n): (c, Fraction(a * p % n, n)) for p, c in y.items()}
+        for a in range(n)
+    ]
+
+
+def _same_term(u, v):
+    """c e(alpha) == d e(beta): c / d must be a unit of Q(i) whose angle
+    matches beta - alpha modulo 1."""
+    if u is None or v is None:
+        return u is v
+    (c, alpha), (d, beta) = u, v
+    k = _UNITS.get(c / d)
+    return k is not None and (beta - alpha - k).denominator == 1
+
+
+def halphen(b1, b2):
+    """I = sum over the n * m pairs of Puiseux roots of ord_x(y_a - z_b), for
+    first coordinates exactly t^n and s^m; None when a pair agrees up to the
+    horizon min((T1 + 1) / n, (T2 + 1) / m), where a tail can change it."""
+    n, roots1 = _puiseux_roots(b1)
+    m, roots2 = _puiseux_roots(b2)
+    horizon = min(Fraction(b1.truncation_order + 1, n),
+                  Fraction(b2.truncation_order + 1, m))
+    total = Fraction(0)
+    for ya in roots1:
+        for zb in roots2:
+            order = next(
+                (e for e in sorted(set(ya) | set(zb))
+                 if e < horizon and not _same_term(ya.get(e), zb.get(e))),
+                None,
+            )
+            if order is None:
+                return None
+            total += order
+    assert total.denominator == 1
+    return int(total)
+
+
+def test_halphen_on_hand_counted_pairs():
+    # (t^2, t^3) against (s^3, s^4): min(2 * 4, 3 * 3) = 8
+    assert halphen(mk({2: 1}, {3: 1}, 9), mk({3: 1}, {4: 1}, 9)) == 8
+    # (t^2, t^3) against (t^2, t^3 + t^4): y^2 - x^3 is 2 t^7 + t^8
+    assert halphen(mk({2: 1}, {3: 1}, 12), mk({2: 1}, {3: 1, 4: 1}, 12)) == 7
+    # t -> i t is a reparametrisation of (t^4, t^6 + t^7) itself
+    same = mk({4: 1}, {6: -1, 7: GR.of(0, -1)}, 7)
+    assert halphen(mk({4: 1}, {6: 1, 7: 1}, 7), same) is None
+
+
+def _shared_p0_p1_models():
+    models = [p for p in cusps.enumerate_cusp_types(12) if p.p0 >= 4]
+    return [
+        (p, q) for i, p in enumerate(models) for q in models[i + 1 :]
+        if p.exponents[:2] == q.exponents[:2]
+    ]
+
+
+def test_norm_equals_halphen_on_monomial_models_with_shared_terms():
+    # min(a d, b c) covers coprime monomial pairs only; these pairs share
+    # (p0, p1), so the norm's conjugate factors cancel shared leading terms
+    pairs = _shared_p0_p1_models()
+    assert len(pairs) == 5
+    for p, q in pairs:
+        b1, b2 = branches.branch_from_cusp_type(p), branches.branch_from_cusp_type(q)
+        expected = halphen(b1, b2)
+        assert expected is not None
+        assert branches.intersection_multiplicity(b1, b2) == expected, (p, q)
+        assert branches.intersection_multiplicity(b2, b1) == expected, (p, q)
+    b1, b2 = (branches.branch_from_cusp_type(CuspType(p)) for p in ((4, 6, 7), (4, 6, 9)))
+    assert halphen(b1, b2) == 26  # 8 root pairs meet to order 7/4, 8 to 3/2
+
+
+@st.composite
+def puiseux_branches(draw, n):
+    """(t^n, y(t)) with y exponents in (n, 12] and T up to 14."""
+    exps = draw(st.sets(st.integers(n + 1, 12), min_size=1, max_size=5))
+    y = {e: draw(small_gaussians.filter(bool)) for e in exps}
+    return mk({n: 1}, y, max(exps) + draw(st.integers(0, 2)))
+
+
+@st.composite
+def puiseux_pairs(draw):
+    """Independent pairs with n, m <= 6, and pairs whose second branch is the
+    first one under t -> u s^j (u^n = 1, n j <= 6), cut at a drawn order and
+    given up to two new terms."""
+    n = draw(st.integers(1, 6))
+    b1 = draw(puiseux_branches(n))
+    if draw(st.booleans()):
+        return b1, draw(puiseux_branches(draw(st.integers(1, 6))))
+    j = draw(st.integers(1, 6 // n))
+    u = draw(st.sampled_from([v for v in _UNITS if v ** n == GR.of(1)]))
+    cut = draw(st.integers(n + 1, b1.truncation_order))
+    y = {p * j: vec[1] * u ** p for p, vec in b1.terms if vec[1] and p <= cut}
+    y.update({
+        e: draw(small_gaussians)
+        for e in draw(st.sets(st.integers(n * j + 1, 12 * j), max_size=2))
+    })
+    y = {e: c for e, c in y.items() if c}
+    assume(y)
+    t2 = max(y) + draw(st.integers(0, 2))
+    return b1, mk({n * j: 1}, y, t2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(puiseux_pairs())
+def test_norm_agrees_with_halphen(pair):
+    norm, expected = _norm(*pair), halphen(*pair)
+    if norm is not None:
+        assert norm == expected
+    if expected is None:
+        assert norm is None

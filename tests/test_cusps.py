@@ -1,5 +1,6 @@
 """Cusp-type combinatorics against small-instance oracles."""
 
+import heapq
 import time
 from itertools import product
 from math import gcd
@@ -211,6 +212,43 @@ def test_semigroup_generators_examples():
     assert cusps.semigroup_generators(CuspType((2, 3))) == (2, 3)
     assert cusps.semigroup_generators(CuspType((4, 6, 7))) == (4, 6, 13)
     assert cusps.semigroup_generators(CuspType((6, 9, 13))) == (6, 9, 22)
+
+
+def apery_set(gens):
+    """Least element of the semigroup <gens> in each residue class modulo the
+    smallest generator m: shortest paths on Z/m, each step adding one
+    generator (Dijkstra)."""
+    m = min(gens)
+    best = [0] + [None] * (m - 1)
+    heap = [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if w > best[r]:
+            continue
+        for g in gens:
+            s = (r + g) % m
+            if best[s] is None or w + g < best[s]:
+                best[s] = w + g
+                heapq.heappush(heap, (w + g, s))
+    return best
+
+
+GORENSTEIN_TYPES = list(cusps.enumerate_cusp_types(40))
+
+
+def test_value_semigroups_are_symmetric_with_conductor_two_delta():
+    # a plane branch has a symmetric value semigroup (Kunz 1970), so its
+    # Frobenius number F is 2 delta - 1, which is also the Bennequin index
+    assert len(GORENSTEIN_TYPES) == 2186
+    for p in GORENSTEIN_TYPES:
+        gens = cusps.semigroup_generators(p)
+        apery = apery_set(gens)
+        top = max(apery)
+        frobenius = top - min(gens)
+        delta = cusps.nodal_number(p)
+        assert frobenius + 1 == 2 * delta, p
+        assert {top - w for w in apery} == set(apery), p
+        assert cusps.bennequin_index(delta) == frobenius, p
 
 
 def test_bennequin_index():

@@ -46,6 +46,12 @@ def test_quad_serialization_roundtrip():
     assert z.to_quad() == ["-7", "12", "5", "9"]
 
 
+def test_as_integers_uses_the_least_common_denominator():
+    assert GR.of("1/6", "-3/4").as_integers() == (2, -9, 12)
+    assert GR.of(5).as_integers() == (5, 0, 1)
+    assert GR.of(0, "2/3").as_integers() == (0, 2, 3)
+
+
 def test_complex_conversion():
     assert complex(GR.of(Fraction(1, 2), Fraction(-3, 4))) == 0.5 - 0.75j
 
