@@ -17,8 +17,11 @@ norm: the branch of smaller multiplicity n is reparametrised exactly to
 conjugate factors ``y2(s_zeta) - y1(t)``, an n x n determinant over
 Q(i)[[t]].  It is returned only when the stored jets determine it, that is
 when no tail beyond either truncation order can change the valuation of
-any single factor; otherwise IndeterminateWithinTruncation is raised.  An
-independent series-substitution path covers pairs with a smooth graph.
+any single factor; otherwise IndeterminateWithinTruncation is raised.  A
+series-substitution oracle covers pairs with a smooth graph.  It runs on
+the norm's one series type, ``_Series``, but inverts the graph's base
+coordinate by its own Lagrange inversion, so it stays independent of the
+norm's reparametrisation.
 """
 
 from __future__ import annotations
@@ -56,93 +59,6 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidBranch(f"{what} must be an integer, got {value!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# dense series helpers (coefficient lists over GaussianRational, index = degree)
-# ---------------------------------------------------------------------------
-
-def _trim(coeffs: list[GR]) -> list[GR]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _add(a: Sequence[GR], b: Sequence[GR]) -> list[GR]:
-    out = [ZERO] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _trim(out)
-
-
-def _neg(a: Sequence[GR]) -> list[GR]:
-    return [-c for c in a]
-
-
-def _mul_trunc(a: Sequence[GR], b: Sequence[GR], order: int) -> list[GR]:
-    """Product keeping degrees <= order."""
-    if not a or not b:
-        return []
-    out = [ZERO] * (min(order, len(a) + len(b) - 2) + 1)
-    for i, ca in enumerate(a):
-        if not ca or i > order:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            if cb:
-                out[i + j] = out[i + j] + ca * cb
-    return _trim(out)
-
-
-def _compose_trunc(outer: Sequence[GR], inner: Sequence[GR], order: int) -> list[GR]:
-    """outer(inner(t)) up to degree <= order; inner must have no constant term."""
-    if inner and inner[0]:
-        raise ValueError("inner series must vanish at 0")
-    result: list[GR] = []
-    power: list[GR] = [ONE]
-    for coeff in outer:
-        if coeff:
-            result = _add(result, _mul_trunc([coeff], power, order))
-        power = _mul_trunc(power, inner, order)
-        if not power:
-            break
-    return _trim(result)
-
-
-def _series_inverse(coeffs: Sequence[GR], order: int) -> list[GR]:
-    """Compositional inverse of ``c_1 t + c_2 t^2 + ...`` up to degree order.
-
-    Lagrange inversion: its t^k coefficient is the t^(k-1) coefficient of
-    q^k divided by k, where q = t / f(t); each power of q is one product.
-    """
-    if len(coeffs) < 2 or coeffs[0] or not coeffs[1]:
-        raise ValueError("series must have order exactly 1")
-    f = coeffs[1:]
-    inv_c1 = f[0].inverse()
-    q = [inv_c1]
-    for k in range(1, order):
-        acc = ZERO
-        for j in range(1, min(k, len(f) - 1) + 1):
-            if f[j]:
-                acc = acc + f[j] * q[k - j]
-        q.append(-acc * inv_c1)
-    q = _trim(q)
-    out = [ZERO]
-    power = [ONE]
-    for k in range(1, order + 1):
-        power = _mul_trunc(power, q, order - 1)
-        out.append(power[k - 1] * Fraction(1, k) if len(power) >= k else ZERO)
-    return _trim(out)
-
-
-def _ord(coeffs: Sequence[GR]) -> int | None:
-    for i, c in enumerate(coeffs):
-        if c:
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -373,58 +289,7 @@ def jet_normal_form(b: Branch) -> BranchJetNormalForm:
 
 
 # ---------------------------------------------------------------------------
-# intersection multiplicity: the substitution oracle for graph pairs
-# ---------------------------------------------------------------------------
-
-def _dense(b: Branch, index: int, order: int) -> list[GR]:
-    """Trimmed dense coefficient list of one coordinate up to degree order;
-    terms beyond order are never read."""
-    out = [ZERO] * (min(order, b.terms[-1][0]) + 1)
-    for exp, vec in b.terms:
-        if exp > order:
-            break
-        out[exp] = vec[index]
-    return _trim(out)
-
-
-def _graph_series(b: Branch, over: int, order: int) -> list[GR] | None:
-    """If coordinate ``over`` of b has order 1, return the other coordinate
-    as a series in it up to degree order (graph form); otherwise None."""
-    base = _dense(b, over, order)
-    if _ord(base) != 1:
-        return None
-    inverse = _series_inverse(base, order)
-    return _compose_trunc(_dense(b, 1 - over, order), inverse, order)
-
-
-def intersection_multiplicity_substitution(b1: Branch, b2: Branch) -> int:
-    """Valuation path: write one branch as a graph, substitute the other.
-
-    Needs one of the branches to be smooth and a graph over a coordinate
-    axis; raises ValueError otherwise.  Every series is cut at
-    min(T1, T2); a valuation beyond it raises IndeterminateWithinTruncation.
-    """
-    if b1.ambient_dim != 2 or b2.ambient_dim != 2:
-        raise InvalidBranch("intersection multiplicity needs plane branches")
-    order = min(b1.truncation_order, b2.truncation_order)
-    for graph_branch, probe in ((b2, b1), (b1, b2)):
-        for over in (0, 1):
-            g = _graph_series(graph_branch, over, order)
-            if g is None:
-                continue
-            base = _dense(probe, over, order)
-            other = _dense(probe, 1 - over, order)
-            nu = _ord(_add(other, _neg(_compose_trunc(g, base, order))))
-            if nu is None:
-                raise IndeterminateWithinTruncation(
-                    "branches agree up to truncation"
-                )
-            return nu
-    raise ValueError("substitution path needs a smooth graph branch")
-
-
-# ---------------------------------------------------------------------------
-# intersection multiplicity: the local norm
+# power series over Q(i), shared by both intersection paths
 # ---------------------------------------------------------------------------
 
 class _Series:
@@ -517,6 +382,82 @@ def _plane_terms(b: Branch) -> tuple[dict[int, GR], dict[int, GR]]:
     """The nonzero coefficients of the two coordinates, by exponent."""
     return tuple({exp: vec[i] for exp, vec in b.terms if vec[i]} for i in (0, 1))
 
+
+# ---------------------------------------------------------------------------
+# intersection multiplicity: the substitution oracle for graph pairs
+# ---------------------------------------------------------------------------
+
+def _substituted(terms: Mapping[int, GR], inner: _Series) -> _Series:
+    """sum of c * inner^e over the terms, modulo the precision of inner,
+    which must have no constant term."""
+    prec = len(inner.re)
+    out, power = _Series.zero(prec), _Series.of({0: ONE}, prec)
+    for e in range(1, max(terms, default=0) + 1):
+        power = power * inner
+        if not power:
+            break
+        if e in terms:
+            out = out + power.scaled(terms[e])
+    return out
+
+
+def _inverse_terms(x: Mapping[int, GR], prec: int) -> dict[int, GR]:
+    """Coefficients below t^prec of the compositional inverse of
+    x = c t + x_2 t^2 + ...
+
+    Lagrange inversion: the t^k coefficient is the t^(k-1) coefficient of
+    q^k divided by k, where q = t / x(t); each power of q is one product.
+    A monomial x = c t (below t^prec) has the inverse t / c.  This
+    inversion is the oracle's own: the norm inverts through
+    :func:`_reparametrised`.
+    """
+    x = {e: c for e, c in x.items() if e < prec}
+    inv_c = x[1].inverse()
+    if len(x) == 1:
+        return {1: inv_c}
+    q = [inv_c]
+    for k in range(1, prec - 1):
+        acc = sum((c * q[k + 1 - e] for e, c in x.items() if 1 < e <= k + 1), ZERO)
+        q.append(-acc * inv_c)
+    q = _Series.of(dict(enumerate(q)), prec - 1)
+    out, power = {}, _Series.of({0: ONE}, prec - 1)
+    for k in range(1, prec):
+        power = power * q
+        den = k * power.den
+        coeff = GR(Fraction(power.re[k - 1], den), Fraction(power.im[k - 1], den))
+        if coeff:
+            out[k] = coeff
+    return out
+
+
+def intersection_multiplicity_substitution(b1: Branch, b2: Branch) -> int:
+    """Valuation path: write one branch as a graph, substitute the other.
+
+    Needs one of the branches to be smooth and a graph over a coordinate
+    axis; raises ValueError otherwise.  Every series is cut at
+    min(T1, T2); a valuation beyond it raises IndeterminateWithinTruncation.
+    """
+    if b1.ambient_dim != 2 or b2.ambient_dim != 2:
+        raise InvalidBranch("intersection multiplicity needs plane branches")
+    prec = min(b1.truncation_order, b2.truncation_order) + 1
+    for graph_branch, probe in ((b2, b1), (b1, b2)):
+        graph, coords = _plane_terms(graph_branch), _plane_terms(probe)
+        for over in (0, 1):
+            if min(graph[over], default=0) != 1:
+                continue
+            x, y = (_Series.of(coords[i], prec) for i in (over, 1 - over))
+            # the graph's y(x^-1(x)) on the probe's parameter
+            inner = _substituted(_inverse_terms(graph[over], prec), x)
+            nu = (y - _substituted(graph[1 - over], inner)).ord()
+            if nu is None:
+                raise IndeterminateWithinTruncation("branches agree up to truncation")
+            return nu
+    raise ValueError("substitution path needs a smooth graph branch")
+
+
+# ---------------------------------------------------------------------------
+# intersection multiplicity: the local norm
+# ---------------------------------------------------------------------------
 
 def _ring_key(b: Branch):
     """Order-independent choice of the branch that supplies the ring: the

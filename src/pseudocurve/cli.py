@@ -487,7 +487,13 @@ def build_parser() -> _Parser:
         help="a suite name or 'all'; an unknown name lists the suites",
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cases", type=_positive_int, default=None)
+    p_verify.add_argument(
+        "--cases",
+        type=_positive_int,
+        default=None,
+        help="case count of the saddle, index and decay suites; "
+        "the other suites have fixed sizes and ignore it",
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     # every subcommand accepts --json (only feasibility reads it), last in usage

@@ -638,11 +638,16 @@ def test_ring_branch_is_reparametrised():
     assert branches.intersection_multiplicity_substitution(parabola, b) == 5
 
 
-def test_series_inverse_composes_to_identity():
-    f = [GR.of(0), GR.of(2), GR.of(-1), GR.of("1/3"), GR.of(0, 1)]
-    inverse = branches._series_inverse(f, 8)
-    assert branches._compose_trunc(f, inverse, 8) == [GR.of(0), GR.of(1)]
-    assert branches._compose_trunc(inverse, f, 8) == [GR.of(0), GR.of(1)]
+def test_substitution_inverts_on_its_own(monkeypatch):
+    # the oracle checks the norm only while it does not share its inversion
+    def shared(*args):
+        raise AssertionError("the substitution oracle called _reparametrised")
+
+    monkeypatch.setattr(branches, "_reparametrised", shared)
+    parabola = mk({1: 1}, {2: 1}, 9)
+    b = mk({1: 1, 2: 1}, {2: 1, 3: 2, 4: 1, 5: 1}, 9)
+    assert branches.intersection_multiplicity_substitution(parabola, b) == 5
+    assert branches.intersection_multiplicity_substitution(b, parabola) == 5
 
 
 def test_substitution_reads_only_min_truncation():
@@ -651,6 +656,19 @@ def test_substitution_reads_only_min_truncation():
     b2 = mk({1: 1}, {3: 1}, 8)
     assert branches.intersection_multiplicity_substitution(b1, b2) == 2
     assert branches.intersection_multiplicity(b1, b2) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_substitution_over_a_monomial_base_is_linear_in_truncation():
+    # x = t inverts to t directly; a Lagrange inversion at fixed precision
+    # is quadratic in T and takes over 10 s here.  A term of x beyond the
+    # cut at min(T1, T2) leaves x monomial.
+    start = time.perf_counter()
+    b1 = mk({1: 1}, {2: 1}, 10**4)
+    b2 = mk({1: 1}, {3: 1}, 10**4)
+    assert branches.intersection_multiplicity_substitution(b1, b2) == 2
+    tailed = mk({1: 1, 9000: 1}, {2: 1}, 10**4)
+    assert branches.intersection_multiplicity_substitution(mk({1: 1}, {3: 1}, 5000), tailed) == 2
     assert time.perf_counter() - start < 1.0
 
 
@@ -761,6 +779,21 @@ def test_norm_equals_substitution_on_graph_pairs(pair):
         assert norm == expected
     if norm is None:
         assert expected is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 9),
+    small_gaussians.filter(bool),
+    st.dictionaries(st.integers(2, 9), small_gaussians.filter(bool), min_size=1),
+)
+def test_series_inverse_composes_to_identity(prec, c, tail):
+    x = {1: c, **tail}
+    inverse = branches._inverse_terms(x, prec)
+    identity = branches._Series.of({1: GR.of(1)}, prec)
+    for outer, inner in ((x, inverse), (inverse, x)):
+        composed = branches._substituted(outer, branches._Series.of(inner, prec))
+        assert not composed - identity
 
 
 _coprime_types = st.tuples(st.integers(1, 7), st.integers(2, 13)).filter(

@@ -78,12 +78,13 @@ def test_marked_moduli_index():
 
 
 def test_marked_index_reduces_to_projection_index():
+    # each point constraint costs 2 real dimensions, at every m
     rng = random.Random(0)
     for _ in range(2000):
         mu, n, g = rng.randint(-40, 40), rng.randint(2, 6), rng.randint(0, 30)
-        assert indices.marked_moduli_index(
-            mu, n, g, 0
-        ) == indices.moduli_projection_index(mu, n, g)
+        projection = indices.moduli_projection_index(mu, n, g)
+        for m in range(11):
+            assert indices.marked_moduli_index(mu, n, g, m) == projection - 2 * m
 
 
 def test_operator_minus_projection_is_six_minus_six_g():
