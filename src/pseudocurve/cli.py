@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: cusp, index, saddle, node, decay, branch, feasibility, verify.
-All output is JSON on stdout (``--json`` forces it where a human summary
-would otherwise appear).  Exit codes: 0 success, 1 domain error, 2
-verification failure, 64 usage error.
+All output is JSON on stdout.  Every subcommand accepts ``--json``; only
+feasibility reads it, to add worst_splitting and anchors.  Exit codes: 0
+success, 1 domain error, 2 verification failure, 64 usage error.
 
 Rationals are printed as decimal strings ("p/q"), complex values as
 [re, im] pairs of such strings.
@@ -491,7 +491,7 @@ def build_parser() -> _Parser:
         "--cases",
         type=_positive_int,
         default=None,
-        help="case count of the saddle, index and decay suites; "
+        help="case count of the saddle and decay suites; "
         "the other suites have fixed sizes and ignore it",
     )
     p_verify.set_defaults(func=_cmd_verify)

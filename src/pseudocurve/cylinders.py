@@ -243,6 +243,8 @@ def gluing_inverse_residual(lam: complex, grid: int) -> float:
     [-1, 1].  The two closed forms are exact inverses, so the residual
     measures only floating-point error.
     """
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     worst = 0.0
     for i in range(grid + 1):
         rho = -1.0 + 2.0 * i / grid

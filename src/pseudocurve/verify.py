@@ -9,6 +9,7 @@ expected and the computed value, and a formula anchor string.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -137,7 +138,8 @@ def suite_delta(seed: int = 0) -> VerificationCertificate:
 
 
 def suite_feasibility(seed: int = 0) -> VerificationCertificate:
-    """Degree-6 anchor (16 vs 17) and the obstruction flip at degree 7."""
+    """Degree-6 anchor (16 vs 17), the obstruction flip at degree 7, and the
+    closed-form worst count against the knapsack over all splittings."""
     cert = VerificationCertificate("feasibility", seed=seed)
     anchor = indices.ANCHOR_FEASIBILITY
     report6 = indices.cp2_multiple_component_obstruction(6)
@@ -156,6 +158,14 @@ def suite_feasibility(seed: int = 0) -> VerificationCertificate:
         indices.cp2_multiple_component_obstruction(7).obstructed,
         anchor,
     )
+    for d in range(1, 15):
+        knapsack = indices.cp2_multiple_component_obstruction(d, all_splittings=True)
+        cert.check(
+            lambda: f"d={d} worst_count against all splittings",
+            knapsack.worst_count,
+            indices.cp2_multiple_component_obstruction(d).worst_count,
+            anchor,
+        )
     return cert
 
 
@@ -177,28 +187,22 @@ def suite_genus(seed: int = 0) -> VerificationCertificate:
     return cert
 
 
-def suite_index(seed: int = 0, cases: int = 10000) -> VerificationCertificate:
-    """Marked index at m = 0 equals the unmarked one; dimension count; rigidity."""
+def suite_index(seed: int = 0) -> VerificationCertificate:
+    """Over the whole (mu, n, g) box: the marked index at m = 0 equals the
+    unmarked one, and the dimension count; then rigidity."""
     cert = VerificationCertificate("index", seed=seed)
     anchor = indices.ANCHOR_INDEX
-    rng = _rng(seed, "index")
     mismatches = 0
-    for _ in range(cases):
-        mu = rng.randint(-50, 50)
-        n = rng.randint(2, 6)
-        g = rng.randint(0, 25)
-        if indices.marked_moduli_index(mu, n, g, 0) != indices.moduli_projection_index(
-            mu, n, g
-        ):
+    for mu, n, g in itertools.product(range(-50, 51), range(2, 7), range(26)):
+        projection = indices.moduli_projection_index(mu, n, g)
+        if indices.marked_moduli_index(mu, n, g, 0) != projection:
             mismatches += 1
         aut = 3 if g == 0 else 1 if g == 1 else 0  # dim_C Aut(Sigma_g)
-        if (
-            indices.gromov_operator_index(mu, n, g)
-            - indices.moduli_projection_index(mu, n, g)
-            != 2 * (aut - indices.teichmueller_dim(g))
+        if indices.gromov_operator_index(mu, n, g) - projection != 2 * (
+            aut - indices.teichmueller_dim(g)
         ):
             mismatches += 1
-    cert.check(lambda: f"random sweep x{cases}", 0, mismatches, anchor)
+    cert.check("box mu=-50..50 n=2..6 g=0..25", 0, mismatches, anchor)
     for d in range(1, 11):
         got = indices.marked_moduli_index(3 * d, 2, 0, 3 * d - 1)
         cert.check(lambda: f"rigidity d={d}", 0, got, anchor)
@@ -316,9 +320,9 @@ def suite_roundtrip(seed: int = 0) -> VerificationCertificate:
 
 
 def suite_intersection(seed: int = 0) -> VerificationCertificate:
-    """Local norm against the substitution path on graph pairs and against
-    the closed form on coprime monomial pairs, both ways round.  Every case
-    is built so that its stored jets determine I."""
+    """Local norm against the substitution path on random graph pairs, both
+    ways round, and against the closed form on all ordered pairs of distinct
+    coprime monomial types.  Each case's stored jets determine I."""
     cert = VerificationCertificate("intersection", seed=seed)
     anchor = branches.ANCHOR_INTERSECTION
     rng = _rng(seed, "intersection")
@@ -350,19 +354,12 @@ def suite_intersection(seed: int = 0) -> VerificationCertificate:
         )
     coprime = [(p, q) for p in range(2, 5) for q in range(p + 1, 2 * p + 2)
                if math.gcd(p, q) == 1]
-    for case in range(3):
-        (a, b), (c, d) = rng.choice(coprime), rng.choice(coprime)
-        if (a, b) == (c, d):
-            c, d = d, d + 1  # coprime, and now a different type
-        b1 = branches.branch_from_cusp_type(cusps.CuspType((a, b)))
-        b2 = branches.branch_from_cusp_type(cusps.CuspType((c, d)))
-        norm = branches.intersection_multiplicity(b1, b2)
-        key = lambda: f"monomial case={case} ({a},{b}) ({c},{d})"
-        cert.check(key, min(a * d, b * c), norm, anchor)
+    models = {pq: branches.branch_from_cusp_type(cusps.CuspType(pq)) for pq in coprime}
+    for (a, b), (c, d) in itertools.permutations(coprime, 2):
         cert.check(
-            lambda: key() + " symmetry",
-            norm,
-            branches.intersection_multiplicity(b2, b1),
+            lambda: f"monomial ({a},{b}) ({c},{d})",
+            min(a * d, b * c),
+            branches.intersection_multiplicity(models[a, b], models[c, d]),
             anchor,
         )
     return cert
@@ -390,7 +387,7 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> Verificatio
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
     kwargs = {"seed": seed}
-    if cases is not None and name in ("saddle", "index", "decay"):
+    if cases is not None and name in ("saddle", "decay"):
         kwargs["cases"] = cases
     try:
         return fn(**kwargs)

@@ -61,6 +61,14 @@ def test_inverse_pair(lam):
     assert cylinders.gluing_inverse_residual(lam, 1000) < 1e-12
 
 
+@pytest.mark.parametrize("grid", [0, -5])
+def test_gluing_residual_rejects_a_grid_below_one(grid):
+    # grid 0 divided by zero, and a negative grid gave 0.0 over no point at all
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        cylinders.gluing_inverse_residual(0.5, grid)
+    assert cylinders.gluing_inverse_residual(0.5, 1) < 1e-12  # rho = -1 and 1
+
+
 def test_lambda_zero_limit():
     for rho in (0.04, 0.25, 0.81, 1.0):
         assert math.isclose(cylinders.r_of_rho(rho, 0.0), math.sqrt(rho))

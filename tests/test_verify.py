@@ -1,7 +1,10 @@
 """Certificate failure records: what a failing suite serialises, and that a
-passing suite formats no failure key."""
+passing suite formats no failure key.  The domains the fixed-size suites
+cover."""
 
-from pseudocurve import cylinders, residues, verify
+import itertools
+
+from pseudocurve import branches, cylinders, indices, residues, verify
 from pseudocurve.gaussian import GaussianRational
 
 ANCHOR_SADDLE = "inertia of Re Res_0 z^(l-k) P(z) (sum w_i z^i)^2: ind+ = ind- = k - l"
@@ -122,3 +125,68 @@ def test_saddle_sweep_checks_a0_through_residues(monkeypatch):
     _assert_failure_record(cert)
     assert cert.cases_failed == 21  # one per (k, l) with 1 <= k <= 6, l < k
     assert all(f["input"].endswith(" a0-equivalence") for f in cert.failures)
+
+
+def test_index_certificate_does_not_depend_on_the_seed():
+    first = verify.suite_index(seed=0).to_json()
+    second = verify.suite_index(seed=7).to_json()
+    assert (first.pop("seed"), second.pop("seed")) == (0, 7)
+    assert first == second
+    assert first["cases_run"] == 11 and first["cases_failed"] == 0
+
+
+def test_index_box_names_itself_and_counts_each_mismatch(monkeypatch):
+    real = indices.moduli_projection_index
+
+    def shifted_at_g1_n5(mu, n, g):
+        return real(mu, n, g) + (2 if (g, n) == (1, 5) else 0)
+
+    monkeypatch.setattr(indices, "moduli_projection_index", shifted_at_g1_n5)
+    cert = verify.suite_index()
+    # both identities fail at each of the 101 values of mu
+    assert [(f["input"], f["got"]) for f in cert.failures] == [
+        ("box mu=-50..50 n=2..6 g=0..25", "202")
+    ]
+
+
+def test_intersection_checks_every_ordered_coprime_pair_once(monkeypatch):
+    built = []  # (model, exponents); holding the models keeps identity sound
+    real_model = branches.branch_from_cusp_type
+    real_norm = branches.intersection_multiplicity
+    pairs = []
+
+    def recording_model(p):
+        model = real_model(p)
+        built.append((model, tuple(p.exponents)))
+        return model
+
+    def type_of(branch):
+        return next((p for model, p in built if model is branch), None)
+
+    def recording_norm(b1, b2):
+        pair = (type_of(b1), type_of(b2))
+        if None not in pair:
+            pairs.append(pair)
+        return real_norm(b1, b2)
+
+    monkeypatch.setattr(branches, "branch_from_cusp_type", recording_model)
+    monkeypatch.setattr(branches, "intersection_multiplicity", recording_norm)
+    cert = verify.suite_intersection(seed=0)
+    coprime = [(2, 3), (2, 5), (3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (4, 9)]
+    assert sorted(pairs) == sorted(itertools.permutations(coprime, 2))
+    assert cert.passed and cert.cases_run == 65
+
+
+def test_feasibility_checks_the_closed_form_against_the_knapsack(monkeypatch):
+    real = indices.cp2_multiple_component_obstruction
+    knapsack_degrees = []
+
+    def recording(d, all_splittings=False):
+        if all_splittings:
+            knapsack_degrees.append(d)
+        return real(d, all_splittings)
+
+    monkeypatch.setattr(indices, "cp2_multiple_component_obstruction", recording)
+    cert = verify.suite_feasibility()
+    assert knapsack_degrees == list(range(1, 15))
+    assert cert.passed and cert.cases_run == 9 + 14
