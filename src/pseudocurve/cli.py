@@ -119,10 +119,8 @@ def _parse_modes(text: str) -> tuple[tuple[int, tuple[complex, ...]], ...]:
     return tuple(modes)
 
 
-def _maybe_complex_dim(value: int, use_complex: bool) -> int | float:
-    if not use_complex:
-        return value
-    return value // 2 if value % 2 == 0 else value / 2
+def _maybe_complex_dim(value: int, use_complex: bool) -> int:
+    return value // 2 if use_complex else value
 
 
 # ---------------------------------------------------------------------------

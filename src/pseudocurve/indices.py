@@ -18,25 +18,21 @@ ANCHOR_INDEX = "index = 2(mu + (n-3)(1-g) - m)"
 class CurveData(_Value):
     """Homological and topological record of a curve.
 
-    n: complex dimension of the ambient manifold (>= 2)
     mu: pairing of the first Chern class with the curve class
     self_int: homological self-intersection of the curve class
     genera: one genus per component
     delta: geometric self-intersection count (nodes after perturbation)
     """
 
-    __slots__ = ("n", "mu", "self_int", "genera", "delta")
+    __slots__ = ("mu", "self_int", "genera", "delta")
 
     def __init__(
-        self, n: int, mu: int, self_int: int, genera: tuple[int, ...], delta: int = 0
+        self, mu: int, self_int: int, genera: tuple[int, ...], delta: int = 0
     ) -> None:
-        if n < 2:
-            raise ValueError("ambient complex dimension must be >= 2")
         if not genera or any(g < 0 for g in genera):
             raise ValueError("need one non-negative genus per component")
         if delta < 0:
             raise ValueError("delta must be non-negative")
-        _set_field(self, "n", n)
         _set_field(self, "mu", mu)
         _set_field(self, "self_int", self_int)
         _set_field(self, "genera", genera)
@@ -76,27 +72,12 @@ def genus_formula_check(c: CurveData) -> bool:
     return 2 * c.total_genus == c.self_int - c.mu + 2 * c.components - 2 * c.delta
 
 
-def genus_formula_solve(c: CurveData, unknown: str) -> int:
-    """Solve the genus identity for one field; the rest of c is fixed.
-
-    unknown is one of "mu", "self_int", "delta", "genus" (total genus).
-    Raises GenusFormulaInconsistent when no integer solution exists.
-    """
-    d = c.components
-    if unknown == "mu":
-        return c.self_int + 2 * d - 2 * c.delta - 2 * c.total_genus
-    if unknown == "self_int":
-        return 2 * c.total_genus + c.mu - 2 * d + 2 * c.delta
-    if unknown == "delta":
-        num = c.self_int - c.mu + 2 * d - 2 * c.total_genus
-    elif unknown == "genus":
-        num = c.self_int - c.mu + 2 * d - 2 * c.delta
-    else:
-        raise ValueError(f"unknown field {unknown!r}")
+def genus_formula_solve(c: CurveData) -> int:
+    """Total genus from the genus identity (of c.genera only the count is
+    read).  Raises GenusFormulaInconsistent when no integer genus exists."""
+    num = c.self_int - c.mu + 2 * c.components - 2 * c.delta
     if num % 2:
-        raise GenusFormulaInconsistent(
-            f"no integer {unknown}: {num} is odd / 2"
-        )
+        raise GenusFormulaInconsistent(f"no integer genus: {num} is odd / 2")
     return num // 2
 
 
@@ -186,35 +167,33 @@ def _point_capacity(degree: int) -> int:
 def _worst_splitting(d: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(worst count, first worst splitting) of d by an unbounded knapsack.
 
-    Layer k holds, per weight r, the best capacity sum over multisets of the
-    first k + 1 pairs (deg, mult) in lexicographic order, with and without a
-    multiplicity >= 2 still owed.  The rebuild takes the largest pair of an
-    optimal splitting and goes on in that pair's layer: the first maximum of
-    the non-increasing enumeration, so d = 3 gives ((1, 2), (1, 1)).
+    free[r] and owed[r] hold the best capacity sum over multisets of pairs
+    (deg, mult) of weight r, without and with a multiplicity >= 2 required.
+    The rebuild takes the largest pair (lexicographic) that begins an optimal
+    rest, best[need][r - w] + cap(deg) == best[owing][r].  The picks never
+    rise: a larger pair that fits an optimal rest after the current pick fits
+    one step earlier too (with the current pick in its rest), and would have
+    been taken there.  So the rebuild is the first maximum of the
+    non-increasing enumeration: d = 3 gives ((1, 2), (1, 1)).
     """
     pairs = [(deg, mult) for deg in range(1, d + 1) for mult in range(1, d // deg + 1)]
     unreachable = float("-inf")
-    free, owed, layers = [0] + [unreachable] * d, [unreachable] * (d + 1), []
+    best = free, owed = [0] + [unreachable] * d, [unreachable] * (d + 1)
     for deg, mult in pairs:
         weight, gain = deg * mult, _point_capacity(deg)
-        free, owed = free[:], owed[:]
         source = free if mult >= 2 else owed
         for r in range(weight, d + 1):
             if free[r - weight] + gain > free[r]:
                 free[r] = free[r - weight] + gain
             if source[r - weight] + gain > owed[r]:
                 owed[r] = source[r - weight] + gain
-        layers.append((free, owed))
     if owed[d] == unreachable:
         return 0, ()
-    splitting, top, r, owing = [], len(pairs) - 1, d, True
+    splitting, r, owing = [], d, True
     while r:
-        layer = layers[top]
-        for top in range(top, -1, -1):
-            deg, mult = pairs[top]
-            weight, need = deg * mult, owing and mult < 2
-            gain = _point_capacity(deg)
-            if weight <= r and layer[need][r - weight] + gain == layer[owing][r]:
+        for deg, mult in reversed(pairs):
+            weight, need, gain = deg * mult, owing and mult < 2, _point_capacity(deg)
+            if weight <= r and best[need][r - weight] + gain == best[owing][r]:
                 break
         splitting.append((deg, mult))
         r, owing = r - weight, need
@@ -264,4 +243,4 @@ def cp2_smooth_curve(d: int) -> CurveData:
     if d < 1:
         raise ValueError("degree must be >= 1")
     g = (d - 1) * (d - 2) // 2
-    return CurveData(n=2, mu=3 * d, self_int=d * d, genera=(g,), delta=0)
+    return CurveData(mu=3 * d, self_int=d * d, genera=(g,), delta=0)

@@ -139,7 +139,8 @@ def suite_delta(seed: int = 0) -> VerificationCertificate:
 
 def suite_feasibility(seed: int = 0) -> VerificationCertificate:
     """Degree-6 anchor (16 vs 17), the obstruction flip at degree 7, and the
-    closed-form worst count against the knapsack over all splittings."""
+    knapsack's worst count over all splittings against the closed form and
+    against its own splitting's capacities 3e - 1 + g(e) from the genus formula."""
     cert = VerificationCertificate("feasibility", seed=seed)
     anchor = indices.ANCHOR_FEASIBILITY
     report6 = indices.cp2_multiple_component_obstruction(6)
@@ -166,6 +167,18 @@ def suite_feasibility(seed: int = 0) -> VerificationCertificate:
             indices.cp2_multiple_component_obstruction(d).worst_count,
             anchor,
         )
+        adjunction = sum(
+            3 * deg - 1 + indices.genus_formula_solve(
+                indices.CurveData(mu=3 * deg, self_int=deg * deg, genera=(0,))
+            )
+            for deg, _ in knapsack.worst_splitting
+        )
+        cert.check(
+            lambda: f"d={d} worst_count against adjunction capacities",
+            adjunction,
+            knapsack.worst_count,
+            anchor,
+        )
     return cert
 
 
@@ -174,8 +187,8 @@ def suite_genus(seed: int = 0) -> VerificationCertificate:
     cert = VerificationCertificate("genus", seed=seed)
     anchor = indices.ANCHOR_GENUS
     for d in range(1, 11):
-        data = indices.CurveData(n=2, mu=3 * d, self_int=d * d, genera=(0,), delta=0)
-        solved = indices.genus_formula_solve(data, "genus")
+        data = indices.CurveData(mu=3 * d, self_int=d * d, genera=(0,), delta=0)
+        solved = indices.genus_formula_solve(data)
         cert.check(lambda: f"d={d}", (d - 1) * (d - 2) // 2, solved, anchor)
         smooth = indices.cp2_smooth_curve(d)
         cert.check(

@@ -428,6 +428,13 @@ def test_jet_requires_enough_truncation():
         branches.jet_normal_form(mk({3: 1}, {4: 1}, 4))
 
 
+def test_jet_requires_a_prepared_plane_branch():
+    with pytest.raises(InvalidBranch, match="plane branches"):
+        branches.jet_normal_form(Branch.from_coordinates([{2: 1}, {3: 1}, {5: 1}], 9))
+    with pytest.raises(NotPreparedBranch, match="prepared form"):
+        branches.jet_normal_form(mk({2: 1, 3: 1}, {3: 1}, 9))
+
+
 def test_secondary_cusp_index():
     assert branches.jet_normal_form(mk({2: 1}, {3: 1}, 3)).l == 0
     assert branches.jet_normal_form(mk({2: 1}, {5: 1}, 5)).l == 1
@@ -553,6 +560,40 @@ def test_high_contact_beyond_truncation_is_indeterminate():
     b2 = mk({1: 1}, {2: 1, 9: 1}, 9)
     with pytest.raises(IndeterminateWithinTruncation):
         branches.intersection_multiplicity(b1, b2)
+
+
+def test_working_precision_ceiling_refuses_in_time():
+    # the jets determine I = 200, but the norm stops doubling its precision
+    # at order 128: the answer is refused, quickly and in both orders
+    start = time.perf_counter()
+    b1 = mk({1: 1}, {2: 1}, 10**6)
+    b2 = mk({1: 1}, {2: 1, 200: 1}, 10**6)
+    for pair in ((b1, b2), (b2, b1)):
+        with pytest.raises(IndeterminateWithinTruncation, match="working precision"):
+            branches.intersection_multiplicity(*pair)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_substitution_refuses_what_it_cannot_answer():
+    graph = mk({1: 1}, {2: 1, 3: 5}, 7)
+    with pytest.raises(IndeterminateWithinTruncation, match="agree up to truncation"):
+        branches.intersection_multiplicity_substitution(graph, graph)
+    with pytest.raises(ValueError, match="needs a smooth graph branch"):
+        branches.intersection_multiplicity_substitution(
+            mk({2: 1}, {3: 1}, 9), mk({2: 1}, {5: 1}, 9)
+        )
+
+
+def test_both_paths_need_plane_branches():
+    space = Branch.from_coordinates([{2: 1}, {3: 1}, {5: 1}], 9)
+    cusp = mk({2: 1}, {3: 1}, 9)
+    for path in (
+        branches.intersection_multiplicity,
+        branches.intersection_multiplicity_substitution,
+    ):
+        for pair in ((space, cusp), (cusp, space)):
+            with pytest.raises(InvalidBranch, match="needs plane branches"):
+                path(*pair)
 
 
 def test_asymmetric_pair_is_local():

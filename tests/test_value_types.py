@@ -33,7 +33,7 @@ CASES = [
     (Cylinder, {"a": 0.0, "b": 2.5}, {}),
     (CylinderMap, {"modes": ((-1, (1j,)), (2, (0.5 + 0j,))), "domain": Cylinder(0.0, 3.0)}, {}),
     (DecayReport, {"band_energies": (1.0, 0.5), "constants": {"shape": 1.0}, "passed": True}, {}),
-    (CurveData, {"n": 2, "mu": 3, "self_int": 1, "genera": (0, 1)}, {"delta": 0}),
+    (CurveData, {"mu": 3, "self_int": 1, "genera": (0, 1)}, {"delta": 0}),
     (ObstructionReport, {"obstructed": False, "worst_count": 5, "required": 4},
      {"worst_splitting": ()}),
     (CuspCountBounds, {"lower": 1, "upper": 3}, {}),

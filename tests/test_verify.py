@@ -189,4 +189,4 @@ def test_feasibility_checks_the_closed_form_against_the_knapsack(monkeypatch):
     monkeypatch.setattr(indices, "cp2_multiple_component_obstruction", recording)
     cert = verify.suite_feasibility()
     assert knapsack_degrees == list(range(1, 15))
-    assert cert.passed and cert.cases_run == 9 + 14
+    assert cert.passed and cert.cases_run == 9 + 28
