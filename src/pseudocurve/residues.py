@@ -22,24 +22,25 @@ reads only Python ints, and :func:`residue_form_matrix` (the exact rational
 The inertia is computed by exact symmetric Gaussian elimination with 1x1 and
 2x2 pivots (2x2 hyperbolic blocks avoid square roots), so the expected
 signature ``ind_+ = ind_- = k - l`` is checked with zero tolerance.  Both
-pivot kinds take one update step: a pivot is a pair ``(i, j)`` of active
+pivot kinds take one update step: a pivot is a pair ``(i, j)`` of block
 indices, and a 1x1 pivot is the case ``i = j``, the degenerate block of the
 symmetric 1x1/2x2 pivoting of Bunch & Kaufman (Math. Comp. 31, 1977).  The
-elimination is fraction-free: it runs on a copy of the Python-int matrix,
-and after each pivot the active block is kept as the primitive integer
-multiple of the current Schur complement (multiply by |pivot|, subtract,
-divide out the content), so all arithmetic is on Python ints and coefficient
-growth is no worse than Bareiss elimination.  Positive scalars do not change
-signs, so the pivot order is exactly that of the rational elimination: the
-first nonzero diagonal entry, else the first nonzero off-diagonal pair.  The
-matrix is sparse (w_i and w_j couple only when i + j <= k - l - 1), so each
-step updates only the rows and columns where a pivot column is nonzero.
+elimination is compact: the list of lists it carries is the active block
+itself, and each pivot deletes its rows and columns in place.  It is also
+fraction-free: the block is kept as the primitive integer multiple of the
+current Schur complement (multiply by |pivot|, subtract, divide out the
+content), so all arithmetic is on Python ints and coefficient growth is no
+worse than Bareiss elimination.  Positive scalars do not change signs and
+deletions keep the row order, so the pivot order is exactly that of the
+rational elimination: the first nonzero diagonal entry, else the first
+nonzero off-diagonal pair.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
 
@@ -135,92 +136,76 @@ def residue_form_matrix(f: ResidueForm) -> list[list[Fraction]]:
 def rational_inertia(matrix: Sequence[Sequence[int]]) -> InertiaResult:
     """Exact inertia of a symmetric matrix of Python ints.
 
-    Symmetric congruence elimination: 1x1 pivots on the first active nonzero
-    diagonal entry; when the active diagonal is entirely zero, the first
-    nonzero off-diagonal entry yields a hyperbolic 2x2 block contributing
-    (+1, -1).  Rows that are entirely zero are counted as nullity up front;
-    they never enter a pivot or a support, so the pivot order is unchanged.
+    Symmetric congruence elimination: 1x1 pivots on the first nonzero
+    diagonal entry of the active block; when its diagonal is entirely zero,
+    the first nonzero off-diagonal entry yields a hyperbolic 2x2 block
+    contributing (+1, -1).  The block is a compact copy, so the caller's
+    matrix is never changed: zero rows are counted as nullity up front and
+    left out, and each pivot deletes its rows and columns in place.
 
     A rational matrix is passed as a positive integer multiple, such as the
     build of :func:`scaled_residue_form_matrix`: a positive scale cannot
-    change an inertia.  The elimination runs on a row-by-row copy, so the
-    caller's matrix is never changed.  Invariant: the active block is the
-    primitive integer multiple of the current Schur complement.  A pivot
-    ``b = S[i][j]`` with columns ``c_i, c_j`` and
-    ``(s_i, s_j) = sign(b) (c_i, c_j)`` replaces it by
-    ``|b| S - (s_i c_j^T + s_j c_i^T)``, then the content is divided out; a
-    1x1 pivot is the case ``i = j`` with ``s_j = 0``, which leaves
-    ``|b| S - sign(b) v v^T`` for its column ``v``.  Only a positive scalar
-    separates this from the rational elimination, so every pivot has the
-    same position and sign.  The update is nonzero only where a pivot column
-    is; it is symmetric, so each term is computed once per pair.
+    change an inertia.  Invariant: the block is the primitive integer
+    multiple of the current Schur complement.  A pivot ``b = S[i][j]`` with
+    columns ``c_i, c_j`` and ``(s_i, s_j) = sign(b) (c_i, c_j)`` replaces it
+    by ``|b| S - (s_i c_j^T + s_j c_i^T)`` on the remaining rows and
+    columns, then the content is divided out; a 1x1 pivot is the case
+    ``i = j`` with ``s_j = 0``, which leaves ``|b| S - sign(b) v v^T`` for
+    its column ``v``.  Only a positive scalar separates this from the
+    rational elimination, so every pivot has the same position and sign.
+    The update is nonzero only in the rows where a pivot column is; it is
+    symmetric, so each term is computed once per pair.
     """
-    a = [list(row) for row in matrix]
-    active = [r for r in range(len(a)) if any(a[r])]
-    zero = len(a) - len(active)
+    live = list(map(any, matrix))
+    a = [list(compress(row, live)) for row in compress(matrix, live)]
+    zero = len(live) - len(a)
     plus = minus = 0
-
-    while active:
-        pivot = next(((i, i) for i in active if a[i][i]), None) or next(
-            (
-                (i, j)
-                for idx, i in enumerate(active)
-                for j in active[idx + 1 :]
-                if a[i][j]
-            ),
+    while a:
+        n = len(a)
+        pivot = next(((i, i) for i, row in enumerate(a) if row[i]), None) or next(
+            ((i, j) for i, row in enumerate(a) for j in range(i + 1, n) if row[j]),
             None,
         )
         if pivot is None:
-            zero += len(active)
+            zero += n
             break
         i, j = pivot
         b = a[i][j]
-        active.remove(i)
+        del a[j]
         if i != j:
-            active.remove(j)
+            del a[i]
             plus += 1
             minus += 1
         elif b > 0:
             plus += 1
         else:
             minus += 1
-        support = [(r, a[r][i], a[r][j]) for r in active if a[r][i] or a[r][j]]
-        _scale_rows(a, active, abs(b))
+        support = [(r, row[i], row[j]) for r, row in enumerate(a) if row[i] or row[j]]
+        for row in a:
+            del row[j]
+            if i != j:
+                del row[i]
+        scale = abs(b)
+        if scale != 1:
+            a = [[x * scale for x in row] for row in a]
         for idx, (r, ci, cj) in enumerate(support):
             si, sj = (ci, cj) if b > 0 else (-ci, -cj)
             if i == j:
                 sj = 0
             row = a[r]
             row[r] -= si * cj + sj * ci
-            row[i] = row[j] = 0
             for c, di, dj in support[idx + 1 :]:
                 term = si * dj + sj * di
                 row[c] -= term
                 a[c][r] -= term
-        _remove_content(a, active)
+        g = 0
+        for row in a:
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
     return InertiaResult(plus, minus, zero)
-
-
-def _scale_rows(a: list[list[int]], active: list[int], factor: int) -> None:
-    if factor != 1:
-        for r in active:
-            a[r] = [x * factor for x in a[r]]
-
-
-def _remove_content(a: list[list[int]], active: list[int]) -> None:
-    """Divide the active rows by their common gcd.
-
-    Eliminated columns are zero in active rows, so whole-row gcds are the
-    content of the active block.
-    """
-    g = 0
-    for r in active:
-        g = gcd(g, *a[r])
-        if g == 1:
-            return
-    if g > 1:
-        for r in active:
-            a[r] = [x // g for x in a[r]]
 
 
 def inertia(f: ResidueForm) -> InertiaResult:

@@ -432,6 +432,33 @@ def test_rational_inertia_leaves_residue_build_unchanged(f, expected):
     assert a == before
 
 
+@st.composite
+def int_symmetric_matrices(draw):
+    """Sparse symmetric int matrices of size <= 10 with a random set of
+    zeroed diagonal entries, so that both pivot kinds occur in any order."""
+    entries = st.one_of(st.just(0), st.integers(-6, 6))
+    a = draw(symmetric_matrices(entries=entries, max_size=10))
+    for i in draw(st.sets(st.integers(0, len(a) - 1))):
+        a[i][i] = 0
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        int_symmetric_matrices(),
+        residue_forms().map(lambda f: residues.scaled_residue_form_matrix(f)[1]),
+    ),
+    st.data(),
+)
+def test_rational_inertia_does_not_depend_on_the_pivot_order(matrix, data):
+    # P A P^T is congruent to A, but the kernel meets its rows in another
+    # order and so takes other pivots
+    perm = data.draw(st.permutations(range(len(matrix))))
+    shuffled = [[matrix[p][q] for q in perm] for p in perm]
+    assert residues.rational_inertia(shuffled) == residues.rational_inertia(matrix)
+
+
 def _big_rational(rng):
     return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
 
