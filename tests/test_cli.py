@@ -532,6 +532,24 @@ def test_node_stdout_is_pinned(lam, check, want, capsys):
     assert run(argv, capsys) == (0, want + "\n", "")
 
 
+# The lambda = 0 limit map R_0 = sqrt(rho) on (0, 1], at the default grid
+# and at a coarse one.
+NODE_LIMIT_PINS = {
+    "200": '{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) '
+    'drho dtheta"}, "check": "volume", "grid": 200, "lambda": ["0.0", "0.0"], '
+    '"max_residual": 5.551115123125783e-17, "passed": true, "tolerance": 1e-10}',
+    "7": '{"anchors": {"volume": "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) '
+    'drho dtheta"}, "check": "volume", "grid": 7, "lambda": ["0.0", "0.0"], '
+    '"max_residual": 0.0, "passed": true, "tolerance": 1e-10}',
+}
+
+
+@pytest.mark.parametrize("grid", sorted(NODE_LIMIT_PINS))
+def test_node_limit_volume_is_pinned(grid, capsys):
+    argv = ["node", "--lambda", "0", "--check", "volume", "--grid", grid]
+    assert run(argv, capsys) == (0, NODE_LIMIT_PINS[grid] + "\n", "")
+
+
 # Stdout of the CUSP_ARGVS commands in order, pinned byte for byte.
 CUSP_ARGVS = [
     argv

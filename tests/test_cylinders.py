@@ -116,6 +116,14 @@ def test_derivative_matches_difference_quotient():
             )
 
 
+def test_limit_map_is_sqrt_exactly():
+    # at lambda = 0, R_0 = sqrt(rho) and dR_0/drho = 1/(2 sqrt(rho)), bit for bit
+    for i in range(1, 201):
+        rho = i / 200
+        assert cylinders.r_of_rho(rho, 0) == math.sqrt(rho)
+        assert cylinders.r_of_rho_derivative(rho, 0) == 0.5 / math.sqrt(rho)
+
+
 @pytest.mark.parametrize("lam", [0.5, 0.1, 0.01, 1e-3, 1e-4, 1e-6, 1e-100, 0.0])
 def test_volume_identity(lam):
     assert cylinders.volume_identity_residual(lam, grid=100) < 1e-10
