@@ -159,13 +159,23 @@ def rho_of_r(r: float, lam: complex) -> float:
     return (r * r - (m * m) / (r * r)) / (1.0 - m * m)
 
 
-def _r_squared(rho: float, m: float) -> tuple[float, float, float]:
+def _r_squared(rho: float, lam: complex) -> tuple[float, float, float]:
     """``(c, disc, u)`` with c = 1 - m^2, disc = sqrt(rho^2 c^2 + 4 m^2) and
-    u = R(rho)^2 = (rho c + disc) / 2, for 0 < m = |lambda| < 1.
+    u = R(rho)^2 = (rho c + disc) / 2, for m = |lambda| < 1 and |rho| <= 1.
+    At lambda = 0 it is (1, rho, rho), the limit map R_0 = sqrt(rho) on (0, 1].
 
     For rho < 0, rho c + disc cancels; there u is computed as the equal
     2 m^2 / (disc - rho c), since (disc + rho c)(disc - rho c) = 4 m^2.
     """
+    m = abs(lam)
+    if m >= 1:
+        raise DomainError("need |lambda| < 1")
+    if not (-1 - 1e-15 <= rho <= 1 + 1e-15):
+        raise DomainError(f"rho = {rho} outside [-1, 1]")
+    if m == 0:
+        if rho <= 0:
+            raise DomainError("the limit map needs rho > 0")
+        return 1.0, rho, rho
     m2 = m * m
     if m2 < sys.float_info.min:  # R(-1)^2 = m^2 is subnormal or 0
         raise DomainError(
@@ -179,29 +189,15 @@ def _r_squared(rho: float, m: float) -> tuple[float, float, float]:
 
 
 def r_of_rho(rho: float, lam: complex) -> float:
-    """Inverse of :func:`rho_of_r`; at lambda = 0 it degenerates to
-    sqrt(rho) on (0, 1]."""
-    m = abs(lam)
-    if m >= 1:
-        raise DomainError("need |lambda| < 1")
-    if not (-1 - 1e-15 <= rho <= 1 + 1e-15):
-        raise DomainError(f"rho = {rho} outside [-1, 1]")
-    if m == 0:
-        if rho <= 0:
-            raise DomainError("the limit map needs rho > 0")
-        return math.sqrt(rho)
-    _, _, u = _r_squared(rho, m)
-    return math.sqrt(u)
+    """Inverse of :func:`rho_of_r`; at lambda = 0 it is the limit map
+    R_0 = sqrt(rho) on (0, 1]."""
+    return math.sqrt(_r_squared(rho, lam)[2])
 
 
 def r_of_rho_derivative(rho: float, lam: complex) -> float:
     """dR/drho, analytically (no differencing)."""
+    c, disc, u = _r_squared(rho, lam)
     m = abs(lam)
-    if m == 0:
-        if rho <= 0:
-            raise DomainError("the limit map needs rho > 0")
-        return 0.5 / math.sqrt(rho)
-    c, disc, u = _r_squared(rho, m)
     # 1 + rho c / disc, without the cancellation for rho < 0 (see _r_squared)
     ratio = 1.0 + rho * c / disc if rho >= 0 else 4.0 * m * m / (disc * (disc - rho * c))
     du = 0.5 * c * ratio

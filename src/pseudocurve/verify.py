@@ -3,8 +3,9 @@
 Every suite pits a closed-form formula against an independent oracle
 (exhaustive enumeration, exact elimination, or a closed form derived a
 second way) and reports a :class:`VerificationCertificate`.  Suites are
-deterministic for a fixed seed; failures carry the offending input, the
-expected and the computed value, and a formula anchor string.
+deterministic for a fixed seed.  A certificate names its suite's formula
+anchor once, and every failure record carries it, with the offending input
+and the expected and the computed value.
 """
 
 from __future__ import annotations
@@ -26,37 +27,45 @@ _GLUING_GRID = 1000
 
 
 class VerificationCertificate(_Value):
-    """Cases run and failed by one suite.  A case's ``key`` is its input text
-    or a zero-argument callable returning it, called only if the case fails.
-    Unlike the other value types it is mutable, and so unhashable."""
+    """Cases run and failed by one suite.  The certificate names the suite's
+    formula anchor once, and every failure record carries it.  A case's
+    ``key`` is its input text or a zero-argument callable returning it,
+    called only if the case fails.  Unlike the other value types it is
+    mutable, and so unhashable."""
 
-    __slots__ = ("suite", "cases_run", "failures", "seed")
+    __slots__ = ("suite", "anchor", "cases_run", "failures", "seed")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
-        self, suite: str, cases_run: int = 0, failures: list | None = None, seed: int = 0
+        self,
+        suite: str,
+        anchor: str,
+        cases_run: int = 0,
+        failures: list | None = None,
+        seed: int = 0,
     ) -> None:
         self.suite = suite
+        self.anchor = anchor
         self.cases_run = cases_run
         self.failures = [] if failures is None else failures
         self.seed = seed
 
-    def check(self, key, expected, got, anchor: str) -> bool:
-        return self._record(expected == got, key, lambda: repr(expected), got, anchor)
+    def check(self, key, expected, got) -> bool:
+        return self._record(expected == got, key, lambda: repr(expected), got)
 
-    def check_le(self, key, value: float, bound: float, anchor: str) -> bool:
-        return self._record(value <= bound, key, lambda: f"<= {bound!r}", value, anchor)
+    def check_le(self, key, value: float, bound: float) -> bool:
+        return self._record(value <= bound, key, lambda: f"<= {bound!r}", value)
 
-    def _record(self, ok: bool, key, expected: Callable[[], str], got, anchor: str):
+    def _record(self, ok: bool, key, expected: Callable[[], str], got):
         self.cases_run += 1
         if not ok:
             self.failures.append({
                 "input": key() if callable(key) else key,
                 "expected": expected(),
                 "got": repr(got),
-                "anchor": anchor,
+                "anchor": self.anchor,
             })
         return ok
 
@@ -101,8 +110,7 @@ def _random_gaussian(rng: random.Random, nonzero: bool = False) -> GaussianRatio
 
 def suite_saddle(seed: int = 0, cases: int = 50) -> VerificationCertificate:
     """Exact inertia sweep: every (k, l, random P) must give (k-l, k-l)."""
-    cert = VerificationCertificate("saddle", seed=seed)
-    anchor = residues.ANCHOR_SADDLE
+    cert = VerificationCertificate("saddle", residues.ANCHOR_SADDLE, seed=seed)
     rng = _rng(seed, "saddle")
     for k in range(1, 7):
         for l in range(0, k):
@@ -115,25 +123,22 @@ def suite_saddle(seed: int = 0, cases: int = 50) -> VerificationCertificate:
                 key = lambda: f"k={k} l={l} case={case} P={[str(c) for c in coeffs]}"
                 expected = (k - l, k - l, 2 * (k + 1) - 2 * (k - l))
                 got = (result.ind_plus, result.ind_minus, result.nullity)
-                cert.check(key, expected, got, anchor)
-                cert.check(lambda: key() + " s_ind", k - l, result.s_ind, anchor)
+                cert.check(key, expected, got)
+                cert.check(lambda: key() + " s_ind", k - l, result.s_ind)
                 a0_same = residues.a0_equivalence_check(form, result)
-                cert.check(
-                    lambda: key() + " a0-equivalence", True, a0_same, anchor
-                )
+                cert.check(lambda: key() + " a0-equivalence", True, a0_same)
     return cert
 
 
 def suite_delta(seed: int = 0) -> VerificationCertificate:
     """Exhaustive: the combinatorial count is twice the semigroup gap count."""
-    cert = VerificationCertificate("delta", seed=seed)
-    anchor = cusps.ANCHOR_DELTA
+    cert = VerificationCertificate("delta", cusps.ANCHOR_DELTA, seed=seed)
     for p in cusps.enumerate_cusp_types(_MAX_P_LAST):
         formula = cusps.nodal_number_formula(p)
         gaps = cusps.nodal_number_oracle(p)
         key = lambda: f"p={list(p.exponents)}"
-        cert.check(key, 2 * gaps, formula, anchor)
-        cert.check(lambda: key() + " delta", gaps, cusps.nodal_number(p), anchor)
+        cert.check(key, 2 * gaps, formula)
+        cert.check(lambda: key() + " delta", gaps, cusps.nodal_number(p))
     return cert
 
 
@@ -141,23 +146,18 @@ def suite_feasibility(seed: int = 0) -> VerificationCertificate:
     """Degree-6 anchor (16 vs 17), the obstruction flip at degree 7, and the
     knapsack's worst count over all splittings against the closed form and
     against its own splitting's capacities 3e - 1 + g(e) from the genus formula."""
-    cert = VerificationCertificate("feasibility", seed=seed)
-    anchor = indices.ANCHOR_FEASIBILITY
+    cert = VerificationCertificate("feasibility", indices.ANCHOR_FEASIBILITY, seed=seed)
     report6 = indices.cp2_multiple_component_obstruction(6)
-    cert.check("d=6 worst_count", 16, report6.worst_count, anchor)
-    cert.check("d=6 required", 17, report6.required, anchor)
+    cert.check("d=6 worst_count", 16, report6.worst_count)
+    cert.check("d=6 required", 17, report6.required)
     for d in range(1, 7):
         cert.check(
             lambda: f"d={d} obstructed",
             True,
             indices.cp2_multiple_component_obstruction(d).obstructed,
-            anchor,
         )
     cert.check(
-        "d=7 obstructed",
-        False,
-        indices.cp2_multiple_component_obstruction(7).obstructed,
-        anchor,
+        "d=7 obstructed", False, indices.cp2_multiple_component_obstruction(7).obstructed
     )
     for d in range(1, 15):
         knapsack = indices.cp2_multiple_component_obstruction(d, all_splittings=True)
@@ -165,7 +165,6 @@ def suite_feasibility(seed: int = 0) -> VerificationCertificate:
             lambda: f"d={d} worst_count against all splittings",
             knapsack.worst_count,
             indices.cp2_multiple_component_obstruction(d).worst_count,
-            anchor,
         )
         adjunction = sum(
             3 * deg - 1 + indices.genus_formula_solve(
@@ -177,34 +176,26 @@ def suite_feasibility(seed: int = 0) -> VerificationCertificate:
             lambda: f"d={d} worst_count against adjunction capacities",
             adjunction,
             knapsack.worst_count,
-            anchor,
         )
     return cert
 
 
 def suite_genus(seed: int = 0) -> VerificationCertificate:
     """Smooth plane curve of degree d has genus (d-1)(d-2)/2."""
-    cert = VerificationCertificate("genus", seed=seed)
-    anchor = indices.ANCHOR_GENUS
+    cert = VerificationCertificate("genus", indices.ANCHOR_GENUS, seed=seed)
     for d in range(1, 11):
         data = indices.CurveData(mu=3 * d, self_int=d * d, genera=(0,), delta=0)
         solved = indices.genus_formula_solve(data)
-        cert.check(lambda: f"d={d}", (d - 1) * (d - 2) // 2, solved, anchor)
+        cert.check(lambda: f"d={d}", (d - 1) * (d - 2) // 2, solved)
         smooth = indices.cp2_smooth_curve(d)
-        cert.check(
-            lambda: f"d={d} check",
-            True,
-            indices.genus_formula_check(smooth),
-            anchor,
-        )
+        cert.check(lambda: f"d={d} check", True, indices.genus_formula_check(smooth))
     return cert
 
 
 def suite_index(seed: int = 0) -> VerificationCertificate:
     """Over the whole (mu, n, g) box: the marked index at m = 0 equals the
     unmarked one, and the dimension count; then rigidity."""
-    cert = VerificationCertificate("index", seed=seed)
-    anchor = indices.ANCHOR_INDEX
+    cert = VerificationCertificate("index", indices.ANCHOR_INDEX, seed=seed)
     mismatches = 0
     for mu, n, g in itertools.product(range(-50, 51), range(2, 7), range(26)):
         projection = indices.moduli_projection_index(mu, n, g)
@@ -215,65 +206,50 @@ def suite_index(seed: int = 0) -> VerificationCertificate:
             aut - indices.teichmueller_dim(g)
         ):
             mismatches += 1
-    cert.check("box mu=-50..50 n=2..6 g=0..25", 0, mismatches, anchor)
+    cert.check("box mu=-50..50 n=2..6 g=0..25", 0, mismatches)
     for d in range(1, 11):
         got = indices.marked_moduli_index(3 * d, 2, 0, 3 * d - 1)
-        cert.check(lambda: f"rigidity d={d}", 0, got, anchor)
+        cert.check(lambda: f"rigidity d={d}", 0, got)
     return cert
 
 
 def suite_cosh(seed: int = 0) -> VerificationCertificate:
     """Single-mode three-band ratios hit 1/cosh(2) and 1/cosh(4) exactly."""
-    cert = VerificationCertificate("cosh", seed=seed)
-    anchor = cylinders.ANCHOR_COSH
+    cert = VerificationCertificate("cosh", cylinders.ANCHOR_COSH, seed=seed)
     domain = cylinders.Cylinder(0.0, 10.0)
     for m, target in ((1, cylinders.GAMMA_STAR), (2, cylinders.GAMMA_2)):
         u = cylinders.CylinderMap(((m, (1.0 + 0j,)),), domain)
         for k in (1.0, 4.0, 7.0):
             ratio = cylinders.three_band_ratio(u, k)
-            cert.check_le(
-                lambda: f"m={m} k={k}", abs(ratio - target), 1e-12, anchor
-            )
+            cert.check_le(lambda: f"m={m} k={k}", abs(ratio - target), 1e-12)
     return cert
 
 
 def suite_volume(seed: int = 0) -> VerificationCertificate:
     """Constant-volume-form identity of the gluing coordinates."""
-    cert = VerificationCertificate("volume", seed=seed)
-    anchor, bound = cylinders.ANCHOR_VOLUME, cylinders.VOLUME_TOLERANCE
+    cert = VerificationCertificate("volume", cylinders.ANCHOR_VOLUME, seed=seed)
+    bound = cylinders.VOLUME_TOLERANCE
     for lam in (0.5, 0.1, 0.01, 0.0):
         residual = cylinders.volume_identity_residual(lam, grid=_VOLUME_GRID)
-        cert.check_le(
-            lambda: f"|lambda|={lam} grid={_VOLUME_GRID}", residual, bound, anchor
-        )
+        cert.check_le(lambda: f"|lambda|={lam} grid={_VOLUME_GRID}", residual, bound)
     return cert
 
 
 def suite_gluing(seed: int = 0) -> VerificationCertificate:
     """Inverse-pair and endpoint identities of rho and R."""
-    cert = VerificationCertificate("gluing", seed=seed)
-    anchor, bound = cylinders.ANCHOR_GLUING, cylinders.GLUING_TOLERANCE
+    cert = VerificationCertificate("gluing", cylinders.ANCHOR_GLUING, seed=seed)
+    bound = cylinders.GLUING_TOLERANCE
     for lam in (0.5, 0.1, 0.01):
         worst = cylinders.gluing_inverse_residual(lam, _GLUING_GRID)
-        cert.check_le(lambda: f"|lambda|={lam} inverse pair", worst, bound, anchor)
-        cert.check_le(
-            lambda: f"|lambda|={lam} R(-1)",
-            abs(cylinders.r_of_rho(-1.0, lam) - lam),
-            1e-14,
-            anchor,
-        )
-        cert.check_le(
-            lambda: f"|lambda|={lam} R(0)",
-            abs(cylinders.r_of_rho(0.0, lam) - math.sqrt(lam)),
-            1e-14,
-            anchor,
-        )
-        cert.check_le(
-            lambda: f"|lambda|={lam} R(1)",
-            abs(cylinders.r_of_rho(1.0, lam) - 1.0),
-            1e-14,
-            anchor,
-        )
+        cert.check_le(lambda: f"|lambda|={lam} inverse pair", worst, bound)
+        for label, rho, target in (
+            ("R(-1)", -1.0, lam), ("R(0)", 0.0, math.sqrt(lam)), ("R(1)", 1.0, 1.0)
+        ):
+            cert.check_le(
+                lambda: f"|lambda|={lam} {label}",
+                abs(cylinders.r_of_rho(rho, lam) - target),
+                1e-14,
+            )
     return cert
 
 
@@ -290,15 +266,14 @@ def _random_cylinder_map(rng: random.Random, length: float) -> cylinders.Cylinde
 def suite_decay(seed: int = 0, cases: int = 100) -> VerificationCertificate:
     """Random Laurent maps obey the two-sided decay shape; their high-mode
     parts never beat the 1/cosh(4) band ratio."""
-    cert = VerificationCertificate("decay", seed=seed)
-    anchor = cylinders.ANCHOR_DECAY
+    cert = VerificationCertificate("decay", cylinders.ANCHOR_DECAY, seed=seed)
     rng = _rng(seed, "decay")
     l = 10
     for case in range(cases):
         u = _random_cylinder_map(rng, float(l))
         report = cylinders.decay_estimate_check(u, l)
         key = lambda: f"case={case} modes={u.mode_numbers()}"
-        cert.check(lambda: key() + " finite C", True, report.passed, anchor)
+        cert.check(lambda: key() + " finite C", True, report.passed)
         high = u.restrict_modes(lambda m: abs(m) >= 2)
         if high.modes:
             for k in range(1, l - 1):
@@ -307,28 +282,22 @@ def suite_decay(seed: int = 0, cases: int = 100) -> VerificationCertificate:
                 except DegenerateMap:
                     continue
                 cert.check_le(
-                    lambda: key() + f" band {k}",
-                    ratio,
-                    cylinders.GAMMA_2 + 1e-12,
-                    anchor,
+                    lambda: key() + f" band {k}", ratio, cylinders.GAMMA_2 + 1e-12
                 )
     return cert
 
 
 def suite_roundtrip(seed: int = 0) -> VerificationCertificate:
     """Monomial model round trip and jet normal form constraints."""
-    cert = VerificationCertificate("roundtrip", seed=seed)
-    anchor = branches.ANCHOR_ROUNDTRIP
+    cert = VerificationCertificate("roundtrip", branches.ANCHOR_ROUNDTRIP, seed=seed)
     for p in cusps.enumerate_cusp_types(_MAX_P_LAST):
         model = branches.branch_from_cusp_type(p)
         back = branches.cusp_type_of_branch(model)
         key = lambda: f"p={list(p.exponents)}"
-        cert.check(key, tuple(p.exponents), tuple(back.exponents), anchor)
+        cert.check(key, tuple(p.exponents), tuple(back.exponents))
         jet = branches.jet_normal_form(model)
-        cert.check(lambda: key() + " P1(0)", False, not jet.p1[0], anchor)
-        cert.check(
-            lambda: key() + " P2=0 iff l=k", jet.l == jet.k, not any(jet.p2), anchor
-        )
+        cert.check(lambda: key() + " P1(0)", False, not jet.p1[0])
+        cert.check(lambda: key() + " P2=0 iff l=k", jet.l == jet.k, not any(jet.p2))
     return cert
 
 
@@ -336,8 +305,7 @@ def suite_intersection(seed: int = 0) -> VerificationCertificate:
     """Local norm against the substitution path on random graph pairs, both
     ways round, and against the closed form on all ordered pairs of distinct
     coprime monomial types.  Each case's stored jets determine I."""
-    cert = VerificationCertificate("intersection", seed=seed)
-    anchor = branches.ANCHOR_INTERSECTION
+    cert = VerificationCertificate("intersection", branches.ANCHOR_INTERSECTION, seed=seed)
     rng = _rng(seed, "intersection")
     truncation = 5
     for case in range(3):
@@ -352,18 +320,16 @@ def suite_intersection(seed: int = 0) -> VerificationCertificate:
         probe = branches.Branch.from_coordinates([{mu: c}, y], truncation)
         norm = branches.intersection_multiplicity(graph, probe)
         key = lambda: f"graph case={case} mu={mu} k={k}"
-        cert.check(key, k, norm, anchor)
+        cert.check(key, k, norm)
         cert.check(
             lambda: key() + " substitution",
             branches.intersection_multiplicity_substitution(graph, probe),
             norm,
-            anchor,
         )
         cert.check(
             lambda: key() + " symmetry",
             norm,
             branches.intersection_multiplicity(probe, graph),
-            anchor,
         )
     coprime = [(p, q) for p in range(2, 5) for q in range(p + 1, 2 * p + 2)
                if math.gcd(p, q) == 1]
@@ -373,7 +339,6 @@ def suite_intersection(seed: int = 0) -> VerificationCertificate:
             lambda: f"monomial ({a},{b}) ({c},{d})",
             min(a * d, b * c),
             branches.intersection_multiplicity(models[a, b], models[c, d]),
-            anchor,
         )
     return cert
 
@@ -405,8 +370,8 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> Verificatio
     try:
         return fn(**kwargs)
     except Exception as exc:
-        cert = VerificationCertificate(name, seed=seed)
-        cert._record(False, "suite raised", lambda: "no exception", exc, fn.__name__)
+        cert = VerificationCertificate(name, fn.__name__, seed=seed)
+        cert._record(False, "suite raised", lambda: "no exception", exc)
         return cert
 
 

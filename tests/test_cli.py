@@ -905,7 +905,7 @@ def test_zero_case_certificate_fails():
     cert = verify.suite_saddle(cases=0)
     assert cert.cases_run == 0
     assert not cert.passed
-    assert verify.VerificationCertificate("empty").passed is False
+    assert verify.VerificationCertificate("empty", "no anchor").passed is False
 
 
 def test_branch_monomial_pair_intersection(capsys):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ def test_domain_errors():
         cylinders.r_of_rho(1.5, 0.1)
     with pytest.raises(DomainError):
         cylinders.rho_of_r(0.05, 0.1)  # below |lambda|
+
+
+def test_derivative_checks_its_arguments_like_r_of_rho():
+    for rho, lam, message in ((0.5, 1.5, "need |lambda| < 1"), (3.0, 0.5, "outside")):
+        for fn in (cylinders.r_of_rho, cylinders.r_of_rho_derivative):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                fn(rho, lam)
 
 
 def test_results_beyond_double_range_raise_domain_error():

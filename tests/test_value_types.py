@@ -39,7 +39,11 @@ CASES = [
     (CuspCountBounds, {"lower": 1, "upper": 3}, {}),
     (ResidueForm, {"k": 3, "l": 1, "coefficients": (GR(2), GR(-1))}, {}),
     (InertiaResult, {"ind_plus": 2, "ind_minus": 2, "nullity": 4}, {}),
-    (VerificationCertificate, {"suite": "delta"}, {"cases_run": 0, "failures": [], "seed": 0}),
+    (
+        VerificationCertificate,
+        {"suite": "delta", "anchor": "sum (d_{i-1} - d_i)(p_i - 1)"},
+        {"cases_run": 0, "failures": [], "seed": 0},
+    ),
 ]
 
 

@@ -1,10 +1,12 @@
-"""Certificate failure records: what a failing suite serialises, and that a
-passing suite formats no failure key.  The domains the fixed-size suites
-cover."""
+"""Certificate failure records: what a failing suite serialises, the formula
+anchor each suite names, and that a passing suite formats no failure key.
+The domains the fixed-size suites cover."""
 
 import itertools
 
-from pseudocurve import branches, cylinders, indices, residues, verify
+import pytest
+
+from pseudocurve import branches, cusps, cylinders, indices, residues, verify
 from pseudocurve.gaussian import GaussianRational
 
 ANCHOR_SADDLE = "inertia of Re Res_0 z^(l-k) P(z) (sum w_i z^i)^2: ind+ = ind- = k - l"
@@ -190,3 +192,56 @@ def test_feasibility_checks_the_closed_form_against_the_knapsack(monkeypatch):
     cert = verify.suite_feasibility()
     assert knapsack_degrees == list(range(1, 15))
     assert cert.passed and cert.cases_run == 9 + 28
+
+
+# The formula anchor each suite's certificate names, from the suite's module.
+SUITE_ANCHORS = {
+    "saddle": residues.ANCHOR_SADDLE,
+    "delta": cusps.ANCHOR_DELTA,
+    "feasibility": indices.ANCHOR_FEASIBILITY,
+    "genus": indices.ANCHOR_GENUS,
+    "index": indices.ANCHOR_INDEX,
+    "cosh": cylinders.ANCHOR_COSH,
+    "volume": cylinders.ANCHOR_VOLUME,
+    "gluing": cylinders.ANCHOR_GLUING,
+    "decay": cylinders.ANCHOR_DECAY,
+    "roundtrip": branches.ANCHOR_ROUNDTRIP,
+    "intersection": branches.ANCHOR_INTERSECTION,
+}
+
+
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+def test_certificate_names_its_suite_anchor(name):
+    cert = verify.run_suite(name, cases=1)
+    assert cert.anchor == SUITE_ANCHORS[name]
+    assert cert.passed
+
+
+def test_forced_delta_failure_carries_the_delta_anchor(monkeypatch):
+    real_oracle = cusps.nodal_number_oracle
+    monkeypatch.setattr(cusps, "nodal_number_oracle", lambda p: real_oracle(p) + 1)
+    cert = verify.run_suite("delta")
+    _assert_failure_record(cert)
+    # both the formula case and the delta case of every cusp type fail
+    assert cert.cases_failed == cert.cases_run
+    assert {f["anchor"] for f in cert.to_json()["failures"]} == {cusps.ANCHOR_DELTA}
+
+
+@pytest.mark.parametrize(
+    "name,module,attr",
+    [("cosh", cylinders, "three_band_ratio"), ("delta", cusps, "nodal_number_oracle")],
+)
+def test_raising_suite_names_the_suite_function(name, module, attr, monkeypatch):
+    def raising(*args, **kwargs):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(module, attr, raising)
+    cert = verify.run_suite(name)
+    assert cert.anchor == f"suite_{name}"
+    assert cert.to_json()["failures"] == [{
+        "input": "suite raised",
+        "expected": "no exception",
+        "got": "RuntimeError('forced')",
+        "anchor": f"suite_{name}",
+    }]
+    assert cert.cases_run == 1 and not cert.passed
