@@ -192,15 +192,10 @@ def cusp_order(b: Branch) -> int:
 
 
 def is_prepared(b: Branch) -> bool:
-    """First coordinate is a single monomial at the branch multiplicity and
-    every other coordinate only carries higher terms."""
-    mu = multiplicity(b)
-    if b.coordinate_support(0) != [mu]:
-        return False
-    return all(
-        min(b.coordinate_support(i), default=mu + 1) > mu
-        for i in range(1, b.ambient_dim)
-    )
+    """The one definition of prepared form: the first term is (c, 0, ..., 0)
+    and no later term has a nonzero first coordinate.  Terms are nonzero, so
+    c != 0 and every later term carries a coordinate other than the first."""
+    return not any(b.terms[0][1][1:]) and not any(v[0] for _, v in b.terms[1:])
 
 
 def prepare(b: Branch) -> Branch:
@@ -230,15 +225,13 @@ def prepare(b: Branch) -> Branch:
 def cusp_type_of_branch(b: Branch) -> CuspType:
     """Critical exponents by the gcd-drop scan over non-leading coordinates.
 
-    Runs ``divisor_sequence`` over the multiplicity followed by the union of
-    the exponent supports of coordinates 2..n in increasing order, and keeps
-    the positions that ``critical_mask`` marks; the gcd must end at 1.
+    Runs ``divisor_sequence`` over the term exponents, which in a prepared
+    branch are the multiplicity and then the exponents of coordinates 2..n,
+    and keeps the positions that ``critical_mask`` marks; the gcd must end at 1.
     """
     if not is_prepared(b):
         raise NotPreparedBranch("cusp type extraction requires prepared form")
-    scan = [multiplicity(b)] + sorted(
-        {e for i in range(1, b.ambient_dim) for e in b.coordinate_support(i)}
-    )
+    scan = [exp for exp, _ in b.terms]
     divisors = divisor_sequence(scan)
     if divisors[-1] != 1:
         raise MultipleOrTruncatedBranch(
@@ -259,12 +252,17 @@ def branch_from_cusp_type(p: CuspType) -> Branch:
     return Branch(2, terms, truncation)
 
 
+def _plane_terms(b: Branch) -> tuple[dict[int, GR], dict[int, GR]]:
+    """The nonzero coefficients of the two coordinates, by exponent."""
+    return tuple({exp: vec[i] for exp, vec in b.terms if vec[i]} for i in (0, 1))
+
+
 def jet_normal_form(b: Branch) -> BranchJetNormalForm:
     """Normal form (k, l, P1, P2) of the 2k+1 jet of a prepared plane branch.
 
     l is read off from the lowest second-coordinate exponent q <= 2k+1 as
     ``l = q - k - 2``; if the second coordinate has no term of exponent
-    <= 2k+1 then l = k and P2 = 0.
+    <= 2k+1 then l = k and P2 = 0.  P1 is the prepared first term's coefficient.
     """
     if b.ambient_dim != 2:
         raise InvalidBranch("jet normal form is defined for plane branches")
@@ -276,16 +274,13 @@ def jet_normal_form(b: Branch) -> BranchJetNormalForm:
         raise TruncationTooShort(
             f"need truncation order >= {jet_order}, have {b.truncation_order}"
         )
-    c0 = b.terms[0][1][0]
-    p1 = (c0,)
-    y_exps = [q for q in b.coordinate_support(1) if q <= jet_order]
-    if not y_exps:
+    p1 = (b.terms[0][1][0],)
+    y = {q: c for q, c in _plane_terms(b)[1].items() if q <= jet_order}
+    if not y:
         return BranchJetNormalForm(k, k, p1, ())
-    q0 = y_exps[0]
-    l = q0 - k - 2
-    y = {exp: vec[1] for exp, vec in b.terms}
-    p2 = tuple(y.get(q, ZERO) for q in range(q0, y_exps[-1] + 1))
-    return BranchJetNormalForm(k, l, p1, p2)
+    q0 = min(y)
+    p2 = tuple(y.get(q, ZERO) for q in range(q0, max(y) + 1))
+    return BranchJetNormalForm(k, q0 - k - 2, p1, p2)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +371,6 @@ class _Series:
                 re[k] += ar * br - ai * bi
                 im[k] += ar * bi + ai * br
         return _Series(re, im, self.den * other.den)
-
-
-def _plane_terms(b: Branch) -> tuple[dict[int, GR], dict[int, GR]]:
-    """The nonzero coefficients of the two coordinates, by exponent."""
-    return tuple({exp: vec[i] for exp, vec in b.terms if vec[i]} for i in (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -144,18 +144,19 @@ def nodal_number_oracle(p: CuspType) -> int:
     """
     gens = semigroup_generators(p)
     m = min(gens)
-    apery: list[int | None] = [0] + [None] * (m - 1)
+    unreached = m * max(gens)  # above every w_r, a sum of fewer than m generators
+    apery = [0] + [unreached] * (m - 1)
     for g in gens:
         step = g % m
         if not step:
             continue
         cycles = gcd(step, m)
         for start in range(cycles):
-            r, carried = start, None
+            r, carried = start, unreached
             for _ in range(2 * m // cycles):
-                if carried is not None and (apery[r] is None or carried < apery[r]):
+                if carried < apery[r]:
                     apery[r] = carried
-                carried = None if apery[r] is None else apery[r] + g
+                carried = apery[r] + g
                 r = (r + step) % m
     return sum(w // m for w in apery)
 

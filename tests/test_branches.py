@@ -461,6 +461,76 @@ def test_jet_invariants_on_all_monomial_models():
 
 
 # ---------------------------------------------------------------------------
+# prepared form: the readers against support-based definitions
+# ---------------------------------------------------------------------------
+
+_BREAKS = ("zero leading coefficient", "others at mu", "later first terms")
+
+
+@st.composite
+def any_branches(draw):
+    """Branches in C^2 to C^4, prepared or not, with later terms at
+    exponents <= 24, some at multiples of mu.  Each drawn break leaves
+    prepared form its own way; with none drawn the branch is prepared."""
+    n = draw(st.integers(2, 4))
+    mu = draw(st.integers(1, 6))
+    breaks = draw(st.sets(st.sampled_from(_BREAKS)))
+    zero_lead, others_at_mu, later_first = (name in breaks for name in _BREAKS)
+    zero, others = GR.of(0), [small_gaussians] * (n - 1)
+    lead = zero if zero_lead else draw(small_gaussians.filter(bool))
+    head = (zero,) * (n - 1)
+    if zero_lead or others_at_mu:  # the leading vector stays nonzero
+        head = draw(st.tuples(*others).filter(any))
+    first = small_gaussians if later_first else st.just(zero)
+    exps = draw(st.sets(st.integers(mu + 1, 24), max_size=6))
+    exps |= draw(st.sets(st.sampled_from(range(2 * mu, 25, mu)), max_size=3))
+    terms = [(mu, (lead, *head))]
+    terms += [(e, draw(st.tuples(first, *others).filter(any))) for e in sorted(exps)]
+    return Branch(n, terms, terms[-1][0] + draw(st.integers(0, 6)))
+
+
+def _is_prepared_by_support(b):
+    """Reference: the first coordinate's support is [mu] and every other
+    coordinate's support lies above mu."""
+    mu = branches.multiplicity(b)
+    if b.coordinate_support(0) != [mu]:
+        return False
+    return all(
+        min(b.coordinate_support(i), default=mu + 1) > mu
+        for i in range(1, b.ambient_dim)
+    )
+
+
+def _jet_by_support(b):
+    """Reference for a prepared plane branch: l and P2 from the second
+    coordinate's support up to 2k+1 and a map of every term's second
+    coefficient."""
+    k = branches.cusp_order(b)
+    jet_order = 2 * k + 1
+    if b.truncation_order < jet_order:
+        raise TruncationTooShort(
+            f"need truncation order >= {jet_order}, have {b.truncation_order}"
+        )
+    p1 = (b.terms[0][1][0],)
+    y_exps = [q for q in b.coordinate_support(1) if q <= jet_order]
+    if not y_exps:
+        return branches.BranchJetNormalForm(k, k, p1, ())
+    y = {exp: vec[1] for exp, vec in b.terms}
+    p2 = tuple(y.get(q, GR.of(0)) for q in range(y_exps[0], y_exps[-1] + 1))
+    return branches.BranchJetNormalForm(k, y_exps[0] - k - 2, p1, p2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_branches())
+def test_prepared_readers_equal_the_support_definitions(b):
+    prepared = branches.is_prepared(b)
+    assert prepared == _is_prepared_by_support(b)
+    assert _outcome(branches.cusp_type_of_branch, b) == _outcome(_gcd_drop_scan, b)
+    if prepared and b.ambient_dim == 2:
+        assert _outcome(branches.jet_normal_form, b) == _outcome(_jet_by_support, b)
+
+
+# ---------------------------------------------------------------------------
 # intersection multiplicity
 # ---------------------------------------------------------------------------
 
