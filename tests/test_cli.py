@@ -550,6 +550,34 @@ def test_node_limit_volume_is_pinned(grid, capsys):
     assert run(argv, capsys) == (0, NODE_LIMIT_PINS[grid] + "\n", "")
 
 
+# Exit code, stdout and stderr of `node --lambda L --check C` at the edges of
+# the lab's lambda rule: every check needs |lambda| < 1, and gluing and
+# radius also need lambda != 0.
+NODE_TOO_LARGE = (1, "", '{"error": "need |lambda| < 1"}\n')
+NODE_EDGE_PINS = {
+    ("0", "volume"): (0, NODE_LIMIT_PINS["200"] + "\n", ""),
+    ("0", "gluing"): (1, "", '{"error": "gluing check needs lambda != 0"}\n'),
+    ("0", "radius"): (1, "", '{"error": "radius_log needs lambda != 0"}\n'),
+    ("0", "metric"): (
+        0,
+        '{"check": "metric", "density": 1.0, "lambda": ["0.0", "0.0"], '
+        '"z_plus": ["0.5", "0.0"]}\n',
+        "",
+    ),
+    **{
+        (lam, check): NODE_TOO_LARGE
+        for lam in ("1", "1.5", "0.3+1i")
+        for check in ("volume", "gluing", "radius", "metric")
+    },
+}
+
+
+@pytest.mark.parametrize("lam,check", sorted(NODE_EDGE_PINS))
+def test_node_lambda_edges_are_pinned(lam, check, capsys):
+    argv = ["node", "--lambda", lam, "--check", check]
+    assert run(argv, capsys) == NODE_EDGE_PINS[lam, check]
+
+
 # Stdout of the CUSP_ARGVS commands in order, pinned byte for byte.
 CUSP_ARGVS = [
     argv
