@@ -236,8 +236,6 @@ def _cmd_node(args) -> int:
     from pseudocurve import cylinders
 
     lam = _parse_complex(args.lam)
-    if abs(lam) >= 1:
-        return _fail("need |lambda| < 1")
     check = args.check
     payload: dict = {"lambda": [repr(lam.real), repr(lam.imag)], "check": check}
     passed = True
@@ -254,8 +252,6 @@ def _cmd_node(args) -> int:
             }
         )
     elif check == "gluing":
-        if lam == 0:
-            return _fail("gluing check needs lambda != 0")
         worst = cylinders.gluing_inverse_residual(lam, args.grid)
         endpoints = {
             "R(-1)": cylinders.r_of_rho(-1.0, lam),
@@ -273,8 +269,6 @@ def _cmd_node(args) -> int:
             }
         )
     elif check == "radius":
-        if lam == 0:
-            return _fail("radius_log needs lambda != 0")
         payload.update(
             {
                 "radius_log": cylinders.node_conformal_radius(lam),

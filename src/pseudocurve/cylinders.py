@@ -10,7 +10,10 @@ flat cylinder ``Z(-1,1)``, and the constant-volume-form identity those maps
 are designed to satisfy.
 
 The annulus of the node family at parameter lambda has conformal radius
-``log(1/|lambda|)`` (tag ``radius_log``).
+``log(1/|lambda|)`` (tag ``radius_log``).  One rule holds for lambda: every
+function of it, the metric density included, refuses |lambda| >= 1; at
+lambda = 0 the radius and the gluing check refuse, and the volume identity
+and the coordinate maps use the limit map R_0 = sqrt(rho).
 """
 
 from __future__ import annotations
@@ -114,17 +117,26 @@ class DecayReport(_Value):
 # conformal radius and the hyperbola metric
 # ---------------------------------------------------------------------------
 
+def _modulus(lam: complex) -> float:
+    """|lambda|, refusing |lambda| >= 1: the lab's one lambda rule."""
+    m = abs(lam)
+    if m >= 1:
+        raise DomainError("need |lambda| < 1")
+    return m
+
+
 def node_conformal_radius(lam: complex) -> float:
     """radius_log of the annulus z+ z- = lambda: log(1/|lambda|)."""
-    r = abs(lam)
-    if r == 0 or r >= 1:
-        raise DomainError("need 0 < |lambda| < 1")
+    r = _modulus(lam)
+    if r == 0:
+        raise DomainError("radius_log needs lambda != 0")
     return math.log(1.0 / r)
 
 
 def hyperbola_metric_density(z_plus: complex, lam: complex) -> float:
     """Density 1 + |lambda|^2 / |z+|^4 of the induced metric against the flat
     z+ chart."""
+    m = _modulus(lam)
     r = abs(z_plus)
     if r == 0:
         raise SingularPoint("density is singular at z+ = 0")
@@ -132,8 +144,8 @@ def hyperbola_metric_density(z_plus: complex, lam: complex) -> float:
         return 1.0
     r4 = r**4
     if r4 >= sys.float_info.min:
-        return 1.0 + (abs(lam) ** 2) / r4
-    q = abs(lam) / r / r  # r^4 underflows: divide by r twice instead
+        return 1.0 + (m**2) / r4
+    q = m / r / r  # r^4 underflows: divide by r twice instead
     density = 1.0 + q * q
     if not math.isfinite(density):
         raise DomainError(f"density at |z+| = {r!r} overflows a double")
@@ -147,15 +159,11 @@ def hyperbola_metric_density(z_plus: complex, lam: complex) -> float:
 def rho_of_r(r: float, lam: complex) -> float:
     """rho = (r^2 - |lambda|^2 / r^2) / (1 - |lambda|^2), mapping
     [|lambda|, 1] onto [-1, 1]."""
-    m = abs(lam)
-    if m >= 1:
-        raise DomainError("need |lambda| < 1")
-    if r <= 0 and m == 0:
+    m = _modulus(lam)
+    if m == 0 and (r <= 0 or r * r == 0):  # r^2 = 0 would make 0 / r^2 below
         raise DomainError("need r > 0 when lambda = 0")
     if not (m - 1e-15 <= r <= 1 + 1e-15):
         raise DomainError(f"r = {r} outside [{m}, 1]")
-    if m == 0:
-        return r * r
     return (r * r - (m * m) / (r * r)) / (1.0 - m * m)
 
 
@@ -167,9 +175,7 @@ def _r_squared(rho: float, lam: complex) -> tuple[float, float, float]:
     For rho < 0, rho c + disc cancels; there u is computed as the equal
     2 m^2 / (disc - rho c), since (disc + rho c)(disc - rho c) = 4 m^2.
     """
-    m = abs(lam)
-    if m >= 1:
-        raise DomainError("need |lambda| < 1")
+    m = _modulus(lam)
     if not (-1 - 1e-15 <= rho <= 1 + 1e-15):
         raise DomainError(f"rho = {rho} outside [-1, 1]")
     if m == 0:
@@ -214,11 +220,9 @@ def volume_identity_residual(lam: complex, grid: int) -> float:
     Z(-1, 1).  lambda = 0 checks the degenerate-limit identity with
     R_0 = sqrt(rho) on (0, 1].
     """
+    m = _modulus(lam)
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    m = abs(lam)
-    if m >= 1:
-        raise DomainError("need |lambda| < 1")
     constant = (1.0 - m * m) / 2.0
     lo = 1.0 / grid if m == 0 else -1.0
     worst = 0.0
@@ -237,10 +241,12 @@ def volume_identity_residual(lam: complex, grid: int) -> float:
 def gluing_inverse_residual(lam: complex, grid: int) -> float:
     """Max |rho(R(x)) - x| over the grid + 1 equally spaced points x of
     [-1, 1].  The two closed forms are exact inverses, so the residual
-    measures only floating-point error.
+    measures only floating-point error.  Refuses lambda = 0 (R_0(-1) is undefined).
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    if lam == 0:
+        raise DomainError("gluing check needs lambda != 0")
     worst = 0.0
     for i in range(grid + 1):
         rho = -1.0 + 2.0 * i / grid
@@ -261,22 +267,27 @@ def _mode_integral(m: int, a: float, b: float) -> float:
         raise DomainError(f"mode {m} overflows a double on Z({a}, {b})") from None
 
 
-def _vec_norm_sq(vec: Sequence[complex]) -> float:
-    try:
-        return sum(abs(c) ** 2 for c in vec)
-    except OverflowError:
-        raise DomainError("a mode coefficient squared overflows a double") from None
+def _band_sum(u: CylinderMap, k: float, term) -> float:
+    """Sum of ``term(m, norm_sq)`` over the modes (m, v_m) of u on the band
+    Z_k = Z(k, k+1); ``norm_sq()`` is |v_m|^2, read only by a term that needs it.
 
+    The band rule of every band norm: Z_k lies in the domain of u, and each
+    |v_m|^2 read and the total are finite doubles, else DomainError.
+    """
+    if not u.domain.contains(Cylinder(k, k + 1)):
+        raise DomainError(f"band Z({k}, {k+1}) outside the map domain")
+    total = 0.0
+    for m, vec in u.modes:
+        def norm_sq(vec=vec) -> float:
+            try:
+                return sum(abs(c) ** 2 for c in vec)
+            except OverflowError:
+                raise DomainError("a mode coefficient squared overflows a double") from None
 
-def _finite_energy(total: float, k: float) -> float:
+        total += term(m, norm_sq)
     if not math.isfinite(total):
         raise DomainError(f"the energy on the band Z({k}, {k + 1}) overflows a double")
     return total
-
-
-def _check_band(u: CylinderMap, k: float) -> None:
-    if not u.domain.contains(Cylinder(k, k + 1)):
-        raise DomainError(f"band Z({k}, {k+1}) outside the map domain")
 
 
 def band_energy(u: CylinderMap, k: float) -> float:
@@ -285,29 +296,24 @@ def band_energy(u: CylinderMap, k: float) -> float:
     Modes are L^2-orthogonal on every band, so the energy is
     sum_m 4 pi m^2 |v_m|^2 * integral_k^{k+1} e^{-2mt} dt.
     """
-    _check_band(u, k)
-    total = 0.0
-    for m, vec in u.modes:
-        if m:
-            total += 4.0 * math.pi * m * m * _vec_norm_sq(vec) * _mode_integral(m, k, k + 1)
-    return _finite_energy(total, k)
+    def term(m: int, norm_sq) -> float:
+        return 4.0 * math.pi * m * m * norm_sq() * _mode_integral(m, k, k + 1) if m else 0.0
+
+    return _band_sum(u, k, term)
 
 
 def l12_norm_sq(u: CylinderMap, k: float) -> float:
     """Sobolev norm ||u||^2 + ||du||^2 on the band Z_k, closed form: mode m
     gives 2 pi |v_m|^2 (1 + 2 m^2) integral_k^{k+1} e^{-2mt} dt."""
-    _check_band(u, k)
-    total = 0.0
-    for m, vec in u.modes:
+    def term(m: int, norm_sq) -> float:
         integral = _mode_integral(m, k, k + 1) if m else 1.0  # not (k+1)-k: rounds
-        total += _vec_norm_sq(vec) * integral * 2.0 * math.pi * (1.0 + 2.0 * m * m)
-    return _finite_energy(total, k)
+        return norm_sq() * integral * 2.0 * math.pi * (1.0 + 2.0 * m * m)
+
+    return _band_sum(u, k, term)
 
 
 def three_band_ratio(u: CylinderMap, k: float) -> float:
     """2*e_k / (e_{k-1} + e_{k+1}); equals 1/cosh(2m) for a single mode m."""
-    if not u.domain.contains(Cylinder(k - 1, k + 2)):
-        raise DomainError("needs the three bands Z(k-1, k+2) inside the domain")
     middle = band_energy(u, k)
     outer = band_energy(u, k - 1) + band_energy(u, k + 1)
     if outer == 0.0:
@@ -326,8 +332,6 @@ def decay_estimate_check(u: CylinderMap, l: int) -> DecayReport:
     """
     if l < 3:
         raise DomainError("need l >= 3")
-    if not u.domain.contains(Cylinder(0.0, float(l))):
-        raise DomainError("map must be defined on Z(0, l)")
     energies = tuple(band_energy(u, k) for k in range(l))
     constants: dict = {"shape": _decay_fit(energies, 2.0, 0, l)}
     passed = math.isfinite(constants["shape"])

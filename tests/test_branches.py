@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -54,6 +55,30 @@ def test_construction_validates():
         Branch.from_coordinates([{2.9: 1}, {3.1: 1}])
     with pytest.raises(InvalidBranch):
         Branch.from_coordinates([{2: 1}, {3: 1}], 3.5)
+    with pytest.raises(InvalidBranch, match="coefficient vector has wrong length"):
+        Branch(2, ((2, x), (3, (GR.of(1),))), 3)
+
+
+@pytest.mark.parametrize(
+    "k,l,p1,p2,message",
+    [
+        (1, 2, (1,), (), "secondary index l=2 outside [0, 1]"),
+        (1, -1, (1,), (1,), "secondary index l=-1 outside [0, 1]"),
+        (1, 1, (), (), "P1(0) must be nonzero"),
+        (1, 1, (0, 1), (), "P1(0) must be nonzero"),
+        (1, 1, (1, 1, 1), (), "deg P1 exceeds k"),
+        (1, 1, (1,), (0, 1), "P2 must vanish when l = k"),
+        (2, 0, (1,), (), "P2(0) must be nonzero when l < k"),
+        (2, 0, (1,), (0, 1), "P2(0) must be nonzero when l < k"),
+        (2, 0, (1,), (1, 1, 1), "deg P2 exceeds k - l - 1"),
+    ],
+)
+def test_jet_normal_form_names_each_fault(k, l, p1, p2, message):
+    p1, p2 = tuple(map(GR.of, p1)), tuple(map(GR.of, p2))
+    with pytest.raises(InvalidBranch, match=re.escape(message)):
+        branches.BranchJetNormalForm(k, l, p1, p2)
+    # the same data with the fault mended constructs
+    branches.BranchJetNormalForm(2, 0, (GR.of(1),), (GR.of(1), GR.of(1)))
 
 
 def test_json_roundtrip():

@@ -578,6 +578,29 @@ def test_node_lambda_edges_are_pinned(lam, check, capsys):
     assert run(argv, capsys) == NODE_EDGE_PINS[lam, check]
 
 
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["saddle", "--k", "2", "--l", "1", "--poly=1/0"],
+         '{"error": "cannot parse rational \'1/0\'"}\n'),
+        (["node", "--lambda", "0.1", "--check", "volume", "--grid", "1"],
+         '{"error": "grid must be >= 2"}\n'),
+        # the lambda rule comes before the grid rule
+        (["node", "--lambda", "1.5", "--check", "volume", "--grid", "1"],
+         '{"error": "need |lambda| < 1"}\n'),
+    ],
+)
+def test_domain_faults_exit_one_with_a_json_error(argv, want, capsys):
+    assert run(argv, capsys) == (1, "", want)
+
+
+def test_count_options_refuse_what_is_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["node", "--lambda", "0.1", "--grid", "x"])
+    assert exc.value.code == 64
+    assert "argument --grid: invalid int value: 'x'" in capsys.readouterr().err
+
+
 # Stdout of the CUSP_ARGVS commands in order, pinned byte for byte.
 CUSP_ARGVS = [
     argv

@@ -270,6 +270,10 @@ def test_cusp_stratum_codim(n, k, expected):
 def test_cusp_stratum_codim_validation():
     with pytest.raises(ValueError):
         cusps.cusp_stratum_codim(1, (1,))
+    with pytest.raises(ValueError, match="cusp orders must be >= 1"):
+        cusps.cusp_stratum_codim(2, (1, 0))
+    with pytest.raises(ValueError, match="ambient complex dimension must be >= 2"):
+        cusps.cusp_type_stratum_codim(1, (CuspType((2, 3)),))
 
 
 @pytest.mark.parametrize(

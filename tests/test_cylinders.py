@@ -25,8 +25,38 @@ def single(m, vec=(1.0 + 0j,), domain=DOM):
 
 def test_conformal_radius_log_convention():
     assert math.isclose(cylinders.node_conformal_radius(0.1), math.log(10.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="radius_log needs lambda != 0"):
         cylinders.node_conformal_radius(0.0)
+
+
+# Every function of lambda refuses |lambda| >= 1 with the one message.
+LAMBDA_FUNCTIONS = {
+    "node_conformal_radius": lambda lam: cylinders.node_conformal_radius(lam),
+    "hyperbola_metric_density": lambda lam: cylinders.hyperbola_metric_density(0.5, lam),
+    "rho_of_r": lambda lam: cylinders.rho_of_r(0.9, lam),
+    "r_of_rho": lambda lam: cylinders.r_of_rho(0.5, lam),
+    "r_of_rho_derivative": lambda lam: cylinders.r_of_rho_derivative(0.5, lam),
+    "volume_identity_residual": lambda lam: cylinders.volume_identity_residual(lam, 1),
+    "gluing_inverse_residual": lambda lam: cylinders.gluing_inverse_residual(lam, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDA_FUNCTIONS))
+@pytest.mark.parametrize("lam", [1.0, -1.0, 1.5, 0.3 + 1j, 1j])
+def test_one_lambda_rule(name, lam):
+    # the volume residual checks lambda before its grid (grid 1 is refused too)
+    with pytest.raises(DomainError, match=re.escape("need |lambda| < 1")):
+        LAMBDA_FUNCTIONS[name](lam)
+
+
+def test_gluing_refuses_lambda_zero():
+    with pytest.raises(DomainError, match="gluing check needs lambda != 0"):
+        cylinders.gluing_inverse_residual(0.0, 10)
+
+
+def test_volume_residual_needs_two_grid_steps():
+    with pytest.raises(ValueError, match="grid must be >= 2"):
+        cylinders.volume_identity_residual(0.0, 1)
 
 
 def test_hyperbola_metric_density():
@@ -76,6 +106,11 @@ def test_lambda_zero_limit():
         assert math.isclose(cylinders.rho_of_r(math.sqrt(rho), 0.0), rho)
     with pytest.raises(DomainError):
         cylinders.r_of_rho(-0.5, 0.0)
+    # the general formula is r^2 - 0 / r^2, so r^2 must not underflow to 0
+    assert cylinders.rho_of_r(1e-150, 0.0) == 1e-150 * 1e-150
+    for r in (0.0, -1e-16, -0.5, 1e-200):
+        with pytest.raises(DomainError, match="need r > 0 when lambda = 0"):
+            cylinders.rho_of_r(r, 0.0)
 
 
 def test_domain_errors():
@@ -224,6 +259,32 @@ def test_mode_orthogonality_energies_add():
 def test_band_outside_domain():
     with pytest.raises(DomainError):
         cylinders.band_energy(single(1), 9.5)
+    # the ratio, the decay fit and the Sobolev norm refuse a band as band_energy does
+    short = single(1, domain=Cylinder(0.0, 5.0))
+    message = re.escape("band Z(5, 6) outside the map domain")
+    with pytest.raises(DomainError, match=message):
+        cylinders.decay_estimate_check(short, 6)
+    with pytest.raises(DomainError, match=message):
+        cylinders.three_band_ratio(short, 5)
+    with pytest.raises(DomainError, match=re.escape("band Z(-1, 0) outside")):
+        cylinders.three_band_ratio(short, 0)
+    with pytest.raises(DomainError, match=re.escape("band Z(5.5, 6.5) outside")):
+        cylinders.l12_norm_sq(short, 5.5)
+
+
+def test_band_norms_read_only_the_squares_they_need():
+    # the energy has no m = 0 term, so a constant beyond the double range is
+    # no fault there; the Sobolev norm reads it and refuses
+    u = CylinderMap(((0, (1e200 + 0j,)), (1, (1.0 + 0j,))), DOM)
+    assert cylinders.band_energy(u, 0.0) == cylinders.band_energy(single(1), 0.0)
+    with pytest.raises(DomainError, match="a mode coefficient squared overflows"):
+        cylinders.l12_norm_sq(u, 0.0)
+
+
+def test_cylinder_needs_b_above_a():
+    for a, b in ((1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(DomainError, match="cylinder needs b > a"):
+            Cylinder(a, b)
 
 
 def test_cylinder_map_validation():

@@ -35,6 +35,14 @@ def test_powers():
     assert (GR.of(2) ** -2).re == Fraction(1, 4)
 
 
+def test_mixed_arithmetic_coerces_exact_numbers_only():
+    assert 1 - GR.of(3, 2) == GR.of(-2, -2)  # __rsub__
+    assert Fraction(1, 2) - GR.of(0, 1) == GR.of(Fraction(1, 2), -1)
+    for bad in (lambda: GR.of(1) + 0.5, lambda: 0.5 - GR.of(1)):
+        with pytest.raises(TypeError, match="cannot coerce 0.5 to GaussianRational"):
+            bad()
+
+
 def test_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
         GR.of(0).inverse()

@@ -1,6 +1,7 @@
 """Index, genus and feasibility calculators."""
 
 import random
+import re
 
 import pytest
 
@@ -18,6 +19,27 @@ def test_genus_formula_smooth_plane_curves():
         data = CurveData(mu=3 * d, self_int=d * d, genera=(0,), delta=0)
         assert indices.genus_formula_solve(data) == (d - 1) * (d - 2) // 2
         assert indices.genus_formula_check(indices.cp2_smooth_curve(d))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: CurveData(3, 1, ()), "need one non-negative genus per component"),
+        (lambda: CurveData(3, 1, (0, -1)), "need one non-negative genus per component"),
+        (lambda: CurveData(3, 1, (0,), delta=-1), "delta must be non-negative"),
+        (lambda: indices.gromov_operator_index(3, 0, 0), "need n >= 1 and g >= 0"),
+        (lambda: indices.gromov_operator_index(3, 2, -1), "need n >= 1 and g >= 0"),
+        (lambda: indices.marked_moduli_index(3, 2, 0, -1), "marked point count must be >= 0"),
+        (lambda: indices.h1_stratum_codim(-1, 0), "cohomology dimensions must be >= 0"),
+        (lambda: indices.h1_stratum_codim(0, -1), "cohomology dimensions must be >= 0"),
+        (lambda: indices.teichmueller_dim(-1), "genus must be >= 0"),
+        (lambda: indices.cp2_multiple_component_obstruction(0), "degree must be >= 1"),
+        (lambda: indices.cp2_smooth_curve(0), "degree must be >= 1"),
+    ],
+)
+def test_argument_guards_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_genus_formula_inconsistent():
