@@ -405,6 +405,15 @@ def test_decay_command(capsys):
     assert payload["three_term"]["kept_modes"] == [1]
 
 
+def test_decay_of_a_constant_map_passes_vacuously(capsys):
+    # mode 0 has no energy on any band, so the fit has nothing to bound
+    code, payload, err = run_json(["decay", "--modes", "0:1,0", "--length", "10"], capsys)
+    assert (code, err) == (0, "")
+    assert payload["passed"] is True
+    assert payload["constants"] == {"shape": 0.0}
+    assert payload["band_energies"] == [0.0] * 10
+
+
 def test_decay_negative_first_mode_is_joined_with_equals(capsys):
     code, payload, _ = run_json(["decay", "--modes=-1:1,0", "--length", "10"], capsys)
     assert code == 0
@@ -1046,3 +1055,81 @@ def test_main_never_raises_on_arbitrary_argv(tmp_path, capsys, argv):
     else:
         assert code in (0, 1, 2)
     capsys.readouterr()
+
+
+# One output path: a payload is one JSON line on stdout, a domain error one
+# JSON object on stderr, a usage error argparse's text on stderr.  The exit 2
+# rows patch their check to fail; the others run as given.
+def _patch_to_fail(monkeypatch, command):
+    from pseudocurve import cylinders, verify
+
+    if command == "node":
+        monkeypatch.setattr(cylinders, "volume_identity_residual", lambda lam, grid: 1.0)
+    elif command == "decay":
+        monkeypatch.setattr(
+            cylinders, "decay_estimate_check",
+            lambda u, l: cylinders.DecayReport((0.0,) * l, {"shape": math.inf}, False),
+        )
+    else:  # a certificate that ran no case does not pass
+        monkeypatch.setitem(
+            verify.SUITES, "cosh", lambda seed: verify.VerificationCertificate("cosh", "none")
+        )
+
+
+OUTPUT_MATRIX = [
+    (["cusp", "--type", "4,6,7"], 0),
+    (["cusp", "--type", "2,4"], 1),
+    (["cusp"], 64),
+    (["index", "--mu", "18", "--genus", "10", "--marked", "17", "--complex"], 0),
+    (["index", "--mu", "18", "--genus", "10", "--h1", "-1"], 1),
+    (["index", "--genus", "10"], 64),
+    (["saddle", "--k", "6", "--l", "1", "--poly=2,0,0,0,-1"], 0),
+    (["saddle", "--k", "2", "--l", "1", "--poly=1/0"], 1),
+    (["saddle", "--k", "3", "--l", "1", "--poly", "-1,2"], 64),
+    (["node", "--lambda", "0.1", "--check", "gluing"], 0),
+    (["node", "--lambda", "0.1", "--check", "volume"], 2),
+    (["node", "--lambda", "1.5", "--check", "volume"], 1),
+    (["node", "--lambda", "0.1", "--check", "gluing", "--grid", "0"], 64),
+    (["decay", "--modes", "1:1,0,0;2:0,1,0"], 0),
+    (["decay", "--modes", "1:1,0"], 2),
+    (["decay", "--modes", "x"], 1),
+    (["decay"], 64),
+    (["branch", "--type", "2,3", "--other-type", "3,4"], 0),
+    (["branch"], 1),
+    (["branch", "--file", "no-such-branch.json"], 1),
+    (["branch", "--type"], 64),
+    (["feasibility", "--cp2-degree", "6", "--json"], 0),
+    (["feasibility", "--cp2-degree", "0"], 1),
+    (["feasibility"], 64),
+    (["verify", "--suite", "cosh"], 0),
+    (["verify", "--suite", "cosh"], 2),
+    (["verify", "--suite", "nope"], 1),
+    (["verify", "--suite", "saddle", "--cases", "-3"], 64),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", OUTPUT_MATRIX, ids=[f"{' '.join(a)}->{c}" for a, c in OUTPUT_MATRIX]
+)
+def test_one_output_path(argv, code, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)  # no-such-branch.json does not exist here
+    if code == 2:
+        _patch_to_fail(monkeypatch, argv[0])
+    if code == 64:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"pseudocurve {argv[0]}: error: ")
+        return
+    got, out, err = run(argv, capsys)
+    assert got == code
+    if code == 1:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert list(json.loads(err)) == ["error"]
+    else:
+        assert err == ""
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"

@@ -367,6 +367,7 @@ def test_decay_two_sided_modes():
 def test_decay_constant_map_vacuous():
     report = cylinders.decay_estimate_check(single(0), 10)
     assert report.passed
+    assert report.constants == {"shape": 0.0}
     assert all(e == 0.0 for e in report.band_energies)
 
 
