@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: cusp, index, saddle, node, decay, branch, feasibility, verify.
-All output is JSON on stdout.  Every subcommand accepts ``--json``; only
-feasibility reads it, to add worst_splitting and anchors.  Exit codes: 0
-success, 1 domain error, 2 verification failure, 64 usage error.
+Every subcommand accepts ``--json``; only feasibility reads it, to add
+worst_splitting and anchors.  Each handler returns ``(payload, ok)``, and
+``main`` alone writes output: the payload as one JSON line on stdout, exit 0
+when ok and 2 (verification failure) when not; a domain error as a JSON
+``error`` object on stderr, exit 1.  Usage errors exit 64.
 
 Rationals are printed as decimal strings ("p/q"), complex values as
 [re, im] pairs of such strings.
@@ -40,15 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(USAGE_EXIT)
-
-
-def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _fail(message: str) -> int:
-    sys.stderr.write(json.dumps({"error": message}) + "\n")
-    return DOMAIN_EXIT
 
 
 def _positive_int(text: str) -> int:
@@ -127,7 +120,7 @@ def _maybe_complex_dim(value: int, use_complex: bool) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_cusp(args) -> int:
+def _cmd_cusp(args) -> tuple[object, bool]:
     from pseudocurve import cusps
 
     exponents = _parse_int_list(args.type)
@@ -159,11 +152,10 @@ def _cmd_cusp(args) -> int:
             "bennequin": "beta = 2*delta - 1",
         },
     }
-    _emit(payload)
-    return 0
+    return payload, True
 
 
-def _cmd_index(args) -> int:
+def _cmd_index(args) -> tuple[object, bool]:
     from pseudocurve import indices
 
     mu, n, g, m = args.mu, args.n, args.genus, args.marked
@@ -193,11 +185,10 @@ def _cmd_index(args) -> int:
         payload["stratum_empty"] = h0 < 0
         if h0 >= 0:
             payload["h1_stratum_codim"] = indices.h1_stratum_codim(h0, args.h1)
-    _emit(payload)
-    return 0
+    return payload, True
 
 
-def _cmd_saddle(args) -> int:
+def _cmd_saddle(args) -> tuple[object, bool]:
     from pseudocurve import residues
 
     coeffs = [_parse_rational(part) for part in args.poly.split(",") if part.strip()]
@@ -228,11 +219,10 @@ def _cmd_saddle(args) -> int:
         },
         "anchors": {"inertia": residues.ANCHOR_SADDLE},
     }
-    _emit(payload)
-    return 0 if matches else VERIFY_EXIT
+    return payload, matches
 
 
-def _cmd_node(args) -> int:
+def _cmd_node(args) -> tuple[object, bool]:
     from pseudocurve import cylinders
 
     lam = _parse_complex(args.lam)
@@ -283,11 +273,10 @@ def _cmd_node(args) -> int:
                 "density": cylinders.hyperbola_metric_density(z, lam),
             }
         )
-    _emit(payload)
-    return 0 if passed else VERIFY_EXIT
+    return payload, passed
 
 
-def _cmd_decay(args) -> int:
+def _cmd_decay(args) -> tuple[object, bool]:
     from pseudocurve import cylinders
 
     modes = _parse_modes(args.modes)
@@ -309,8 +298,7 @@ def _cmd_decay(args) -> int:
         },
         "anchors": {"decay": cylinders.ANCHOR_DECAY},
     }
-    _emit(payload)
-    return 0 if report.passed else VERIFY_EXIT
+    return payload, report.passed
 
 
 def _load_branch(type_text: str | None, path: str | None) -> Branch | None:
@@ -326,7 +314,7 @@ def _load_branch(type_text: str | None, path: str | None) -> Branch | None:
     return None
 
 
-def _cmd_branch(args) -> int:
+def _cmd_branch(args) -> tuple[object, bool]:
     from pseudocurve import branches, cusps
 
     b = _load_branch(args.type, args.file)
@@ -363,11 +351,10 @@ def _cmd_branch(args) -> int:
         payload["intersection_multiplicity"] = branches.intersection_multiplicity(
             b, other
         )
-    _emit(payload)
-    return 0
+    return payload, True
 
 
-def _cmd_feasibility(args) -> int:
+def _cmd_feasibility(args) -> tuple[object, bool]:
     from pseudocurve import indices
 
     report = indices.cp2_multiple_component_obstruction(
@@ -381,23 +368,18 @@ def _cmd_feasibility(args) -> int:
     if args.json:
         payload["worst_splitting"] = [list(part) for part in report.worst_splitting]
         payload["anchors"] = {"feasibility": indices.ANCHOR_FEASIBILITY}
-    _emit(payload)
-    return 0
+    return payload, True
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[object, bool]:
     from pseudocurve import verify
 
     if args.suite == "all":
         certs = verify.run_all(seed=args.seed, cases=args.cases)
     else:
-        try:
-            certs = [verify.run_suite(args.suite, seed=args.seed, cases=args.cases)]
-        except KeyError as exc:
-            return _fail(str(exc.args[0]))
+        certs = [verify.run_suite(args.suite, seed=args.seed, cases=args.cases)]
     payload = [cert.to_json() for cert in certs]
-    _emit(payload if len(payload) > 1 else payload[0])
-    return 0 if all(cert.passed for cert in certs) else VERIFY_EXIT
+    return payload if len(payload) > 1 else payload[0], all(cert.passed for cert in certs)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +480,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, ok = args.func(args)
     except (PseudocurveError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+        return DOMAIN_EXIT
+    print(json.dumps(payload, sort_keys=True))
+    return 0 if ok else VERIFY_EXIT
 
 
 if __name__ == "__main__":

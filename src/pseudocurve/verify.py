@@ -362,7 +362,7 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None) -> Verificatio
     """Run one suite.  A suite that raises yields its certificate with one
     failed case naming the exception, so every certificate still prints."""
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
     kwargs = {"seed": seed}
     if cases is not None and name in ("saddle", "decay"):

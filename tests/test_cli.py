@@ -414,6 +414,13 @@ def test_decay_of_a_constant_map_passes_vacuously(capsys):
     assert payload["band_energies"] == [0.0] * 10
 
 
+def test_decay_mode_beyond_a_double_is_a_json_error(capsys):
+    mode = "1" + "0" * 400
+    assert run(["decay", f"--modes={mode}:1,0"], capsys) == (
+        1, "", json.dumps({"error": f"mode {mode} overflows a double on Z(0, 1)"}) + "\n"
+    )
+
+
 def test_decay_negative_first_mode_is_joined_with_equals(capsys):
     code, payload, _ = run_json(["decay", "--modes=-1:1,0", "--length", "10"], capsys)
     assert code == 0
@@ -907,6 +914,16 @@ def test_verify_single_suite(capsys):
 def test_verify_unknown_suite(capsys):
     code, out, err = run(["verify", "--suite", "nope"], capsys)
     assert code == 1
+
+
+def test_run_suite_refuses_an_unknown_name_with_a_value_error():
+    from pseudocurve import verify
+
+    with pytest.raises(ValueError) as exc:
+        verify.run_suite("nope")
+    assert str(exc.value) == f"unknown suite 'nope'; choose from {sorted(verify.SUITES)}"
+    assert len(verify.SUITES) == 11
+    assert all(repr(name) in str(exc.value) for name in verify.SUITES)
 
 
 def test_a_suite_that_raises_is_a_failed_certificate(monkeypatch, capsys):

@@ -29,7 +29,7 @@ def test_conformal_radius_log_convention():
         cylinders.node_conformal_radius(0.0)
 
 
-# Every function of lambda refuses |lambda| >= 1 with the one message.
+# Every function of lambda refuses |lambda| >= 1 and NaN with the one message.
 LAMBDA_FUNCTIONS = {
     "node_conformal_radius": lambda lam: cylinders.node_conformal_radius(lam),
     "hyperbola_metric_density": lambda lam: cylinders.hyperbola_metric_density(0.5, lam),
@@ -42,7 +42,10 @@ LAMBDA_FUNCTIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(LAMBDA_FUNCTIONS))
-@pytest.mark.parametrize("lam", [1.0, -1.0, 1.5, 0.3 + 1j, 1j])
+@pytest.mark.parametrize(
+    "lam",
+    [1.0, -1.0, 1.5, 0.3 + 1j, 1j, math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)],
+)
 def test_one_lambda_rule(name, lam):
     # the volume residual checks lambda before its grid (grid 1 is refused too)
     with pytest.raises(DomainError, match=re.escape("need |lambda| < 1")):
@@ -90,6 +93,33 @@ def test_inverse_pair(lam):
         assert lam - 1e-15 <= r <= 1 + 1e-15
         assert abs(cylinders.rho_of_r(r, lam) - rho) < 1e-12
     assert cylinders.gluing_inverse_residual(lam, 1000) < 1e-12
+
+
+# rho_of_r's slack below |lambda| is relative: R(-1) lies within about
+# 2e-16 |lambda| of |lambda|, so the gluing check reads every grid point.
+@pytest.mark.parametrize(
+    "lam", [0.5, 0.1, 0.01, 0.3 - 0.1j, 1e-4, 1e-6, 1e-100, 1e-150, 0.9999]
+)
+def test_gluing_reads_every_grid_point(lam):
+    assert abs(cylinders.r_of_rho(-1.0, lam) - abs(lam)) <= 1e-15 * abs(lam)
+    assert math.isfinite(cylinders.gluing_inverse_residual(lam, 1000))
+
+
+# An absolute slack of 1e-15 admitted r far below a tiny |lambda| (and r <= 0).
+@pytest.mark.parametrize(
+    "r,lam,message",
+    [
+        (1e-17, 9.9e-16, "r = 1e-17 outside [9.9e-16, 1]"),
+        (2e-162, 9.9e-16, "r = 2e-162 outside [9.9e-16, 1]"),
+        (0.0, 1e-20, "r = 0.0 outside [1e-20, 1]"),
+        (-1e-16, 1e-20, "r = -1e-16 outside [1e-20, 1]"),
+        (1e-170, 1e-170, "r = 1e-170 is too small: r^2 underflows a double"),
+    ],
+    ids=["1e-17", "2e-162", "0", "-1e-16", "1e-170"],
+)
+def test_rho_of_r_refuses_r_far_below_lambda(r, lam, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        cylinders.rho_of_r(r, lam)
 
 
 @pytest.mark.parametrize("grid", [0, -5])
@@ -143,6 +173,10 @@ def test_results_beyond_double_range_raise_domain_error():
         cylinders.band_energy(single(1, (1e200 + 0j,)), 0.0)
     with pytest.raises(DomainError):
         cylinders.band_energy(single(-1000), 0.0)
+    for m in (10**400, -10**400):  # beyond a double, so 4 pi m would not convert
+        message = f"mode {m} overflows a double on Z(0.0, 1.0)"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            cylinders.band_energy(single(m), 0.0)
     with pytest.raises(DomainError):
         cylinders.l12_norm_sq(single(2, (1e154 + 0j,)), 0.0)
 
