@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(USAGE_EXIT)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand refuses an argument it does not know with its own usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1 (exit 64 otherwise)."""
@@ -233,45 +240,27 @@ def _cmd_node(args) -> tuple[object, bool]:
         residual = cylinders.volume_identity_residual(lam, grid=args.grid)
         passed = residual <= cylinders.VOLUME_TOLERANCE
         payload.update(
-            {
-                "grid": args.grid,
-                "max_residual": residual,
-                "tolerance": cylinders.VOLUME_TOLERANCE,
-                "passed": passed,
-                "anchors": {"volume": cylinders.ANCHOR_VOLUME},
-            }
+            grid=args.grid, max_residual=residual, tolerance=cylinders.VOLUME_TOLERANCE,
+            passed=passed, anchors={"volume": cylinders.ANCHOR_VOLUME},
         )
     elif check == "gluing":
         worst = cylinders.gluing_inverse_residual(lam, args.grid)
-        endpoints = {
-            "R(-1)": cylinders.r_of_rho(-1.0, lam),
-            "R(0)": cylinders.r_of_rho(0.0, lam),
-            "R(1)": cylinders.r_of_rho(1.0, lam),
-        }
-        passed = worst <= cylinders.GLUING_TOLERANCE
+        endpoints = {f"R({x:g})": cylinders.r_of_rho(x, lam) for x in (-1.0, 0.0, 1.0)}
+        passed = worst <= cylinders.gluing_tolerance(lam)
         payload.update(
-            {
-                "grid": args.grid,
-                "inverse_pair_residual": worst,
-                "endpoints": endpoints,
-                "passed": passed,
-                "anchors": {"gluing": cylinders.ANCHOR_GLUING},
-            }
+            grid=args.grid, inverse_pair_residual=worst, endpoints=endpoints,
+            passed=passed, anchors={"gluing": cylinders.ANCHOR_GLUING},
         )
     elif check == "radius":
         payload.update(
-            {
-                "radius_log": cylinders.node_conformal_radius(lam),
-                "convention": "radius_log = log(1/|lambda|)",
-            }
+            radius_log=cylinders.node_conformal_radius(lam),
+            convention="radius_log = log(1/|lambda|)",
         )
     else:  # metric density at a sample point
         z = _parse_complex(args.z)
         payload.update(
-            {
-                "z_plus": [repr(z.real), repr(z.imag)],
-                "density": cylinders.hyperbola_metric_density(z, lam),
-            }
+            z_plus=[repr(z.real), repr(z.imag)],
+            density=cylinders.hyperbola_metric_density(z, lam),
         )
     return payload, passed
 
@@ -375,9 +364,9 @@ def _cmd_verify(args) -> tuple[object, bool]:
     from pseudocurve import verify
 
     if args.suite == "all":
-        certs = verify.run_all(seed=args.seed, cases=args.cases)
+        certs = verify.run_all(seed=args.seed)
     else:
-        certs = [verify.run_suite(args.suite, seed=args.seed, cases=args.cases)]
+        certs = [verify.run_suite(args.suite, seed=args.seed)]
     payload = [cert.to_json() for cert in certs]
     return payload if len(payload) > 1 else payload[0], all(cert.passed for cert in certs)
 
@@ -461,13 +450,6 @@ def build_parser() -> _Parser:
         help="a suite name or 'all'; an unknown name lists the suites",
     )
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument(
-        "--cases",
-        type=_positive_int,
-        default=None,
-        help="case count of the saddle and decay suites; "
-        "the other suites have fixed sizes and ignore it",
-    )
     p_verify.set_defaults(func=_cmd_verify)
 
     # every subcommand accepts --json (only feasibility reads it), last in usage

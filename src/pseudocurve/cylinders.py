@@ -40,10 +40,9 @@ ANCHOR_VOLUME = "pullback of (1+|l|^2/r^4) r dr dtheta = ((1-|l|^2)/2) drho dthe
 ANCHOR_GLUING = "rho(R(x)) = x; R(-1) = |lambda|, R(0) = sqrt(|lambda|), R(1) = 1"
 ANCHOR_DECAY = "e_k <= C(e^{-2k} E_head + e^{-2(l-k)} E_tail), high modes <= 1/cosh 4"
 
-# Floating-point bounds of the two gluing identities, read by the CLI's node
-# checks and by the verify suites; a residual at the bound passes.
+# Floating-point bound of the volume identity (the gluing one is gluing_tolerance);
+# node and verify read both, and a residual at the bound passes.
 VOLUME_TOLERANCE = 1e-10  # volume_identity_residual
-GLUING_TOLERANCE = 1e-12  # gluing_inverse_residual
 
 
 class Cylinder(_Value):
@@ -238,6 +237,15 @@ def volume_identity_residual(lam: complex, grid: int) -> float:
             worst = residual
     # the integrand is theta-independent; the theta grid adds nothing
     return worst
+
+
+def gluing_tolerance(lam: complex) -> float:
+    """Bound 8 eps (1 + m^2)/(1 - m^2) of :func:`gluing_inverse_residual`, m = |lambda|.
+    On [m, 1], r drho/dr = 2 (r^2 + m^2/r^2)/(1 - m^2) <= 2 (1 + m^2)/(1 - m^2), so one
+    relative rounding of R moves rho(R(x)) by at most that many eps; the rounding of
+    rho itself adds about as much, and the factor 8 leaves about 4x headroom."""
+    m = _modulus(lam)
+    return 8 * sys.float_info.epsilon * (1 + m * m) / (1 - m * m)
 
 
 def gluing_inverse_residual(lam: complex, grid: int) -> float:

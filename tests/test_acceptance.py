@@ -33,8 +33,8 @@ def _run(number: int, label: str, suite_fn, budget: float | None = None, **kwarg
 def test_criterion_01_saddle_inertia_sweep():
     # k = 1..6, 0 <= l < k, 50 seeded random rational polynomials with
     # a_0 != 0: exact inertia equals (k-l, k-l); zero tolerance; < 10 s
-    _run(1, "saddle inertia sweep", verify.suite_saddle, budget=10.0,
-         seed=0, cases=50)
+    cert = _run(1, "saddle inertia sweep", verify.suite_saddle, budget=10.0, seed=0)
+    assert cert.cases_run == 21 * 50 * 3  # (k, l) pairs x P x three checks
 
 
 def test_criterion_02_delta_oracle_equivalence():
@@ -85,7 +85,7 @@ def test_criterion_09_decay_property():
     # 100 seeded random holomorphic maps on Z(0,10) with modes |m| <= 5:
     # the two-sided decay bound holds with finite fitted C, and the
     # |m| >= 2 projection obeys the three-band ratio <= 1/cosh 4 + 1e-12
-    _run(9, "cylinder decay property", verify.suite_decay, seed=0, cases=100)
+    _run(9, "cylinder decay property", verify.suite_decay, seed=0)
 
 
 def test_criterion_10_branch_round_trip():

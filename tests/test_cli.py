@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import shlex
@@ -303,19 +304,31 @@ def test_node_gluing(capsys):
     "check,residual,bound",
     [
         ("volume", "volume_identity_residual", "VOLUME_TOLERANCE"),
-        ("gluing", "gluing_inverse_residual", "GLUING_TOLERANCE"),
+        ("gluing", "gluing_inverse_residual", "gluing_tolerance"),
     ],
 )
 def test_node_and_verify_share_each_bound(check, residual, bound, monkeypatch, capsys):
-    # a residual at the bound passes both, and the next float above fails both
+    # a residual at the bound passes both, and the next float above at
+    # lambda = 0.1 fails both; the gluing bound is a function of lambda
     from pseudocurve import cylinders, verify
 
     limit = getattr(cylinders, bound)
-    for value, passed in ((limit, True), (math.nextafter(limit, 1.0), False)):
-        monkeypatch.setattr(cylinders, residual, lambda lam, grid: value)
+    at = limit if callable(limit) else lambda lam: limit
+    for nudge, passed in ((lambda b: b, True), (lambda b: math.nextafter(b, 1.0), False)):
+        monkeypatch.setattr(
+            cylinders, residual, lambda lam, grid: nudge(at(lam)) if lam == 0.1 else at(lam)
+        )
         code, payload, _ = run_json(["node", "--lambda", "0.1", "--check", check], capsys)
         assert (code, payload["passed"]) == ((0, True) if passed else (2, False))
         assert verify.run_suite(check).passed is passed
+
+
+@pytest.mark.parametrize("lam", ["0.9999", "0.99999"])
+def test_node_gluing_passes_near_the_unit_circle(lam, capsys):
+    # the residual grows like 1 / (1 - |lambda|), and so does the bound
+    code, payload, _ = run_json(["node", "--lambda", lam, "--check", "gluing"], capsys)
+    assert code == 0 and payload["passed"] is True
+    assert payload["inverse_pair_residual"] > 1e-12
 
 
 def test_node_metric_and_radius(capsys):
@@ -950,21 +963,32 @@ def test_a_suite_that_raises_is_a_failed_certificate(monkeypatch, capsys):
 
 
 def test_verify_deterministic_output(capsys):
-    _, first, _ = run(["verify", "--suite", "saddle", "--seed", "3",
-                       "--cases", "5"], capsys)
-    _, second, _ = run(["verify", "--suite", "saddle", "--seed", "3",
-                        "--cases", "5"], capsys)
+    _, first, _ = run(["verify", "--suite", "saddle", "--seed", "3"], capsys)
+    _, second, _ = run(["verify", "--suite", "saddle", "--seed", "3"], capsys)
     assert first == second  # byte-identical
-    _, third, _ = run(["verify", "--suite", "saddle", "--seed", "4",
-                       "--cases", "5"], capsys)
+    _, third, _ = run(["verify", "--suite", "saddle", "--seed", "4"], capsys)
     assert json.loads(third)["cases_run"] == json.loads(first)["cases_run"]
+
+
+def test_verify_takes_a_suite_and_a_seed_only(capsys):
+    # suite sizes are module constants, so a certificate is fixed by what it
+    # prints: its suite, its seed and the package version
+    from pseudocurve import verify
+
+    for name, fn in verify.SUITES.items():
+        params = inspect.signature(fn).parameters.values()
+        assert [(p.name, p.default) for p in params] == [("seed", 0)], name
+    assert list(inspect.signature(verify.run_suite).parameters) == ["name", "seed"]
+    assert list(inspect.signature(verify.run_all).parameters) == ["seed"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--cases" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--suite", "saddle", "--cases", "-3"],
-        ["verify", "--suite", "all", "--cases", "0"],
         ["node", "--lambda", "0.1", "--check", "gluing", "--grid", "0"],
         ["node", "--lambda", "0.1", "--check", "volume", "--grid", "-1"],
     ],
@@ -976,10 +1000,11 @@ def test_nonpositive_counts_exit_64(argv, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
-def test_zero_case_certificate_fails():
+def test_zero_case_certificate_fails(monkeypatch):
     from pseudocurve import verify
 
-    cert = verify.suite_saddle(cases=0)
+    monkeypatch.setattr(verify, "_SADDLE_CASES", 0)
+    cert = verify.suite_saddle()
     assert cert.cases_run == 0
     assert not cert.passed
     assert verify.VerificationCertificate("empty", "no anchor").passed is False
@@ -1008,8 +1033,8 @@ def test_branch_file_huge_stored_exponent(tmp_path, capsys):
 
 
 # Arbitrary argv: subcommands with their flags, and small, malformed or
-# missing values.  Degrees, grids and case counts stay small; verify always
-# names one suite (never "all") and a case count.
+# missing values.  Degrees and grids stay small; verify always names one
+# suite (never "all") and a seed.
 _ARG_VALUES = [
     "", "x", "-1", "0", "1", "2", "3", "1/0", "2,3", "3,4", "4,6,7", "0,1", "2,",
     "0.1", "0.3-0.1i", "1+2i", "nan", "inf", "1e400", "1:1,0;2:0,1", "1:x", ";",
@@ -1042,7 +1067,7 @@ def _argvs(draw):
             argv.append(draw(_values))
     if command == "verify":
         argv += ["--suite", draw(st.sampled_from(_CHEAP_SUITES)),
-                 "--cases", draw(st.sampled_from(["1", "2", "0", "x"]))]
+                 "--seed", draw(st.sampled_from(["1", "2", "0", "-1", "x"]))]
     tweak = draw(st.sampled_from(["none"] * 8 + ["help", "drop"]))
     if tweak == "help":
         argv.insert(draw(st.integers(1, len(argv))), "--help")

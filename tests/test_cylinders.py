@@ -1,9 +1,11 @@
 """Cylinder lab: closed forms against quadrature, decay and gluing checks."""
 
 import cmath
+import decimal
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ LAMBDA_FUNCTIONS = {
     "r_of_rho_derivative": lambda lam: cylinders.r_of_rho_derivative(0.5, lam),
     "volume_identity_residual": lambda lam: cylinders.volume_identity_residual(lam, 1),
     "gluing_inverse_residual": lambda lam: cylinders.gluing_inverse_residual(lam, 10),
+    "gluing_tolerance": lambda lam: cylinders.gluing_tolerance(lam),
 }
 
 
@@ -103,6 +106,40 @@ def test_inverse_pair(lam):
 def test_gluing_reads_every_grid_point(lam):
     assert abs(cylinders.r_of_rho(-1.0, lam) - abs(lam)) <= 1e-15 * abs(lam)
     assert math.isfinite(cylinders.gluing_inverse_residual(lam, 1000))
+
+
+GLUING_BOUND_LAMBDAS = [1e-6, 0.01, 0.5, 0.9, 0.999, 0.9999, 0.99999]
+
+
+@pytest.mark.parametrize("lam", GLUING_BOUND_LAMBDAS)
+def test_gluing_residual_is_under_its_bound(lam):
+    assert cylinders.gluing_inverse_residual(lam, 1000) <= cylinders.gluing_tolerance(lam)
+
+
+def test_gluing_tolerance_follows_the_conditioning_of_rho():
+    eps = sys.float_info.epsilon
+    assert cylinders.gluing_tolerance(0.0) == 8 * eps
+    assert cylinders.gluing_tolerance(0.6j) / (8 * eps) == pytest.approx(1.36 / 0.64, rel=1e-15)
+    # tighter than the old fixed 1e-12 at the verify lambdas, looser near 1
+    for lam in (0.5, 0.1, 0.01):
+        assert cylinders.gluing_tolerance(lam) < 1e-14
+    assert 1e-12 < cylinders.gluing_tolerance(0.9999) < 2e-11
+
+
+# R(x) is within 4 ulps of the exact inverse of rho (50 digits), so the
+# residual of the pair comes from the conditioning of rho, not from R.
+@pytest.mark.parametrize("lam", GLUING_BOUND_LAMBDAS)
+def test_r_of_rho_is_within_four_ulps_of_the_exact_inverse(lam):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        m = decimal.Decimal(abs(lam))
+        c = 1 - m * m
+        for i in range(1001):
+            rho = -1.0 + 2.0 * i / 1000
+            x = decimal.Decimal(rho)
+            exact = ((x * c + (x * x * c * c + 4 * m * m).sqrt()) / 2).sqrt()
+            r = cylinders.r_of_rho(rho, lam)
+            assert abs(decimal.Decimal(r) - exact) <= 4 * decimal.Decimal(math.ulp(r)), rho
 
 
 # An absolute slack of 1e-15 admitted r far below a tiny |lambda| (and r <= 0).

@@ -506,7 +506,8 @@ def test_suite_saddle_makes_two_inertia_calls_per_case(monkeypatch):
         return kernel(matrix)
 
     monkeypatch.setattr(residues, "rational_inertia", counting)
-    cert = verify.suite_saddle(cases=2)
+    monkeypatch.setattr(verify, "_SADDLE_CASES", 2)
+    cert = verify.suite_saddle()
     saddle_cases = sum(k for k in range(1, 7)) * 2  # (k, l) pairs x cases
     assert cert.passed and cert.cases_run == 3 * saddle_cases
     assert len(calls) == 2 * saddle_cases

@@ -92,7 +92,8 @@ def test_failing_saddle_certificate_is_pinned(monkeypatch):
         return residues.InertiaResult(n + 1, n + 1, 0)
 
     monkeypatch.setattr(residues, "inertia", wrong_at_k2)
-    cert = verify.suite_saddle(seed=0, cases=1)
+    monkeypatch.setattr(verify, "_SADDLE_CASES", 1)
+    cert = verify.suite_saddle(seed=0)
     _assert_failure_record(cert)
     recorded = [f["input"] for f in cert.failures]
     assert recorded != sorted(recorded)  # s_ind runs before a0-equivalence
@@ -115,7 +116,8 @@ def test_passing_saddle_formats_no_failure_key(monkeypatch):
         return real_str(self)
 
     monkeypatch.setattr(GaussianRational, "__str__", counting_str)
-    cert = verify.suite_saddle(seed=0, cases=2)
+    monkeypatch.setattr(verify, "_SADDLE_CASES", 2)
+    cert = verify.suite_saddle(seed=0)
     assert cert.passed and cert.cases_run == 126
     assert calls == []
 
@@ -123,10 +125,18 @@ def test_passing_saddle_formats_no_failure_key(monkeypatch):
 def test_saddle_sweep_checks_a0_through_residues(monkeypatch):
     # the sweep's a0-equivalence case is the one residues.a0_equivalence_check
     monkeypatch.setattr(residues, "a0_equivalence_check", lambda f, result: False)
-    cert = verify.suite_saddle(seed=0, cases=1)
+    monkeypatch.setattr(verify, "_SADDLE_CASES", 1)
+    cert = verify.suite_saddle(seed=0)
     _assert_failure_record(cert)
     assert cert.cases_failed == 21  # one per (k, l) with 1 <= k <= 6, l < k
     assert all(f["input"].endswith(" a0-equivalence") for f in cert.failures)
+
+
+def test_decay_suite_draws_a_hundred_maps(monkeypatch):
+    failing = cylinders.DecayReport((), {}, False)
+    monkeypatch.setattr(cylinders, "decay_estimate_check", lambda u, l: failing)
+    cert = verify.suite_decay()
+    assert sum(f["input"].endswith(" finite C") for f in cert.failures) == 100
 
 
 def test_index_certificate_does_not_depend_on_the_seed():
@@ -212,7 +222,7 @@ SUITE_ANCHORS = {
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
 def test_certificate_names_its_suite_anchor(name):
-    cert = verify.run_suite(name, cases=1)
+    cert = verify.run_suite(name)
     assert cert.anchor == SUITE_ANCHORS[name]
     assert cert.passed
 
