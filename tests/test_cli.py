@@ -989,6 +989,8 @@ def test_verify_takes_a_suite_and_a_seed_only(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["node", "--lambda", "0.1", "--check", "radius", "--grid", "0"],
+        ["node", "--lambda", "0.1", "--check", "metric", "--grid", "-3"],
         ["node", "--lambda", "0.1", "--check", "gluing", "--grid", "0"],
         ["node", "--lambda", "0.1", "--check", "volume", "--grid", "-1"],
     ],
