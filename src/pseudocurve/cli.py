@@ -463,7 +463,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, ok = args.func(args)
-    except (PseudocurveError, ValueError, OSError) as exc:
+    except (PseudocurveError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return DOMAIN_EXIT
     print(json.dumps(payload, sort_keys=True))

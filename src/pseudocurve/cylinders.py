@@ -56,9 +56,6 @@ class Cylinder(_Value):
         _set_field(self, "a", a)
         _set_field(self, "b", b)
 
-    def contains(self, other: "Cylinder") -> bool:
-        return self.a <= other.a + 1e-12 and other.b <= self.b + 1e-12
-
 
 class CylinderMap(_Value):
     """Finite Laurent-mode map on a cylinder.
@@ -281,10 +278,11 @@ def _band_sum(u: CylinderMap, k: float, term) -> float:
     """Sum of ``term(m, norm_sq)`` over the modes (m, v_m) of u on the band
     Z_k = Z(k, k+1); ``norm_sq()`` is |v_m|^2, read only by a term that needs it.
 
-    The band rule of every band norm: Z_k lies in the domain of u, and each
-    |v_m|^2 read and the total are finite doubles, else DomainError.
+    The band rule of every band norm: k < k + 1 in doubles, Z_k lies in the
+    domain of u up to 1e-12 at either end, and each |v_m|^2 read and the
+    total are finite doubles, else DomainError.
     """
-    if not u.domain.contains(Cylinder(k, k + 1)):
+    if not (u.domain.a <= k + 1e-12 and k < k + 1 <= u.domain.b + 1e-12):
         raise DomainError(f"band Z({k}, {k+1}) outside the map domain")
     total = 0.0
     for m, vec in u.modes:

@@ -55,7 +55,7 @@ class ObstructionReport(_Value):
         obstructed: bool,
         worst_count: int,
         required: int,
-        worst_splitting: tuple[tuple[int, int], ...] = (),
+        worst_splitting: tuple[tuple[int, int], ...],
     ) -> None:
         _set_field(self, "obstructed", obstructed)
         _set_field(self, "worst_count", worst_count)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from pseudocurve import __version__, branches, cusps, cylinders, indices, residues
-from pseudocurve.errors import DegenerateMap, _Value
+from pseudocurve.errors import DegenerateMap
 from pseudocurve.gaussian import GaussianRational
 
 # Suite sizes; certificates are pinned to them, so fixed by suite, seed and version.
@@ -28,31 +28,20 @@ _VOLUME_GRID = 200
 _GLUING_GRID = 1000
 
 
-class VerificationCertificate(_Value):
+class VerificationCertificate:
     """Cases run and failed by one suite.  The certificate names the suite's
     formula anchor once, and every failure record carries it.  A case's
     ``key`` is its input text or a zero-argument callable returning it,
-    called only if the case fails.  Unlike the other value types it is
-    mutable, and so unhashable."""
+    called only if the case fails.  A mutable accumulator, not a value type."""
 
-    __slots__ = ("suite", "anchor", "cases_run", "failures", "seed")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    __slots__ = ("suite", "anchor", "seed", "cases_run", "failures")
 
-    def __init__(
-        self,
-        suite: str,
-        anchor: str,
-        cases_run: int = 0,
-        failures: list | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, suite: str, anchor: str, seed: int = 0) -> None:
         self.suite = suite
         self.anchor = anchor
-        self.cases_run = cases_run
-        self.failures = [] if failures is None else failures
         self.seed = seed
+        self.cases_run = 0
+        self.failures = []
 
     def check(self, key, expected, got) -> bool:
         return self._record(expected == got, key, lambda: repr(expected), got)

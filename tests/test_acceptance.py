@@ -70,13 +70,16 @@ def test_criterion_06_cosh_constants():
 
 
 def test_criterion_07_volume_identity():
-    # max residual of the constant-volume-form identity < 1e-10 on a
-    # 200 x 200 grid for |lambda| in {0.5, 0.1, 0.01}; < 5 s
+    # max residual of the constant-volume-form identity <= 1e-10 at 201 rho
+    # points (the identity does not depend on theta) for
+    # |lambda| in {0.5, 0.1, 0.01, 0}; < 5 s
     _run(7, "volume identity", verify.suite_volume, budget=5.0, seed=0)
 
 
 def test_criterion_08_gluing_maps():
-    # inverse-pair residual < 1e-12 on 1000-point grids; endpoint values
+    # inverse-pair residual <= cylinders.gluing_tolerance(lambda), about
+    # 1.8e-15 to 3.0e-15 at |lambda| in {0.5, 0.1, 0.01}, on 1001 points of
+    # [-1, 1]; endpoint values
     # R(-1) = |lambda|, R(0) = sqrt|lambda|, R(1) = 1 to 1e-14
     _run(8, "gluing coordinate maps", verify.suite_gluing, seed=0)
 

@@ -1120,6 +1120,7 @@ def _patch_to_fail(monkeypatch, command):
         )
 
 
+HUGE = "1" + "0" * 400  # an integer beyond the range of a double
 OUTPUT_MATRIX = [
     (["cusp", "--type", "4,6,7"], 0),
     (["cusp", "--type", "2,4"], 1),
@@ -1133,10 +1134,15 @@ OUTPUT_MATRIX = [
     (["node", "--lambda", "0.1", "--check", "gluing"], 0),
     (["node", "--lambda", "0.1", "--check", "volume"], 2),
     (["node", "--lambda", "1.5", "--check", "volume"], 1),
+    (["node", "--lambda", "0.1", "--check", "volume", "--grid", HUGE], 1),
+    (["node", "--lambda", "0.1", "--check", "gluing", "--grid", HUGE], 1),
     (["node", "--lambda", "0.1", "--check", "gluing", "--grid", "0"], 64),
     (["decay", "--modes", "1:1,0,0;2:0,1,0"], 0),
     (["decay", "--modes", "1:1,0"], 2),
     (["decay", "--modes", "x"], 1),
+    (["decay", "--modes", "1:1,0", "--length", "10", "--k", "10"], 1),
+    (["decay", "--modes", "1:1,0", "--k", HUGE], 1),
+    (["decay", "--modes", "1:1,0", "--length", HUGE], 1),
     (["decay"], 64),
     (["branch", "--type", "2,3", "--other-type", "3,4"], 0),
     (["branch"], 1),
@@ -1153,7 +1159,9 @@ OUTPUT_MATRIX = [
 
 
 @pytest.mark.parametrize(
-    "argv,code", OUTPUT_MATRIX, ids=[f"{' '.join(a)}->{c}" for a, c in OUTPUT_MATRIX]
+    "argv,code",
+    OUTPUT_MATRIX,
+    ids=[f"{' '.join(a)}->{c}".replace(HUGE, "HUGE") for a, c in OUTPUT_MATRIX],
 )
 def test_one_output_path(argv, code, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)  # no-such-branch.json does not exist here

@@ -341,6 +341,22 @@ def test_band_outside_domain():
         cylinders.three_band_ratio(short, 0)
     with pytest.raises(DomainError, match=re.escape("band Z(5.5, 6.5) outside")):
         cylinders.l12_norm_sq(short, 5.5)
+    # the edges: the end bands, and a 1e-12 slack at either end of the domain
+    u = single(1)
+    for k in (0.0, 9.0, -5e-13, 9.0 + 5e-13):
+        assert cylinders.band_energy(u, k) > 0
+    for k in (-1e-11, 9.0 + 1e-11):
+        message = re.escape(f"band Z({k}, {k + 1}) outside the map domain")
+        with pytest.raises(DomainError, match=message):
+            cylinders.band_energy(u, k)
+
+
+def test_band_at_two_to_the_53_is_outside_the_domain():
+    # there k + 1 == k, and the band rule names the band as any other
+    u = single(1, domain=Cylinder(0.0, 2.0**60))
+    message = re.escape("band Z(9007199254740992.0, 9007199254740992.0) outside the map domain")
+    with pytest.raises(DomainError, match=message):
+        cylinders.band_energy(u, 2.0**53)
 
 
 def test_band_norms_read_only_the_squares_they_need():

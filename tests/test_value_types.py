@@ -15,7 +15,6 @@ from pseudocurve.errors import _Value
 from pseudocurve.gaussian import GaussianRational
 from pseudocurve.indices import CuspCountBounds, CurveData, ObstructionReport
 from pseudocurve.residues import InertiaResult, ResidueForm
-from pseudocurve.verify import VerificationCertificate
 
 GR = GaussianRational
 
@@ -34,16 +33,14 @@ CASES = [
     (CylinderMap, {"modes": ((-1, (1j,)), (2, (0.5 + 0j,))), "domain": Cylinder(0.0, 3.0)}, {}),
     (DecayReport, {"band_energies": (1.0, 0.5), "constants": {"shape": 1.0}, "passed": True}, {}),
     (CurveData, {"mu": 3, "self_int": 1, "genera": (0, 1)}, {"delta": 0}),
-    (ObstructionReport, {"obstructed": False, "worst_count": 5, "required": 4},
-     {"worst_splitting": ()}),
+    (
+        ObstructionReport,
+        {"obstructed": False, "worst_count": 5, "required": 4, "worst_splitting": ((1, 2),)},
+        {},
+    ),
     (CuspCountBounds, {"lower": 1, "upper": 3}, {}),
     (ResidueForm, {"k": 3, "l": 1, "coefficients": (GR(2), GR(-1))}, {}),
     (InertiaResult, {"ind_plus": 2, "ind_minus": 2, "nullity": 4}, {}),
-    (
-        VerificationCertificate,
-        {"suite": "delta", "anchor": "sum (d_{i-1} - d_i)(p_i - 1)"},
-        {"cases_run": 0, "failures": [], "seed": 0},
-    ),
 ]
 
 
@@ -59,31 +56,32 @@ def test_value_semantics(cls, given, defaults):
     assert by_keyword.__eq__(values) is NotImplemented
     # one equality and hash, the shared ones, for every value type
     assert cls.__eq__ is _Value.__eq__
-    assert cls.__hash__ is (None if cls is VerificationCertificate else _Value.__hash__)
+    assert cls.__hash__ is _Value.__hash__
+    assert not {"__setattr__", "__delattr__", "__hash__"} & set(vars(cls))
     other = InertiaResult(0, 0, 0) if cls is not InertiaResult else CuspCountBounds(0, 0)
     assert by_keyword != other and other != by_keyword
 
-    if cls is VerificationCertificate:
-        assert cls.__hash__ is None
-        assert by_keyword.failures is not by_position.failures
-        by_keyword.cases_run += 1
-        assert by_keyword != by_position
-    elif cls is DecayReport:  # a dict field makes the field tuple unhashable
+    if cls is DecayReport:  # a dict field makes the field tuple unhashable
         with pytest.raises(TypeError):
             hash(by_keyword)
     else:
         assert hash(by_keyword) == hash(by_position) == hash(values)
-    if cls is not VerificationCertificate:
-        name = next(iter(fields))
-        with pytest.raises(AttributeError, match=name):
-            setattr(by_keyword, name, fields[name])
-        with pytest.raises(AttributeError, match=name):
-            delattr(by_keyword, name)
-        with pytest.raises(AttributeError):
-            by_keyword.not_a_field = 1
+    name = next(iter(fields))
+    with pytest.raises(AttributeError, match=name):
+        setattr(by_keyword, name, fields[name])
+    with pytest.raises(AttributeError, match=name):
+        delattr(by_keyword, name)
+    with pytest.raises(AttributeError):
+        by_keyword.not_a_field = 1
 
     shown = ", ".join(f"{name}={getattr(by_position, name)!r}" for name in fields)
     assert repr(by_position) == f"{cls.__name__}({shown})"
     assert copy.copy(by_position) == by_position
     assert copy.deepcopy(by_position) == by_position
     assert pickle.loads(pickle.dumps(by_position)) == by_position
+
+
+def test_every_value_type_is_checked():
+    import pseudocurve.verify  # noqa: F401  (loads every module)
+
+    assert set(_Value.__subclasses__()) == {cls for cls, _, _ in CASES}

@@ -80,6 +80,31 @@ def _assert_failure_record(cert):
     assert inputs == sorted(inputs)
 
 
+def test_certificate_accumulates_cases():
+    cert = verify.VerificationCertificate("delta", "anchor text", seed=3)
+    other = verify.VerificationCertificate("delta", "anchor text")
+    assert cert.failures == other.failures == [] and cert.failures is not other.failures
+    assert cert.passed is False  # no case run proves nothing
+    outcomes = [
+        cert.check("b", 1, 1), cert.check("a", 1, 2), cert.check_le(lambda: "c", 0.5, 1.0),
+        cert.check_le(lambda: "d", 2.0, 1.0),
+    ]
+    assert outcomes == [True, False, True, False]
+    assert (cert.cases_run, cert.cases_failed, other.cases_run) == (4, 2, 0)
+    assert not cert.passed and other.failures == []
+    assert cert.to_json() == {
+        "suite": "delta",
+        "cases_run": 4,
+        "cases_failed": 2,
+        "failures": [
+            {"input": "a", "expected": "1", "got": "2", "anchor": "anchor text"},
+            {"input": "d", "expected": "<= 1.0", "got": "2.0", "anchor": "anchor text"},
+        ],
+        "seed": 3,
+        "versions": VERSIONS,
+    }
+
+
 def test_failing_saddle_certificate_is_pinned(monkeypatch):
     real_inertia = residues.inertia
 
