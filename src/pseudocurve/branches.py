@@ -288,53 +288,45 @@ def jet_normal_form(b: Branch) -> BranchJetNormalForm:
 # ---------------------------------------------------------------------------
 
 class _Series:
-    """Power series over Q(i) modulo t^prec, held as Gaussian-integer
-    numerators ``re[k] + i*im[k]`` over one positive common denominator,
-    so that products run on Python ints."""
+    """Power series over Q(i) modulo t^prec, held as its nonzero terms
+    ``{k: (re, im)}``: Gaussian-integer numerators over one positive common
+    denominator, so that products run on Python ints and cost what the
+    nonzero terms cost, whatever their exponents.  No stored term is zero."""
 
-    __slots__ = ("re", "im", "den")
+    __slots__ = ("terms", "prec", "den")
 
-    def __init__(self, re: list[int], im: list[int], den: int = 1) -> None:
-        g = gcd(den, *re, *im) if den > 1 else 1
+    def __init__(self, terms: dict[int, tuple[int, int]], prec: int, den: int = 1) -> None:
+        g = gcd(den, *(v for pair in terms.values() for v in pair)) if den > 1 else 1
         if g > 1:
-            re = [v // g for v in re]
-            im = [v // g for v in im]
+            terms = {k: (r // g, i // g) for k, (r, i) in terms.items()}
             den //= g
-        self.re, self.im, self.den = re, im, den
-
-    @classmethod
-    def zero(cls, prec: int) -> "_Series":
-        return cls([0] * prec, [0] * prec)
+        self.terms, self.prec, self.den = terms, prec, den
 
     @classmethod
     def of(cls, terms: Mapping[int, GR], prec: int) -> "_Series":
-        """sum of c * t^e over the terms with e < prec."""
-        parts = [(exp, c.as_integers()) for exp, c in terms.items() if exp < prec]
-        den = lcm(*(d for _, (_, _, d) in parts))
-        re, im = [0] * prec, [0] * prec
-        for exp, (p, q, d) in parts:
-            re[exp], im[exp] = p * (den // d), q * (den // d)
-        return cls(re, im, den)
+        """sum of c * t^e over the nonzero terms with e < prec."""
+        parts = {exp: c.as_integers() for exp, c in terms.items() if exp < prec and c}
+        den = lcm(*(d for _, _, d in parts.values()))
+        numerators = {exp: (p * (den // d), q * (den // d)) for exp, (p, q, d) in parts.items()}
+        return cls(numerators, prec, den)
 
     def __bool__(self) -> bool:
-        return any(self.re) or any(self.im)
+        return bool(self.terms)
 
     def ord(self) -> int | None:
-        for k, (r, i) in enumerate(zip(self.re, self.im)):
-            if r or i:
-                return k
-        return None
+        return min(self.terms, default=None)
 
     def scaled(self, c: GR) -> "_Series":
+        """c times the series; c != 0, so no product of nonzero terms cancels."""
         p, q, d = c.as_integers()
         return _Series(
-            [r * p - i * q for r, i in zip(self.re, self.im)],
-            [r * q + i * p for r, i in zip(self.re, self.im)],
+            {k: (r * p - i * q, r * q + i * p) for k, (r, i) in self.terms.items()},
+            self.prec,
             self.den * d,
         )
 
     def divided(self, k: int) -> "_Series":
-        return _Series(self.re, self.im, self.den * k)
+        return _Series(self.terms, self.prec, self.den * k)
 
     def __add__(self, other: "_Series") -> "_Series":
         if not other:
@@ -343,34 +335,30 @@ class _Series:
             return other
         den = lcm(self.den, other.den)
         f, g = den // self.den, den // other.den
-        return _Series(
-            [a * f + b * g for a, b in zip(self.re, other.re)],
-            [a * f + b * g for a, b in zip(self.im, other.im)],
-            den,
-        )
-
-    def __neg__(self) -> "_Series":
-        return _Series([-v for v in self.re], [-v for v in self.im], self.den)
+        terms = {k: (r * f, i * f) for k, (r, i) in self.terms.items()}
+        for k, (r, i) in other.terms.items():
+            ar, ai = terms.pop(k, (0, 0))
+            r, i = ar + r * g, ai + i * g
+            if r or i:
+                terms[k] = (r, i)
+        return _Series(terms, self.prec, den)
 
     def __sub__(self, other: "_Series") -> "_Series":
-        return self + (-other)
+        return self + other.scaled(-ONE)
 
     def __mul__(self, other: "_Series") -> "_Series":
-        prec = len(self.re)
-        re, im = [0] * prec, [0] * prec
-        support = [
-            (j, br, bi) for j, (br, bi) in enumerate(zip(other.re, other.im)) if br or bi
-        ]
-        for i, (ar, ai) in enumerate(zip(self.re, self.im)):
-            if not (ar or ai):
-                continue
-            for j, br, bi in support:
+        prec = self.prec
+        support = sorted(other.terms.items())
+        terms: dict[int, tuple[int, int]] = {}
+        for i, (ar, ai) in self.terms.items():
+            for j, (br, bi) in support:
                 k = i + j
                 if k >= prec:
                     break
-                re[k] += ar * br - ai * bi
-                im[k] += ar * bi + ai * br
-        return _Series(re, im, self.den * other.den)
+                r, m = terms.get(k, (0, 0))
+                terms[k] = (r + ar * br - ai * bi, m + ar * bi + ai * br)
+        nonzero = {k: (r, m) for k, (r, m) in terms.items() if r or m}
+        return _Series(nonzero, prec, self.den * other.den)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +368,8 @@ class _Series:
 def _substituted(terms: Mapping[int, GR], inner: _Series) -> _Series:
     """sum of c * inner^e over the terms, modulo the precision of inner,
     which must have no constant term."""
-    prec = len(inner.re)
-    out, power = _Series.zero(prec), _Series.of({0: ONE}, prec)
+    prec = inner.prec
+    out, power = _Series({}, prec), _Series.of({0: ONE}, prec)
     for e in range(1, max(terms, default=0) + 1):
         power = power * inner
         if not power:
@@ -413,10 +401,10 @@ def _inverse_terms(x: Mapping[int, GR], prec: int) -> dict[int, GR]:
     out, power = {}, _Series.of({0: ONE}, prec - 1)
     for k in range(1, prec):
         power = power * q
-        den = k * power.den
-        coeff = GR(Fraction(power.re[k - 1], den), Fraction(power.im[k - 1], den))
-        if coeff:
-            out[k] = coeff
+        term = power.terms.get(k - 1)
+        if term is not None:
+            den = k * power.den
+            out[k] = GR(Fraction(term[0], den), Fraction(term[1], den))
     return out
 
 
@@ -510,14 +498,13 @@ def _ring_mul(u: list[_Series], w: list[_Series], a: _Series) -> list[_Series]:
     """Product in Q(i)[[t]][sigma] / (sigma^n - a), elements given by their
     coefficients of 1, sigma, ..., sigma^(n-1)."""
     n = len(u)
-    zero = _Series.zero(len(a.re))
+    zero = _Series({}, a.prec)
     low, high = [zero] * n, [zero] * n
+    support = [(j, wj) for j, wj in enumerate(w) if wj]
     for i, ui in enumerate(u):
         if not ui:
             continue
-        for j, wj in enumerate(w):
-            if not wj:
-                continue
+        for j, wj in support:
             if i + j < n:
                 low[i + j] = low[i + j] + ui * wj
             else:
@@ -538,7 +525,7 @@ def _conjugate_symmetric_functions(
     characteristic polynomial of multiplication by y2(sigma) - y1(t)."""
     a = _Series.of(x1, prec).scaled(c.inverse())
     one = _Series.of({0: ONE}, prec)
-    g = [_Series.zero(prec)] * n
+    g = [_Series({}, prec)] * n
     a_power, j = one, 0
     while a_power:
         for r in range(n):
@@ -555,7 +542,7 @@ def _conjugate_symmetric_functions(
         sums.append(power[0].scaled(GR.of(n)))
     e = [one]
     for k in range(1, n + 1):
-        acc = _Series.zero(prec)
+        acc = _Series({}, prec)
         for i in range(1, k + 1):
             term = e[k - i] * sums[i - 1]
             acc = acc + term if i % 2 else acc - term

@@ -44,6 +44,8 @@ ANCHOR_DECAY = "e_k <= C(e^{-2k} E_head + e^{-2(l-k)} E_tail), high modes <= 1/c
 # node and verify read both, and a residual at the bound passes.
 VOLUME_TOLERANCE = 1e-10  # volume_identity_residual
 
+_MAX_GRID, _MAX_LENGTH = 10**5, 10**4  # work ceilings: grid + 1 points, l band energies
+
 
 class Cylinder(_Value):
     """Flat cylinder S^1 x [a, b]."""
@@ -221,6 +223,8 @@ def volume_identity_residual(lam: complex, grid: int) -> float:
     m = _modulus(lam)
     if grid < 2:
         raise ValueError("grid must be >= 2")
+    if grid > _MAX_GRID:
+        raise DomainError(f"grid must be <= {_MAX_GRID}")
     constant = (1.0 - m * m) / 2.0
     lo = 1.0 / grid if m == 0 else -1.0
     worst = 0.0
@@ -252,6 +256,8 @@ def gluing_inverse_residual(lam: complex, grid: int) -> float:
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    if grid > _MAX_GRID:
+        raise DomainError(f"grid must be <= {_MAX_GRID}")
     if lam == 0:
         raise DomainError("gluing check needs lambda != 0")
     worst = 0.0
@@ -344,6 +350,8 @@ def decay_estimate_check(u: CylinderMap, l: int) -> DecayReport:
     """
     if l < 3:
         raise DomainError("need l >= 3")
+    if l > _MAX_LENGTH:
+        raise DomainError(f"need l <= {_MAX_LENGTH}")
     energies = tuple(band_energy(u, k) for k in range(l))
     constants: dict = {"shape": _decay_fit(energies, 2.0, 0, l)}
     passed = math.isfinite(constants["shape"])

@@ -796,9 +796,10 @@ def test_substitution_reads_only_min_truncation():
 
 
 def test_substitution_over_a_monomial_base_is_linear_in_truncation():
-    # x = t inverts to t directly; a Lagrange inversion at fixed precision
-    # is quadratic in T and takes over 10 s here.  A term of x beyond the
-    # cut at min(T1, T2) leaves x monomial.
+    # x = t inverts to t directly.  The Lagrange inversion is linear in T on
+    # the sparse series, but still takes about 0.18 s here against 0.2 ms
+    # with the shortcut (CPython 3.11, 2-CPU machine).  A term of x beyond
+    # the cut at min(T1, T2) leaves x monomial.
     start = time.perf_counter()
     b1 = mk({1: 1}, {2: 1}, 10**4)
     b2 = mk({1: 1}, {3: 1}, 10**4)
@@ -818,6 +819,37 @@ def test_huge_stored_exponent_is_never_read():
     with pytest.raises(IndeterminateWithinTruncation):
         branches.intersection_multiplicity(b, b)
     assert time.perf_counter() - start < 1.0
+
+
+def test_norm_of_high_valuation_monomial_pairs_is_fast():
+    # each series holds a few nonzero terms far apart: the norm's cost
+    # follows those terms, not the valuation I that sets the precision
+    start = time.perf_counter()
+    for (a, b), (c, d), expected in (((59, 60), (53, 54), 3180), ((2, 9999), (3, 9998), 19996)):
+        assert min(a * d, b * c) == expected
+        b1 = branches.branch_from_cusp_type(CuspType((a, b)))
+        b2 = branches.branch_from_cusp_type(CuspType((c, d)))
+        assert branches.intersection_multiplicity(b1, b2) == expected
+        assert branches.intersection_multiplicity(b2, b1) == expected
+    assert time.perf_counter() - start < 1.0
+
+
+def test_series_stores_no_zero_term():
+    prec = 5
+    assert branches._Series.of({0: GR.of(0), 2: GR.of(1)}, prec).ord() == 2
+    a = branches._Series.of({1: GR.of(2, 1), 3: GR.of(Fraction(1, 3))}, prec)
+    assert not a - a
+    # the t and t^2 terms cancel; t^3 and t^4 remain
+    b = branches._Series.of({1: GR.of(-2, -1), 2: GR.of(0, 1), 4: GR.of(7)}, prec)
+    c = branches._Series.of({2: GR.of(0, -1), 3: GR.of(1)}, prec)
+    assert (a + b + c).ord() == 3
+    assert sorted((a + b + c).terms) == [3, 4]
+    # every product term lies at or beyond t^prec
+    high = branches._Series.of({3: GR.of(1), 4: GR.of(0, 1)}, prec)
+    low = branches._Series.of({2: GR.of(5)}, prec)
+    assert not high * low
+    for s in (a, b, c, a - a, a + b + c, high * low, a * b):
+        assert all(r or i for r, i in s.terms.values())
 
 
 # random plane branches: small multiplicity, exponents <= 9, T <= 10, and

@@ -1136,6 +1136,8 @@ OUTPUT_MATRIX = [
     (["node", "--lambda", "1.5", "--check", "volume"], 1),
     (["node", "--lambda", "0.1", "--check", "volume", "--grid", HUGE], 1),
     (["node", "--lambda", "0.1", "--check", "gluing", "--grid", HUGE], 1),
+    (["node", "--lambda", "0.1", "--check", "volume", "--grid", "100001"], 1),
+    (["node", "--lambda", "0.1", "--check", "gluing", "--grid", "100001"], 1),
     (["node", "--lambda", "0.1", "--check", "gluing", "--grid", "0"], 64),
     (["decay", "--modes", "1:1,0,0;2:0,1,0"], 0),
     (["decay", "--modes", "1:1,0"], 2),
@@ -1143,6 +1145,7 @@ OUTPUT_MATRIX = [
     (["decay", "--modes", "1:1,0", "--length", "10", "--k", "10"], 1),
     (["decay", "--modes", "1:1,0", "--k", HUGE], 1),
     (["decay", "--modes", "1:1,0", "--length", HUGE], 1),
+    (["decay", "--modes", "1:1,0", "--length", "10001"], 1),
     (["decay"], 64),
     (["branch", "--type", "2,3", "--other-type", "3,4"], 0),
     (["branch"], 1),

@@ -167,6 +167,17 @@ def test_gluing_residual_rejects_a_grid_below_one(grid):
     assert cylinders.gluing_inverse_residual(0.5, 1) < 1e-12  # rho = -1 and 1
 
 
+@pytest.mark.parametrize(
+    "check", [cylinders.volume_identity_residual, cylinders.gluing_inverse_residual]
+)
+def test_grid_checks_refuse_a_grid_above_the_ceiling(check):
+    # the work is linear in the grid: 10^5 points take a fraction of a second
+    assert check(0.1, 10**5) < 1e-10
+    for grid in (10**5 + 1, 10**16):
+        with pytest.raises(DomainError, match="grid must be <= 100000"):
+            check(0.1, grid)
+
+
 def test_lambda_zero_limit():
     for rho in (0.04, 0.25, 0.81, 1.0):
         assert math.isclose(cylinders.r_of_rho(rho, 0.0), math.sqrt(rho))
@@ -461,6 +472,14 @@ def test_decay_constant_map_vacuous():
 def test_decay_needs_length_three():
     with pytest.raises(DomainError):
         cylinders.decay_estimate_check(single(1, domain=Cylinder(0.0, 2.0)), 2)
+
+
+def test_decay_refuses_a_length_above_the_ceiling():
+    # one band energy per unit of length is computed and reported
+    report = cylinders.decay_estimate_check(single(1, domain=Cylinder(0.0, 1e4)), 10**4)
+    assert len(report.band_energies) == 10**4
+    with pytest.raises(DomainError, match="need l <= 10000"):
+        cylinders.decay_estimate_check(single(1, domain=Cylinder(0.0, 1e4 + 1)), 10**4 + 1)
 
 
 # ---------------------------------------------------------------------------
