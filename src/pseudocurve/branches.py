@@ -325,9 +325,6 @@ class _Series:
             self.den * d,
         )
 
-    def divided(self, k: int) -> "_Series":
-        return _Series(self.terms, self.prec, self.den * k)
-
     def __add__(self, other: "_Series") -> "_Series":
         if not other:
             return self
@@ -512,21 +509,13 @@ def _ring_mul(u: list[_Series], w: list[_Series], a: _Series) -> list[_Series]:
     return [low[r] + a * high[r] for r in range(n)]
 
 
-def _conjugate_symmetric_functions(
-    x1: Mapping[int, GR],
-    y1: Mapping[int, GR],
-    y2: Mapping[int, GR],
-    n: int,
-    c: GR,
-    prec: int,
-) -> list[_Series]:
-    """e_0, ..., e_n modulo t^prec of the n conjugates of y2(sigma) - y1(t)
-    in Q(i)[[t]][sigma] / (sigma^n - x1(t)/c), the coefficients of the
-    characteristic polynomial of multiplication by y2(sigma) - y1(t)."""
+def _norm_element(
+    x1: Mapping[int, GR], y1: Mapping[int, GR], y2: Mapping[int, GR], n: int, c: GR, prec: int
+) -> tuple[list[_Series], _Series]:
+    """g = y2(sigma) - y1(t) in Q(i)[[t]][sigma] / (sigma^n - a), and a = x1(t)/c."""
     a = _Series.of(x1, prec).scaled(c.inverse())
-    one = _Series.of({0: ONE}, prec)
     g = [_Series({}, prec)] * n
-    a_power, j = one, 0
+    a_power, j = _Series.of({0: ONE}, prec), 0
     while a_power:
         for r in range(n):
             coeff = y2.get(r + j * n)
@@ -534,20 +523,21 @@ def _conjugate_symmetric_functions(
                 g[r] = g[r] + a_power.scaled(coeff)
         a_power, j = a_power * a, j + 1
     g[0] = g[0] - _Series.of(y1, prec)
-    # power sums p_k = trace(g^k) = n * (g^k)_0, then Newton's identities
-    sums, power = [], g
+    return g, a
+
+
+def _characteristic_polynomial(g: list[_Series], a: _Series) -> list[_Series]:
+    """c_0 = 1, c_1, ..., c_n of sum c_k X^(n-k), the characteristic polynomial
+    of multiplication by g in Q(i)[[t]][sigma] / (sigma^n - a), so c_k is
+    (-1)^k times the k-th elementary symmetric function of g's n conjugates.
+    Faddeev-LeVerrier in the ring: m_0 = 0, m_k = g m_(k-1) + c_(k-1) and
+    c_k = -tr(g m_k) / k, where tr h = n h_0 (sigma^j has trace 0 for 0 < j < n)."""
+    n = len(g)
+    coeffs, gm = [_Series.of({0: ONE}, a.prec)], [_Series({}, a.prec)] * n
     for k in range(1, n + 1):
-        if k > 1:
-            power = _ring_mul(power, g, a)
-        sums.append(power[0].scaled(GR.of(n)))
-    e = [one]
-    for k in range(1, n + 1):
-        acc = _Series({}, prec)
-        for i in range(1, k + 1):
-            term = e[k - i] * sums[i - 1]
-            acc = acc + term if i % 2 else acc - term
-        e.append(acc.divided(k))
-    return e
+        gm = _ring_mul(g, [gm[0] + coeffs[-1]] + gm[1:], a)
+        coeffs.append(gm[0].scaled(GR(Fraction(-n, k))))
+    return coeffs
 
 
 # Working precision ceiling of the local norm, in powers of t: a contact
@@ -568,7 +558,8 @@ def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
 
     The answer is returned only when the stored jets determine it: the
     Newton polygon of the characteristic polynomial gives every factor's
-    valuation v, and each must satisfy v < T1 + 1 (a tail of the other
+    valuation v (its coefficients come with the sign (-1)^k, and only their
+    valuations are read), and each must satisfy v < T1 + 1 (a tail of the other
     branch) and v < (T2 + 1) m / n (a tail of the ring branch, with
     m = ord x1).  Otherwise IndeterminateWithinTruncation is raised, as it
     is for identical jets.  The working precision starts just above the
@@ -603,10 +594,10 @@ def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
     prec = min(guess) + 1
     while True:
         top = n * ((prec - 1) // m + 1) - 1
-        e = _conjugate_symmetric_functions(
-            x1, y1, _reparametrised(x2, y2, n, top), n, x2[n], prec
+        coeffs = _characteristic_polynomial(
+            *_norm_element(x1, y1, _reparametrised(x2, y2, n, top), n, x2[n], prec)
         )
-        total = e[n].ord()
+        total = coeffs[n].ord()
         if total is not None:
             break
         if prec >= cap:
@@ -620,7 +611,7 @@ def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
             )
         prec = min(2 * prec, cap, _MAX_PRECISION)
     for k in range(n):
-        low = e[k].ord()
+        low = coeffs[k].ord()
         if low is None:
             continue
         rise, width = total - low, n - k

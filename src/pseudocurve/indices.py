@@ -14,6 +14,8 @@ ANCHOR_FEASIBILITY = "max over splittings of sum d_i(d_i+3)/2 vs required 3d - 1
 ANCHOR_GENUS = "g = (d-1)(d-2)/2 from 2g = q - mu + 2 - 2*delta"
 ANCHOR_INDEX = "index = 2(mu + (n-3)(1-g) - m)"
 
+_MAX_SPLITTING_DEGREE = 1000  # work ceiling of the knapsack over all splittings
+
 
 class CurveData(_Value):
     """Homological and topological record of a curve.
@@ -218,6 +220,8 @@ def cp2_multiple_component_obstruction(
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
+    if all_splittings and d > _MAX_SPLITTING_DEGREE:
+        raise ValueError(f"all splittings need degree <= {_MAX_SPLITTING_DEGREE}")
     required = 3 * d - 1
     if all_splittings:
         worst, worst_split = _worst_splitting(d)

@@ -52,6 +52,8 @@ GR = GaussianRational
 # Formula anchors quoted by the verify certificates and the CLI payloads.
 ANCHOR_SADDLE = "inertia of Re Res_0 z^(l-k) P(z) (sum w_i z^i)^2: ind+ = ind- = k - l"
 
+_MAX_K = 200  # work ceiling: the (2k + 2)^2 matrix that saddle prints
+
 
 class ResidueForm(_Value):
     """Data (k, l, P) of the residue quadratic form at a cusp."""
@@ -65,6 +67,8 @@ class ResidueForm(_Value):
             raise ValueError(f"k, l must be integers: {k!r}, {l!r}") from None
         if k < 1:
             raise ValueError("cusp order k must be >= 1")
+        if k > _MAX_K:
+            raise ValueError(f"cusp order k must be <= {_MAX_K}")
         if not (0 <= l < k):
             raise ValueError("need 0 <= l < k")
         coeffs = tuple(GR.of(c) for c in coefficients)

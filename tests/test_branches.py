@@ -825,7 +825,11 @@ def test_norm_of_high_valuation_monomial_pairs_is_fast():
     # each series holds a few nonzero terms far apart: the norm's cost
     # follows those terms, not the valuation I that sets the precision
     start = time.perf_counter()
-    for (a, b), (c, d), expected in (((59, 60), (53, 54), 3180), ((2, 9999), (3, 9998), 19996)):
+    for (a, b), (c, d), expected in (
+        ((59, 60), (53, 54), 3180),
+        ((2, 9999), (3, 9998), 19996),
+        ((101, 102), (99, 100), 10098),  # a ring of multiplicity 99
+    ):
         assert min(a * d, b * c) == expected
         b1 = branches.branch_from_cusp_type(CuspType((a, b)))
         b2 = branches.branch_from_cusp_type(CuspType((c, d)))
@@ -850,6 +854,48 @@ def test_series_stores_no_zero_term():
     assert not high * low
     for s in (a, b, c, a - a, a + b + c, high * low, a * b):
         assert all(r or i for r, i in s.terms.values())
+
+
+def _random_series(rng, prec, low=0):
+    """A dense series with small Gaussian-rational coefficients from t^low."""
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    return branches._Series.of({k: GR(part(), part()) for k in range(low, prec)}, prec)
+
+
+def test_characteristic_polynomial_of_a_quadratic_ring():
+    # g = g_0 + g_1 sigma with sigma^2 = a acts by [[g_0, a g_1], [g_1, g_0]]
+    rng = random.Random(11)
+    prec = 6
+    g = [_random_series(rng, prec), _random_series(rng, prec)]
+    a = _random_series(rng, prec, low=1)
+    one, c1, c2 = branches._characteristic_polynomial(g, a)
+    assert one.terms == {0: (1, 0)} and one.den == 1
+    assert not c1 - g[0].scaled(GR.of(-2))
+    assert not c2 - (g[0] * g[0] - a * g[1] * g[1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_characteristic_polynomial_annihilates_its_element(n):
+    # Cayley-Hamilton in Q(i)[[t]][sigma] / (sigma^n - a): sum c_k g^(n-k) = 0
+    rng = random.Random(n)
+    prec = 6
+    g = [_random_series(rng, prec) for _ in range(n)]
+    a = _random_series(rng, prec, low=1)
+    coeffs = branches._characteristic_polynomial(g, a)
+    assert len(coeffs) == n + 1
+    assert coeffs[0].terms == {0: (1, 0)} and coeffs[0].den == 1
+    assert not coeffs[1] - g[0].scaled(GR.of(-n))
+    zero = branches._Series({}, prec)
+    powers = [[branches._Series.of({0: GR.of(1)}, prec)] + [zero] * (n - 1)]
+    for _ in range(n):
+        powers.append(branches._ring_mul(powers[-1], g, a))
+    for r in range(n):
+        total = zero
+        for k, c in enumerate(coeffs):
+            total = total + c * powers[n - k][r]
+        assert not total
 
 
 # random plane branches: small multiplicity, exponents <= 9, T <= 10, and

@@ -1130,6 +1130,7 @@ OUTPUT_MATRIX = [
     (["index", "--genus", "10"], 64),
     (["saddle", "--k", "6", "--l", "1", "--poly=2,0,0,0,-1"], 0),
     (["saddle", "--k", "2", "--l", "1", "--poly=1/0"], 1),
+    (["saddle", "--k", "201", "--l", "0", "--poly", "1"], 1),
     (["saddle", "--k", "3", "--l", "1", "--poly", "-1,2"], 64),
     (["node", "--lambda", "0.1", "--check", "gluing"], 0),
     (["node", "--lambda", "0.1", "--check", "volume"], 2),
@@ -1153,6 +1154,7 @@ OUTPUT_MATRIX = [
     (["branch", "--type"], 64),
     (["feasibility", "--cp2-degree", "6", "--json"], 0),
     (["feasibility", "--cp2-degree", "0"], 1),
+    (["feasibility", "--cp2-degree", "1001", "--all-splittings"], 1),
     (["feasibility"], 64),
     (["verify", "--suite", "cosh"], 0),
     (["verify", "--suite", "cosh"], 2),

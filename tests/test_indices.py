@@ -35,6 +35,10 @@ def test_genus_formula_smooth_plane_curves():
         (lambda: indices.teichmueller_dim(-1), "genus must be >= 0"),
         (lambda: indices.cp2_multiple_component_obstruction(0), "degree must be >= 1"),
         (lambda: indices.cp2_smooth_curve(0), "degree must be >= 1"),
+        (
+            lambda: indices.cp2_multiple_component_obstruction(1001, all_splittings=True),
+            "all splittings need degree <= 1000",
+        ),
     ],
 )
 def test_argument_guards_name_the_fault(call, message):
@@ -210,6 +214,13 @@ def test_all_splittings_mode_is_consistent():
         assert strict.worst_count == simple.worst_count
         assert strict.obstructed == simple.obstructed
         assert sorted(strict.worst_splitting) == sorted(simple.worst_splitting)
+
+
+def test_all_splittings_run_up_to_their_ceiling():
+    # the knapsack's work ceiling is d = 1000; the closed form has none
+    strict = indices.cp2_multiple_component_obstruction(1000, all_splittings=True)
+    assert strict.worst_count == 998 * 1001 // 2 + 2
+    assert indices.cp2_multiple_component_obstruction(1001).worst_count == 999 * 1002 // 2 + 2
 
 
 def all_splittings(d):

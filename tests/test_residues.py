@@ -29,6 +29,10 @@ def test_validation():
         ResidueForm(2, 0, (GR.of(0), GR.of(1)))  # a_0 = 0
     with pytest.raises(ValueError):
         ResidueForm(2, 1, (GR.of(1), GR.of(1)))  # deg P too big
+    # the work ceiling: saddle prints the (2k + 2)^2 matrix, 0.8 MB at k = 200
+    assert ResidueForm(200, 0, (GR.of(1),)).k == 200
+    with pytest.raises(ValueError, match="k must be <= 200"):
+        ResidueForm(201, 0, (GR.of(1),))
     # k and l are read through operator.index: no float or string slips in
     with pytest.raises(ValueError):
         ResidueForm(3.7, 1, (GR.of(1),))
