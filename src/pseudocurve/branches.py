@@ -45,6 +45,7 @@ from pseudocurve.errors import (
 from pseudocurve.gaussian import ONE, ZERO, GaussianRational, json_int
 
 GR = GaussianRational
+_MAX_JET, _MAX_RING = 10**5, 500  # work ceilings: P2's length; the norm's n (n^2 products)
 
 # Formula anchors quoted by the verify certificates.
 ANCHOR_ROUNDTRIP = "cusp type of monomial model = original type; jet constraints"
@@ -263,6 +264,7 @@ def jet_normal_form(b: Branch) -> BranchJetNormalForm:
     l is read off from the lowest second-coordinate exponent q <= 2k+1 as
     ``l = q - k - 2``; if the second coordinate has no term of exponent
     <= 2k+1 then l = k and P2 = 0.  P1 is the prepared first term's coefficient.
+    A P2 longer than 10^5 is refused.
     """
     if b.ambient_dim != 2:
         raise InvalidBranch("jet normal form is defined for plane branches")
@@ -278,8 +280,10 @@ def jet_normal_form(b: Branch) -> BranchJetNormalForm:
     y = {q: c for q, c in _plane_terms(b)[1].items() if q <= jet_order}
     if not y:
         return BranchJetNormalForm(k, k, p1, ())
-    q0 = min(y)
-    p2 = tuple(y.get(q, ZERO) for q in range(q0, max(y) + 1))
+    q0, q1 = min(y), max(y)
+    if q1 - q0 >= _MAX_JET:
+        raise ValueError(f"P2 must hold at most {_MAX_JET} coefficients, got {q1 - q0 + 1}")
+    p2 = tuple(y.get(q, ZERO) for q in range(q0, q1 + 1))
     return BranchJetNormalForm(k, q0 - k - 2, p1, p2)
 
 
@@ -491,52 +495,50 @@ def _reparametrised(
     return out
 
 
-def _ring_mul(u: list[_Series], w: list[_Series], a: _Series) -> list[_Series]:
-    """Product in Q(i)[[t]][sigma] / (sigma^n - a), elements given by their
-    coefficients of 1, sigma, ..., sigma^(n-1)."""
-    n = len(u)
-    zero = _Series({}, a.prec)
-    low, high = [zero] * n, [zero] * n
-    support = [(j, wj) for j, wj in enumerate(w) if wj]
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        for j, wj in support:
+def _ring_mul(
+    u: dict[int, _Series], w: dict[int, _Series], a: _Series, n: int
+) -> dict[int, _Series]:
+    """Product in Q(i)[[t]][sigma] / (sigma^n - a) of elements given as
+    {r: coefficient of sigma^r}, 0 <= r < n, that hold only their nonzero
+    coefficients; sigma^(n + r) comes back as a sigma^r."""
+    zero, low, high = _Series({}, a.prec), {}, {}  # high: coefficients of sigma^(n + r)
+    for i, ui in u.items():
+        for j, wj in w.items():
             if i + j < n:
-                low[i + j] = low[i + j] + ui * wj
+                low[i + j] = low.get(i + j, zero) + ui * wj
             else:
-                high[i + j - n] = high[i + j - n] + ui * wj
-    return [low[r] + a * high[r] for r in range(n)]
+                high[i + j - n] = high.get(i + j - n, zero) + ui * wj
+    for r, h in high.items():
+        low[r] = low.get(r, zero) + a * h
+    return {r: s for r, s in low.items() if s}
 
 
 def _norm_element(
     x1: Mapping[int, GR], y1: Mapping[int, GR], y2: Mapping[int, GR], n: int, c: GR, prec: int
-) -> tuple[list[_Series], _Series]:
+) -> tuple[dict[int, _Series], _Series]:
     """g = y2(sigma) - y1(t) in Q(i)[[t]][sigma] / (sigma^n - a), and a = x1(t)/c."""
     a = _Series.of(x1, prec).scaled(c.inverse())
-    g = [_Series({}, prec)] * n
+    g = {0: _Series.of(y1, prec).scaled(-ONE)}
     a_power, j = _Series.of({0: ONE}, prec), 0
-    while a_power:
-        for r in range(n):
-            coeff = y2.get(r + j * n)
-            if coeff is not None:
-                g[r] = g[r] + a_power.scaled(coeff)
-        a_power, j = a_power * a, j + 1
-    g[0] = g[0] - _Series.of(y1, prec)
-    return g, a
+    for e in sorted(y2):  # sigma^e = a^j sigma^r with e = j n + r
+        while a_power and j < e // n:
+            a_power, j = a_power * a, j + 1
+        g[e % n] = g.get(e % n, _Series({}, prec)) + a_power.scaled(y2[e])
+    return {r: s for r, s in g.items() if s}, a
 
 
-def _characteristic_polynomial(g: list[_Series], a: _Series) -> list[_Series]:
+def _characteristic_polynomial(g: dict[int, _Series], a: _Series, n: int) -> list[_Series]:
     """c_0 = 1, c_1, ..., c_n of sum c_k X^(n-k), the characteristic polynomial
     of multiplication by g in Q(i)[[t]][sigma] / (sigma^n - a), so c_k is
     (-1)^k times the k-th elementary symmetric function of g's n conjugates.
     Faddeev-LeVerrier in the ring: m_0 = 0, m_k = g m_(k-1) + c_(k-1) and
     c_k = -tr(g m_k) / k, where tr h = n h_0 (sigma^j has trace 0 for 0 < j < n)."""
-    n = len(g)
-    coeffs, gm = [_Series.of({0: ONE}, a.prec)], [_Series({}, a.prec)] * n
+    zero, coeffs, gm = _Series({}, a.prec), [_Series.of({0: ONE}, a.prec)], {}
     for k in range(1, n + 1):
-        gm = _ring_mul(g, [gm[0] + coeffs[-1]] + gm[1:], a)
-        coeffs.append(gm[0].scaled(GR(Fraction(-n, k))))
+        if coeffs[-1]:  # then m_k has a nonzero sigma^0 coefficient
+            gm = {**gm, 0: gm.get(0, zero) + coeffs[-1]}
+        gm = _ring_mul(g, gm, a, n)
+        coeffs.append(gm.get(0, zero).scaled(GR(Fraction(-n, k))))
     return coeffs
 
 
@@ -576,6 +578,8 @@ def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
     if not x2 or (y2 and min(y2) < min(x2)):
         x1, y1, x2, y2 = y1, x1, y2, x2
     n = min(x2)
+    if n > _MAX_RING:
+        raise ValueError(f"the ring branch needs multiplicity <= {_MAX_RING}, got {n}")
     t1, t2 = other.truncation_order, ring.truncation_order
     # sigma_zeta has valuation m/n; an x1 that vanishes in the jet has
     # ord x1 >= T1 + 1 in every completion
@@ -586,16 +590,11 @@ def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
     cap = min(n * (t1 + 1), (t2 + 1) * m, other.terms[-1][0] * ring.terms[-1][0] + 1)
     # each factor has valuation >= min(q m / n, p), q = ord y2, p = ord y1,
     # with equality unless the leading terms cancel: start just above it
-    guess = [cap - 1]
-    if y2:
-        guess.append(min(y2) * m)
-    if y1:
-        guess.append(n * min(y1))
-    prec = min(guess) + 1
+    prec = min(cap - 1, min(y2, default=cap) * m, n * min(y1, default=cap)) + 1
     while True:
         top = n * ((prec - 1) // m + 1) - 1
         coeffs = _characteristic_polynomial(
-            *_norm_element(x1, y1, _reparametrised(x2, y2, n, top), n, x2[n], prec)
+            *_norm_element(x1, y1, _reparametrised(x2, y2, n, top), n, x2[n], prec), n
         )
         total = coeffs[n].ord()
         if total is not None:

@@ -448,6 +448,21 @@ def test_huge_truncation_order_changes_nothing():
     assert branches.intersection_multiplicity(mk({4: 1}, {5: 2, 7: 3}, 12), other) == 10
 
 
+def _jet_family(h):
+    """The model of (2h, 2h + 2, 4h - 1), whose P2 has 2h - 2 coefficients."""
+    return branches.branch_from_cusp_type(CuspType((2 * h, 2 * h + 2, 4 * h - 1)))
+
+
+def test_jet_refuses_a_p2_above_the_ceiling_before_building_it():
+    # the work ceiling: branch prints P2, 1.2 MB at 10^5 coefficients
+    assert len(branches.jet_normal_form(_jet_family(50001)).p2) == 10**5
+    start = time.perf_counter()
+    for h in (50002, 10**16, 10**400):
+        with pytest.raises(ValueError, match="P2 must hold at most 100000 coefficients"):
+            branches.jet_normal_form(_jet_family(h))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_jet_requires_enough_truncation():
     with pytest.raises(TruncationTooShort):
         branches.jet_normal_form(mk({3: 1}, {4: 1}, 4))
@@ -838,6 +853,22 @@ def test_norm_of_high_valuation_monomial_pairs_is_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_ring_multiplicity_ceiling_is_order_independent():
+    # the recursion makes about n^2 series products: n = 499 answers, and
+    # n = 501 is refused in both orders before any series is built
+    def model(a, b):
+        return branches.branch_from_cusp_type(CuspType((a, b)))
+
+    assert branches.intersection_multiplicity(model(501, 502), model(499, 500)) == 250498
+    start = time.perf_counter()
+    for b1, b2 in ((model(503, 504), model(501, 502)), (model(501, 502), model(503, 504))):
+        with pytest.raises(ValueError, match="multiplicity <= 500, got 501"):
+            branches.intersection_multiplicity(b1, b2)
+    with pytest.raises(IndeterminateWithinTruncation, match="identical"):
+        branches.intersection_multiplicity(model(503, 504), model(503, 504))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_series_stores_no_zero_term():
     prec = 5
     assert branches._Series.of({0: GR.of(0), 2: GR.of(1)}, prec).ord() == 2
@@ -864,13 +895,26 @@ def _random_series(rng, prec, low=0):
     return branches._Series.of({k: GR(part(), part()) for k in range(low, prec)}, prec)
 
 
+def test_ring_product_stores_only_nonzero_coefficients():
+    # (1 + sigma)(1 - sigma) = 1 - sigma^2 = 1 - a: the sigma coefficient
+    # cancels and is not stored, and sigma * sigma comes back as a
+    rng = random.Random(5)
+    prec = 6
+    one = branches._Series.of({0: GR.of(1)}, prec)
+    a = _random_series(rng, prec, low=1)
+    product = branches._ring_mul({0: one, 1: one}, {0: one, 1: one.scaled(GR.of(-1))}, a, 2)
+    assert list(product) == [0]
+    expected = one - a
+    assert (product[0].terms, product[0].den) == (expected.terms, expected.den)
+
+
 def test_characteristic_polynomial_of_a_quadratic_ring():
     # g = g_0 + g_1 sigma with sigma^2 = a acts by [[g_0, a g_1], [g_1, g_0]]
     rng = random.Random(11)
     prec = 6
-    g = [_random_series(rng, prec), _random_series(rng, prec)]
+    g = {0: _random_series(rng, prec), 1: _random_series(rng, prec)}
     a = _random_series(rng, prec, low=1)
-    one, c1, c2 = branches._characteristic_polynomial(g, a)
+    one, c1, c2 = branches._characteristic_polynomial(g, a, 2)
     assert one.terms == {0: (1, 0)} and one.den == 1
     assert not c1 - g[0].scaled(GR.of(-2))
     assert not c2 - (g[0] * g[0] - a * g[1] * g[1])
@@ -881,20 +925,20 @@ def test_characteristic_polynomial_annihilates_its_element(n):
     # Cayley-Hamilton in Q(i)[[t]][sigma] / (sigma^n - a): sum c_k g^(n-k) = 0
     rng = random.Random(n)
     prec = 6
-    g = [_random_series(rng, prec) for _ in range(n)]
+    g = {r: _random_series(rng, prec) for r in range(n)}
     a = _random_series(rng, prec, low=1)
-    coeffs = branches._characteristic_polynomial(g, a)
+    coeffs = branches._characteristic_polynomial(g, a, n)
     assert len(coeffs) == n + 1
     assert coeffs[0].terms == {0: (1, 0)} and coeffs[0].den == 1
     assert not coeffs[1] - g[0].scaled(GR.of(-n))
     zero = branches._Series({}, prec)
-    powers = [[branches._Series.of({0: GR.of(1)}, prec)] + [zero] * (n - 1)]
+    powers = [{0: branches._Series.of({0: GR.of(1)}, prec)}]
     for _ in range(n):
-        powers.append(branches._ring_mul(powers[-1], g, a))
+        powers.append(branches._ring_mul(powers[-1], g, a, n))
     for r in range(n):
         total = zero
         for k, c in enumerate(coeffs):
-            total = total + c * powers[n - k][r]
+            total = total + c * powers[n - k].get(r, zero)
         assert not total
 
 

@@ -1124,6 +1124,7 @@ HUGE = "1" + "0" * 400  # an integer beyond the range of a double
 OUTPUT_MATRIX = [
     (["cusp", "--type", "4,6,7"], 0),
     (["cusp", "--type", "2,4"], 1),
+    (["cusp", "--type", "2,200003"], 1),
     (["cusp"], 64),
     (["index", "--mu", "18", "--genus", "10", "--marked", "17", "--complex"], 0),
     (["index", "--mu", "18", "--genus", "10", "--h1", "-1"], 1),
@@ -1149,6 +1150,8 @@ OUTPUT_MATRIX = [
     (["decay", "--modes", "1:1,0", "--length", "10001"], 1),
     (["decay"], 64),
     (["branch", "--type", "2,3", "--other-type", "3,4"], 0),
+    (["branch", "--type", "100004,100006,200007"], 1),
+    (["branch", "--type", "503,504", "--other-type", "501,502"], 1),
     (["branch"], 1),
     (["branch", "--file", "no-such-branch.json"], 1),
     (["branch", "--type"], 64),
@@ -1190,3 +1193,71 @@ def test_one_output_path(argv, code, monkeypatch, tmp_path, capsys):
         assert err == ""
         assert out.endswith("\n") and out.count("\n") == 1
         assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+# Bounded work: each int option of build_parser(), and the cusp and branch
+# types, answers or refuses within seconds and 2 MB of output.  A row builds
+# the argv for a size v.  At the row's ceiling v answers (exit 0); just above
+# it, at 10^16 and at 401 digits it is refused (exit 1).  A row without a
+# ceiling costs the same at every v and answers at both large sizes.
+BOUNDED_WORK = [
+    ("cusp", "--n", lambda v: ["cusp", "--type", "2,3", "--n", str(v)], None),
+    # (2, 2v - 1) has v admissible exponents
+    ("cusp", "--type", lambda v: ["cusp", "--type", f"2,{2 * v - 1}"], 10**5),
+    ("index", "--mu", lambda v: ["index", "--mu", str(v), "--genus", "1"], None),
+    ("index", "--n", lambda v: ["index", "--mu", "18", "--genus", "10", "--n", str(v)], None),
+    ("index", "--genus", lambda v: ["index", "--mu", "18", "--genus", str(v)], None),
+    ("index", "--marked",
+     lambda v: ["index", "--mu", "18", "--genus", "10", "--marked", str(v)], None),
+    ("index", "--k-total",
+     lambda v: ["index", "--mu", "18", "--genus", "10", "--h1", "0", "--k-total", str(v)], None),
+    ("index", "--h1", lambda v: ["index", "--mu", "18", "--genus", "10", "--h1", str(v)], None),
+    ("saddle", "--k", lambda v: ["saddle", "--k", str(v), "--l", "0", "--poly", "1"], 200),
+    ("saddle", "--l", lambda v: ["saddle", "--k", "200", "--l", str(v), "--poly", "1"], 199),
+    ("saddle", "--nu",
+     lambda v: ["saddle", "--k", "6", "--l", "1", "--poly=2,0,0,0,-1", "--nu", str(v)], None),
+    ("node", "--grid",
+     lambda v: ["node", "--lambda", "0.1", "--check", "gluing", "--grid", str(v)], 10**5),
+    ("node", "--grid",
+     lambda v: ["node", "--lambda", "0.1", "--check", "volume", "--grid", str(v)], 10**5),
+    ("decay", "--length", lambda v: ["decay", "--modes", "1:1,0", "--length", str(v)], 10**4),
+    ("decay", "--k",
+     lambda v: ["decay", "--modes", "1:1,0", "--length", "10000", "--k", str(v)], 9999),
+    # (2v, 2v + 2, 4v - 1): the jet's P2 has 2v - 2 coefficients
+    ("branch", "--type", lambda v: ["branch", "--type", f"{2 * v},{2 * v + 2},{4 * v - 1}"],
+     50001),
+    # the norm's ring has multiplicity v
+    ("branch", "--other-type",
+     lambda v: ["branch", "--type", f"{v + 2},{v + 3}", "--other-type", f"{v},{v + 1}"], 500),
+    ("feasibility", "--cp2-degree",
+     lambda v: ["feasibility", "--cp2-degree", str(v), "--all-splittings"], 1000),
+    ("feasibility", "--cp2-degree", lambda v: ["feasibility", "--cp2-degree", str(v)], None),
+    ("verify", "--seed", lambda v: ["verify", "--suite", "intersection", "--seed", str(v)], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv_of,ceiling", [row[2:] for row in BOUNDED_WORK],
+    ids=[" ".join(row[2](row[3] or 7)) for row in BOUNDED_WORK],  # the call at the ceiling
+)
+def test_work_is_bounded_at_every_size(argv_of, ceiling, capsys):
+    refused = 0 if ceiling is None else 1
+    sizes = [(10**16, refused), (int(HUGE), refused)]
+    if ceiling is not None:
+        sizes = [(ceiling, 0), (ceiling + 1, 1)] + sizes
+    for v, code in sizes:
+        start = time.perf_counter()
+        got, out, err = run(argv_of(v), capsys)
+        assert time.perf_counter() - start < 5.0
+        assert len(out) + len(err) <= 2 * 10**6
+        assert got == code, (v, err)
+
+
+def test_every_int_option_has_a_bounded_work_row():
+    int_options = {
+        (command, action.option_strings[0])
+        for command, subparser in _subcommands().items()
+        for action in subparser._actions
+        if action.type in (int, cli._positive_int)
+    }
+    assert int_options <= {row[:2] for row in BOUNDED_WORK}

@@ -128,6 +128,17 @@ def test_admissible_exponents_examples(exponents, admissible, lprime):
     assert len(data) - 1 == lprime
 
 
+def test_admissible_exponents_refuse_a_list_above_the_ceiling():
+    # (2, 2N - 1) has N admissible exponents; cusp prints each with its
+    # divisor and mask bit, 1.7 MB at the ceiling N = 10^5
+    assert len(cusps.admissible_exponents(CuspType((2, 199999)))) == 10**5
+    start = time.perf_counter()
+    for big in (10**5 + 1, 10**16, 10**400):
+        with pytest.raises(ValueError, match="at most 100000 admissible exponents"):
+            cusps.admissible_exponents(CuspType((2, 2 * big - 1)))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_admissible_exponent_properties_exhaustive():
     for p in ALL_TYPES:
         ps = p.exponents
