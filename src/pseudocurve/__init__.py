@@ -16,9 +16,9 @@ The package has three exact layers and one numerical one:
   coordinates, hyperbola metrics, cylinder band energies and exponential
   decay estimates.
 
-Everything in the first four modules is exact (``fractions.Fraction``
-arithmetic); the cylinder lab is double precision with closed forms on both
-sides of every inequality it checks.
+Everything in the first four modules is exact (``fractions.Fraction``, and Python
+ints in the inertia kernel and the local norm); the cylinder lab is double
+precision with closed forms on both sides of every inequality it checks.
 """
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "BranchJetNormalForm",
     "CurveData",
     "CuspType",
-    "Cylinder",
     "CylinderMap",
     "GaussianRational",
     "InertiaResult",
@@ -44,7 +43,6 @@ _HOMES = {
     "BranchJetNormalForm": "branches",
     "CurveData": "indices",
     "CuspType": "cusps",
-    "Cylinder": "cylinders",
     "CylinderMap": "cylinders",
     "GaussianRational": "gaussian",
     "InertiaResult": "residues",

@@ -269,8 +269,8 @@ def _cmd_decay(args) -> tuple[object, bool]:
     from pseudocurve import cylinders
 
     modes = _parse_modes(args.modes)
-    u = cylinders.CylinderMap(modes, cylinders.Cylinder(0.0, float(args.length)))
-    report = cylinders.decay_estimate_check(u, args.length)
+    u = cylinders.CylinderMap(modes, args.length)
+    report = cylinders.decay_estimate_check(u)
     low, remainder = cylinders.three_term_truncation(u, float(args.k))
     payload = {
         "length": args.length,
@@ -278,7 +278,7 @@ def _cmd_decay(args) -> tuple[object, bool]:
         "band_energies": list(report.band_energies),
         "gamma_star": cylinders.GAMMA_STAR,
         "gamma_2": cylinders.GAMMA_2,
-        "constants": report.constants,
+        "constants": dict(report.constants),
         "passed": report.passed,
         "three_term": {
             "band": args.k,

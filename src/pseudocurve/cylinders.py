@@ -1,7 +1,7 @@
 """Numerical lab for node gluing geometry and cylinder decay estimates.
 
-Maps on a conformal cylinder ``Z(a,b) = S^1 x [a,b]`` are represented by
-finitely many Laurent modes ``u(t, theta) = sum_m e^{m(-t + i theta)} v_m``
+A map on a conformal cylinder ``Z(0,l) = S^1 x [0,l]`` carries its integer
+length l >= 1 and finitely many Laurent modes ``u = sum_m e^{m(-t + i theta)} v_m``
 with vector coefficients; such maps are holomorphic for the standard
 structure, and every energy, norm and three-band ratio below has a closed
 form.  The gluing side covers the hyperbola family ``z+ * z- = lambda``:
@@ -47,30 +47,21 @@ VOLUME_TOLERANCE = 1e-10  # volume_identity_residual
 _MAX_GRID, _MAX_LENGTH = 10**5, 10**4  # work ceilings: grid + 1 points, l band energies
 
 
-class Cylinder(_Value):
-    """Flat cylinder S^1 x [a, b]."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: float, b: float) -> None:
-        if not b > a:
-            raise DomainError("cylinder needs b > a")
-        _set_field(self, "a", a)
-        _set_field(self, "b", b)
-
-
 class CylinderMap(_Value):
-    """Finite Laurent-mode map on a cylinder.
+    """Finite Laurent-mode map on the cylinder Z(0, length).
 
     modes: sequence of (m, coefficient vector in C^n); m integer, vectors
-    all of one length.
+    all of one length.  length: the integer l >= 1 of the domain Z(0, l).
     """
 
-    __slots__ = ("modes", "domain")
+    __slots__ = ("modes", "length")
 
-    def __init__(
-        self, modes: Sequence[tuple[int, Sequence[complex]]], domain: Cylinder
-    ) -> None:
+    def __init__(self, modes: Sequence[tuple[int, Sequence[complex]]], length: int) -> None:
+        if isinstance(length, bool) or not hasattr(type(length), "__index__"):
+            raise ValueError(f"cylinder length must be an integer, got {length!r}")
+        length = operator.index(length)
+        if length < 1:
+            raise DomainError(f"cylinder length must be >= 1, got {length}")
         seen = set()
         norm = []
         dim = None
@@ -90,21 +81,23 @@ class CylinderMap(_Value):
             norm.append((m, vec))
         norm.sort(key=lambda pair: pair[0])
         _set_field(self, "modes", tuple(norm))
-        _set_field(self, "domain", domain)
+        _set_field(self, "length", length)
 
     def mode_numbers(self) -> list[int]:
         return [m for m, _ in self.modes]
 
     def restrict_modes(self, keep) -> "CylinderMap":
         kept = tuple((m, v) for m, v in self.modes if keep(m))
-        return CylinderMap(kept, self.domain)
+        return CylinderMap(kept, self.length)
 
 
 class DecayReport(_Value):
+    """Band energies e_0..e_(l-1), fitted constants as (name, C) pairs, verdict."""
+
     __slots__ = ("band_energies", "constants", "passed")
 
     def __init__(
-        self, band_energies: tuple[float, ...], constants: dict, passed: bool
+        self, band_energies: tuple[float, ...], constants: tuple, passed: bool
     ) -> None:
         _set_field(self, "band_energies", band_energies)
         _set_field(self, "constants", constants)
@@ -280,16 +273,23 @@ def _mode_integral(m: int, a: float, b: float) -> float:
         raise DomainError(f"mode {m} overflows a double on Z({a}, {b})") from None
 
 
+def _band_name(k: float) -> str:
+    """Z(k, k+1), with the exact integer ends where k + 1 == k in doubles."""
+    if math.isfinite(k) and k + 1 == k:
+        k = int(k)
+    return f"Z({k}, {k + 1})"
+
+
 def _band_sum(u: CylinderMap, k: float, term) -> float:
     """Sum of ``term(m, norm_sq)`` over the modes (m, v_m) of u on the band
     Z_k = Z(k, k+1); ``norm_sq()`` is |v_m|^2, read only by a term that needs it.
 
-    The band rule of every band norm: k < k + 1 in doubles, Z_k lies in the
-    domain of u up to 1e-12 at either end, and each |v_m|^2 read and the
-    total are finite doubles, else DomainError.
+    The band rule of every band norm: k < k + 1 in doubles, 0 <= k and
+    k + 1 <= l up to 1e-12 for the domain Z(0, l) of u, and each |v_m|^2 read
+    and the total are finite doubles, else DomainError.
     """
-    if not (u.domain.a <= k + 1e-12 and k < k + 1 <= u.domain.b + 1e-12):
-        raise DomainError(f"band Z({k}, {k+1}) outside the map domain")
+    if not (-1e-12 <= k < k + 1 and k + 1 - 1e-12 <= u.length):
+        raise DomainError(f"band {_band_name(k)} outside the map domain")
     total = 0.0
     for m, vec in u.modes:
         def norm_sq(vec=vec) -> float:
@@ -300,7 +300,7 @@ def _band_sum(u: CylinderMap, k: float, term) -> float:
 
         total += term(m, norm_sq)
     if not math.isfinite(total):
-        raise DomainError(f"the energy on the band Z({k}, {k + 1}) overflows a double")
+        raise DomainError(f"the energy on the band {_band_name(k)} overflows a double")
     return total
 
 
@@ -339,8 +339,8 @@ def three_band_ratio(u: CylinderMap, k: float) -> float:
     return 2.0 * middle / outer
 
 
-def decay_estimate_check(u: CylinderMap, l: int) -> DecayReport:
-    """Fit the two-sided exponential decay bound on Z(0, l).
+def decay_estimate_check(u: CylinderMap) -> DecayReport:
+    """Fit the two-sided exponential decay bound on the domain Z(0, l) of u.
 
     Checks ``e_k <= C (e^{-2k} E_head + e^{-2(l-k)} E_tail)`` for
     k = 1..l-2, reporting the smallest admissible C; when the map has no
@@ -348,17 +348,18 @@ def decay_estimate_check(u: CylinderMap, l: int) -> DecayReport:
     ``e_k <= C' (e^{-4(k-1)} E_head + e^{-4(l-2-k)} E_tail)`` whose expected
     constant is 1.
     """
+    l = u.length
     if l < 3:
         raise DomainError("need l >= 3")
     if l > _MAX_LENGTH:
         raise DomainError(f"need l <= {_MAX_LENGTH}")
     energies = tuple(band_energy(u, k) for k in range(l))
-    constants: dict = {"shape": _decay_fit(energies, 2.0, 0, l)}
+    constants = {"shape": _decay_fit(energies, 2.0, 0, l)}
     passed = math.isfinite(constants["shape"])
     if all(abs(m) >= 2 for m in u.mode_numbers()):
         constants["sharp_rate4"] = _decay_fit(energies, 4.0, 1, l - 2)
         passed = passed and constants["sharp_rate4"] <= 1.0 + 1e-12
-    return DecayReport(energies, constants, passed)
+    return DecayReport(energies, tuple(constants.items()), passed)
 
 
 def _decay_fit(energies: tuple, rate: float, first: int, last: int) -> float:

@@ -207,9 +207,8 @@ def suite_index(seed: int = 0) -> VerificationCertificate:
 def suite_cosh(seed: int = 0) -> VerificationCertificate:
     """Single-mode three-band ratios hit 1/cosh(2) and 1/cosh(4) exactly."""
     cert = VerificationCertificate("cosh", cylinders.ANCHOR_COSH, seed=seed)
-    domain = cylinders.Cylinder(0.0, 10.0)
     for m, target in ((1, cylinders.GAMMA_STAR), (2, cylinders.GAMMA_2)):
-        u = cylinders.CylinderMap(((m, (1.0 + 0j,)),), domain)
+        u = cylinders.CylinderMap(((m, (1.0 + 0j,)),), 10)
         for k in (1.0, 4.0, 7.0):
             ratio = cylinders.three_band_ratio(u, k)
             cert.check_le(lambda: f"m={m} k={k}", abs(ratio - target), 1e-12)
@@ -244,14 +243,14 @@ def suite_gluing(seed: int = 0) -> VerificationCertificate:
     return cert
 
 
-def _random_cylinder_map(rng: random.Random, length: float) -> cylinders.CylinderMap:
+def _random_cylinder_map(rng: random.Random, length: int) -> cylinders.CylinderMap:
     """One to four distinct modes |m| <= 5 with random C^2 coefficients."""
     count = rng.randint(1, 4)
     modes = []
     for m in rng.sample(range(-5, 6), count):
         vec = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
         modes.append((m, vec))
-    return cylinders.CylinderMap(tuple(modes), cylinders.Cylinder(0.0, length))
+    return cylinders.CylinderMap(tuple(modes), length)
 
 
 def suite_decay(seed: int = 0) -> VerificationCertificate:
@@ -261,8 +260,8 @@ def suite_decay(seed: int = 0) -> VerificationCertificate:
     rng = _rng(seed, "decay")
     l = 10
     for case in range(_DECAY_CASES):
-        u = _random_cylinder_map(rng, float(l))
-        report = cylinders.decay_estimate_check(u, l)
+        u = _random_cylinder_map(rng, l)
+        report = cylinders.decay_estimate_check(u)
         key = lambda: f"case={case} modes={u.mode_numbers()}"
         cert.check(lambda: key() + " finite C", True, report.passed)
         high = u.restrict_modes(lambda m: abs(m) >= 2)

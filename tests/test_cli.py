@@ -1112,7 +1112,7 @@ def _patch_to_fail(monkeypatch, command):
     elif command == "decay":
         monkeypatch.setattr(
             cylinders, "decay_estimate_check",
-            lambda u, l: cylinders.DecayReport((0.0,) * l, {"shape": math.inf}, False),
+            lambda u: cylinders.DecayReport((0.0,) * u.length, (("shape", math.inf),), False),
         )
     else:  # a certificate that ran no case does not pass
         monkeypatch.setitem(
@@ -1148,6 +1148,7 @@ OUTPUT_MATRIX = [
     (["decay", "--modes", "1:1,0", "--k", HUGE], 1),
     (["decay", "--modes", "1:1,0", "--length", HUGE], 1),
     (["decay", "--modes", "1:1,0", "--length", "10001"], 1),
+    (["decay", "--modes", "1:1,0", "--length", "0"], 1),
     (["decay"], 64),
     (["branch", "--type", "2,3", "--other-type", "3,4"], 0),
     (["branch", "--type", "100004,100006,200007"], 1),

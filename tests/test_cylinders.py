@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from pseudocurve import cylinders
-from pseudocurve.cylinders import Cylinder, CylinderMap
+from pseudocurve.cylinders import CylinderMap
 from pseudocurve.errors import DegenerateMap, DomainError, SingularPoint
 
-DOM = Cylinder(0.0, 10.0)
+LENGTH = 10  # the maps below live on Z(0, 10) unless they say otherwise
 
 
-def single(m, vec=(1.0 + 0j,), domain=DOM):
-    return CylinderMap(((m, tuple(vec)),), domain)
+def single(m, vec=(1.0 + 0j,), length=LENGTH):
+    return CylinderMap(((m, tuple(vec)),), length)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +319,10 @@ def test_band_energy_matches_quadrature():
                 (m, (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                      complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
             )
-        u = CylinderMap(tuple(modes), Cylinder(-4.0, 4.0))
-        for k in (-2.0, 0.0, 1.0):
+        # v_m e^{4m} on Z(0, 8) is the map v_m on Z(-4, 4) moved by t -> t + 4
+        modes = [(m, tuple(c * math.exp(4 * m) for c in vec)) for m, vec in modes]
+        u = CylinderMap(tuple(modes), 8)
+        for k in (2.0, 4.0, 5.0):
             exact = cylinders.band_energy(u, k)
             approx = quadrature_band_energy(u, k)
             assert math.isclose(exact, approx, rel_tol=1e-5, abs_tol=1e-9)
@@ -329,7 +331,7 @@ def test_band_energy_matches_quadrature():
 def test_mode_orthogonality_energies_add():
     u1 = single(1, (0.7 + 0.1j,))
     u2 = single(-1, (0.0 + 1.3j,))
-    both = CylinderMap(u1.modes + u2.modes, DOM)
+    both = CylinderMap(u1.modes + u2.modes, LENGTH)
     for k in (0.0, 2.0, 5.0):
         assert math.isclose(
             cylinders.band_energy(both, k),
@@ -341,12 +343,9 @@ def test_mode_orthogonality_energies_add():
 def test_band_outside_domain():
     with pytest.raises(DomainError):
         cylinders.band_energy(single(1), 9.5)
-    # the ratio, the decay fit and the Sobolev norm refuse a band as band_energy does
-    short = single(1, domain=Cylinder(0.0, 5.0))
-    message = re.escape("band Z(5, 6) outside the map domain")
-    with pytest.raises(DomainError, match=message):
-        cylinders.decay_estimate_check(short, 6)
-    with pytest.raises(DomainError, match=message):
+    # the ratio and the Sobolev norm refuse a band as band_energy does
+    short = single(1, length=5)
+    with pytest.raises(DomainError, match=re.escape("band Z(5, 6) outside the map domain")):
         cylinders.three_band_ratio(short, 5)
     with pytest.raises(DomainError, match=re.escape("band Z(-1, 0) outside")):
         cylinders.three_band_ratio(short, 0)
@@ -363,37 +362,50 @@ def test_band_outside_domain():
 
 
 def test_band_at_two_to_the_53_is_outside_the_domain():
-    # there k + 1 == k, and the band rule names the band as any other
-    u = single(1, domain=Cylinder(0.0, 2.0**60))
-    message = re.escape("band Z(9007199254740992.0, 9007199254740992.0) outside the map domain")
+    # there k + 1 == k in doubles, so the band is named by its exact integer ends
+    u = single(1, length=2**60)
+    message = re.escape("band Z(9007199254740992, 9007199254740993) outside the map domain")
     with pytest.raises(DomainError, match=message):
         cylinders.band_energy(u, 2.0**53)
+    with pytest.raises(DomainError, match=re.escape("band Z(-18014398509481984, -18014398509481983)")):
+        cylinders.band_energy(u, -(2.0**54))
+    for k in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=re.escape(f"band Z({k}, {k}) outside")):
+            cylinders.band_energy(u, k)
 
 
 def test_band_norms_read_only_the_squares_they_need():
     # the energy has no m = 0 term, so a constant beyond the double range is
     # no fault there; the Sobolev norm reads it and refuses
-    u = CylinderMap(((0, (1e200 + 0j,)), (1, (1.0 + 0j,))), DOM)
+    u = CylinderMap(((0, (1e200 + 0j,)), (1, (1.0 + 0j,))), LENGTH)
     assert cylinders.band_energy(u, 0.0) == cylinders.band_energy(single(1), 0.0)
     with pytest.raises(DomainError, match="a mode coefficient squared overflows"):
         cylinders.l12_norm_sq(u, 0.0)
 
 
-def test_cylinder_needs_b_above_a():
-    for a, b in ((1.0, 1.0), (2.0, 1.0)):
-        with pytest.raises(DomainError, match="cylinder needs b > a"):
-            Cylinder(a, b)
+def test_cylinder_map_refuses_a_bad_length():
+    for length in (0, -1):
+        with pytest.raises(DomainError, match=f"^cylinder length must be >= 1, got {length}$"):
+            single(1, length=length)
+    for length in (2.5, True):
+        message = re.escape(f"cylinder length must be an integer, got {length!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            single(1, length=length)
+    # an integer of any type is read as an int, and restricting keeps it
+    u = single(1, length=np.int64(7))
+    assert type(u.length) is int and u.length == 7
+    assert u.restrict_modes(lambda m: m > 1) == CylinderMap((), 7)
 
 
 def test_cylinder_map_validation():
     with pytest.raises(ValueError):
-        CylinderMap(((1, (1 + 0j,)), (1, (2 + 0j,))), DOM)  # duplicate mode
+        CylinderMap(((1, (1 + 0j,)), (1, (2 + 0j,))), LENGTH)  # duplicate mode
     with pytest.raises(ValueError):
-        CylinderMap(((1, (1 + 0j,)), (2, (1 + 0j, 0j))), DOM)  # mixed lengths
+        CylinderMap(((1, (1 + 0j,)), (2, (1 + 0j, 0j))), LENGTH)  # mixed lengths
     for bad in (2.7, 2.0, "3", None):
         with pytest.raises(ValueError):
-            CylinderMap(((bad, (1 + 0j,)),), DOM)
-    u = CylinderMap(((np.int64(2), (1 + 0j,)), (np.int32(-1), (1j,))), DOM)
+            CylinderMap(((bad, (1 + 0j,)),), LENGTH)
+    u = CylinderMap(((np.int64(2), (1 + 0j,)), (np.int32(-1), (1j,))), LENGTH)
     assert u.mode_numbers() == [-1, 2]
     assert all(type(m) is int for m in u.mode_numbers())
 
@@ -404,14 +416,14 @@ def test_cylinder_map_validation():
 
 def test_single_mode_ratios_hit_cosh_constants():
     for m in (1, 2, 3, -1, -2):
-        u = single(m, (0.3 + 0.4j, 1.0 + 0j), domain=Cylinder(0.0, 12.0))
+        u = single(m, (0.3 + 0.4j, 1.0 + 0j), length=12)
         target = 1.0 / math.cosh(2.0 * abs(m))
         for k in (1.0, 5.0, 9.0):
             assert abs(cylinders.three_band_ratio(u, k) - target) < 1e-12
 
 
 def test_mixture_ratio_strictly_between():
-    u = CylinderMap(((1, (1 + 0j,)), (2, (0.8 + 0j,))), DOM)
+    u = CylinderMap(((1, (1 + 0j,)), (2, (0.8 + 0j,))), LENGTH)
     for k in (1.0, 3.0, 6.0):
         ratio = cylinders.three_band_ratio(u, k)
         assert cylinders.GAMMA_2 < ratio < cylinders.GAMMA_STAR
@@ -419,7 +431,7 @@ def test_mixture_ratio_strictly_between():
 
 def test_any_mixture_of_modes_plus_minus_one_achieves_gamma_star():
     # both signs decay at the same |m| = 1 rate, so the ratio is exact
-    u = CylinderMap(((1, (1 + 0j,)), (-1, (0.3 - 0.7j,))), DOM)
+    u = CylinderMap(((1, (1 + 0j,)), (-1, (0.3 - 0.7j,))), LENGTH)
     for k in (1.0, 4.0, 8.0):
         assert abs(cylinders.three_band_ratio(u, k) - cylinders.GAMMA_STAR) < 1e-12
 
@@ -429,7 +441,7 @@ def test_projection_split_recovers_both_constants():
     # exactly at 1/cosh 2, the |m| >= 2 part at or below 1/cosh 4
     u = CylinderMap(
         ((1, (1 + 0j,)), (-1, (0.2j,)), (2, (0.5 + 0j,)), (4, (0.1 + 0.1j,))),
-        DOM,
+        LENGTH,
     )
     low = u.restrict_modes(lambda m: abs(m) == 1)
     high = u.restrict_modes(lambda m: abs(m) >= 2)
@@ -448,38 +460,40 @@ def test_degenerate_ratio():
 # ---------------------------------------------------------------------------
 
 def test_decay_mode2_beats_rate2_with_c_at_most_one():
-    report = cylinders.decay_estimate_check(single(2), 10)
+    report = cylinders.decay_estimate_check(single(2))
     assert report.passed
-    assert report.constants["shape"] <= 1.0
-    assert report.constants["sharp_rate4"] <= 1.0 + 1e-12
+    (name, shape), (name4, sharp) = report.constants
+    assert (name, name4) == ("shape", "sharp_rate4")
+    assert shape <= 1.0
+    assert sharp <= 1.0 + 1e-12
 
 
 def test_decay_two_sided_modes():
-    u = CylinderMap(((1, (1 + 0j,)), (-1, (0.5 + 0j,))), DOM)
-    report = cylinders.decay_estimate_check(u, 10)
+    u = CylinderMap(((1, (1 + 0j,)), (-1, (0.5 + 0j,))), LENGTH)
+    report = cylinders.decay_estimate_check(u)
     assert report.passed
-    assert math.isfinite(report.constants["shape"])
-    assert "sharp_rate4" not in report.constants
+    ((name, shape),) = report.constants  # no sharp_rate4 fit
+    assert name == "shape" and math.isfinite(shape)
 
 
 def test_decay_constant_map_vacuous():
-    report = cylinders.decay_estimate_check(single(0), 10)
+    report = cylinders.decay_estimate_check(single(0))
     assert report.passed
-    assert report.constants == {"shape": 0.0}
+    assert report.constants == (("shape", 0.0),)
     assert all(e == 0.0 for e in report.band_energies)
 
 
 def test_decay_needs_length_three():
-    with pytest.raises(DomainError):
-        cylinders.decay_estimate_check(single(1, domain=Cylinder(0.0, 2.0)), 2)
+    with pytest.raises(DomainError, match="need l >= 3"):
+        cylinders.decay_estimate_check(single(1, length=2))
 
 
 def test_decay_refuses_a_length_above_the_ceiling():
     # one band energy per unit of length is computed and reported
-    report = cylinders.decay_estimate_check(single(1, domain=Cylinder(0.0, 1e4)), 10**4)
+    report = cylinders.decay_estimate_check(single(1, length=10**4))
     assert len(report.band_energies) == 10**4
     with pytest.raises(DomainError, match="need l <= 10000"):
-        cylinders.decay_estimate_check(single(1, domain=Cylinder(0.0, 1e4 + 1)), 10**4 + 1)
+        cylinders.decay_estimate_check(single(1, length=10**4 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +501,7 @@ def test_decay_refuses_a_length_above_the_ceiling():
 # ---------------------------------------------------------------------------
 
 def test_truncation_of_low_mode_map_is_lossless():
-    u = CylinderMap(((-1, (1j,)), (0, (2 + 0j,)), (1, (0.5 + 0j,))), DOM)
+    u = CylinderMap(((-1, (1j,)), (0, (2 + 0j,)), (1, (0.5 + 0j,))), LENGTH)
     low, remainder = cylinders.three_term_truncation(u, 2.0)
     assert low.modes == u.modes
     assert remainder == 0.0
@@ -508,7 +522,7 @@ def test_truncation_remainder_satisfies_gamma2_inequality():
         modes = []
         for m in rng.sample(range(-5, 6), rng.randint(2, 4)):
             modes.append((m, (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),)))
-        u = CylinderMap(tuple(modes), DOM)
+        u = CylinderMap(tuple(modes), LENGTH)
         rest = u.restrict_modes(lambda m: abs(m) >= 2)
         if not rest.modes:
             continue

@@ -158,8 +158,8 @@ def test_saddle_sweep_checks_a0_through_residues(monkeypatch):
 
 
 def test_decay_suite_draws_a_hundred_maps(monkeypatch):
-    failing = cylinders.DecayReport((), {}, False)
-    monkeypatch.setattr(cylinders, "decay_estimate_check", lambda u, l: failing)
+    failing = cylinders.DecayReport((), (), False)
+    monkeypatch.setattr(cylinders, "decay_estimate_check", lambda u: failing)
     cert = verify.suite_decay()
     assert sum(f["input"].endswith(" finite C") for f in cert.failures) == 100
 
