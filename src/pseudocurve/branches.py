@@ -26,7 +26,6 @@ norm's reparametrisation.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -39,7 +38,7 @@ from pseudocurve.errors import (
     MultipleOrTruncatedBranch,
     NotPreparedBranch,
     TruncationTooShort,
-    _set_field,
+    _integer,
     _Value,
 )
 from pseudocurve.gaussian import ONE, ZERO, GaussianRational, json_int
@@ -53,13 +52,6 @@ ANCHOR_INTERSECTION = (
     "I(b1, b2) = I(b2, b1); graph: ord_t(y(t) - g(x(t))); "
     "(t^a, t^b), (s^c, s^d) coprime: min(a*d, b*c)"
 )
-
-
-def _integer(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidBranch(f"{what} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -77,16 +69,16 @@ class Branch(_Value):
         terms: Sequence[tuple[int, Sequence[object]]],
         truncation_order: int,
     ) -> None:
-        n = _integer(ambient_dim, "ambient dimension")
+        n = _integer(ambient_dim, "ambient dimension", InvalidBranch)
         if n < 2:
             raise InvalidBranch("ambient dimension must be >= 2")
         if not terms:
             raise InvalidBranch("branch needs at least one term")
-        order = _integer(truncation_order, "truncation order")
+        order = _integer(truncation_order, "truncation order", InvalidBranch)
         norm = []
         prev = 0
         for exp, vec in terms:
-            exp = _integer(exp, "exponent")
+            exp = _integer(exp, "exponent", InvalidBranch)
             vec = tuple(GR.of(c) for c in vec)
             if len(vec) != n:
                 raise InvalidBranch("coefficient vector has wrong length")
@@ -98,9 +90,7 @@ class Branch(_Value):
                 raise InvalidBranch("zero coefficient vector")
             norm.append((exp, vec))
             prev = exp
-        _set_field(self, "ambient_dim", n)
-        _set_field(self, "terms", tuple(norm))
-        _set_field(self, "truncation_order", order)
+        super().__init__(n, tuple(norm), order)
 
     @classmethod
     def from_coordinates(
@@ -172,10 +162,7 @@ class BranchJetNormalForm(_Value):
                 raise InvalidBranch("P2(0) must be nonzero when l < k")
             if len(p2) - 1 > k - l - 1:
                 raise InvalidBranch("deg P2 exceeds k - l - 1")
-        _set_field(self, "k", k)
-        _set_field(self, "l", l)
-        _set_field(self, "p1", p1)
-        _set_field(self, "p2", p2)
+        super().__init__(k, l, p1, p2)
 
 
 # ---------------------------------------------------------------------------

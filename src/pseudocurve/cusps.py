@@ -16,7 +16,7 @@ from itertools import accumulate
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from pseudocurve.errors import InvalidCuspType, _set_field, _Value
+from pseudocurve.errors import InvalidCuspType, _integer, _Value
 
 # Formula anchors quoted by the verify certificates and the CLI payloads.
 ANCHOR_DELTA = "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"
@@ -30,13 +30,10 @@ class CuspType(_Value):
     __slots__ = ("exponents",)
 
     def __init__(self, exponents: Sequence[int]) -> None:
-        try:
-            exponents = tuple(map(operator.index, exponents))
-        except TypeError:
-            raise InvalidCuspType(f"not integers: {exponents!r}") from None
+        exponents = tuple(_integer(p, "exponent", InvalidCuspType) for p in exponents)
         if not validate_cusp_type(exponents):
             raise InvalidCuspType(f"{list(exponents)} is not a cusp type")
-        _set_field(self, "exponents", exponents)
+        super().__init__(exponents)
 
     def __iter__(self):
         return iter(self.exponents)

@@ -19,7 +19,6 @@ identity and the coordinate maps use the limit map R_0 = sqrt(rho).
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from typing import Sequence
 
@@ -27,7 +26,7 @@ from pseudocurve.errors import (
     DegenerateMap,
     DomainError,
     SingularPoint,
-    _set_field,
+    _integer,
     _Value,
 )
 
@@ -57,19 +56,14 @@ class CylinderMap(_Value):
     __slots__ = ("modes", "length")
 
     def __init__(self, modes: Sequence[tuple[int, Sequence[complex]]], length: int) -> None:
-        if isinstance(length, bool) or not hasattr(type(length), "__index__"):
-            raise ValueError(f"cylinder length must be an integer, got {length!r}")
-        length = operator.index(length)
+        length = _integer(length, "cylinder length", ValueError)
         if length < 1:
             raise DomainError(f"cylinder length must be >= 1, got {length}")
         seen = set()
         norm = []
         dim = None
         for m, vec in modes:
-            try:
-                m = operator.index(m)
-            except TypeError:
-                raise ValueError(f"mode number must be an integer, got {m!r}") from None
+            m = _integer(m, "mode number", ValueError)
             vec = tuple(complex(c) for c in vec)
             if m in seen:
                 raise ValueError(f"duplicate mode {m}")
@@ -80,8 +74,7 @@ class CylinderMap(_Value):
             seen.add(m)
             norm.append((m, vec))
         norm.sort(key=lambda pair: pair[0])
-        _set_field(self, "modes", tuple(norm))
-        _set_field(self, "length", length)
+        super().__init__(tuple(norm), length)
 
     def mode_numbers(self) -> list[int]:
         return [m for m, _ in self.modes]
@@ -92,16 +85,10 @@ class CylinderMap(_Value):
 
 
 class DecayReport(_Value):
-    """Band energies e_0..e_(l-1), fitted constants as (name, C) pairs, verdict."""
+    """Fields, in order: band_energies e_0..e_(l-1), constants (the fitted
+    constants as (name, C) pairs) and passed (the verdict)."""
 
     __slots__ = ("band_energies", "constants", "passed")
-
-    def __init__(
-        self, band_energies: tuple[float, ...], constants: tuple, passed: bool
-    ) -> None:
-        _set_field(self, "band_energies", band_energies)
-        _set_field(self, "constants", constants)
-        _set_field(self, "passed", passed)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +262,7 @@ def _mode_integral(m: int, a: float, b: float) -> float:
 
 def _band_name(k: float) -> str:
     """Z(k, k+1), with the exact integer ends where k + 1 == k in doubles."""
-    if math.isfinite(k) and k + 1 == k:
+    if not isinstance(k, int) and math.isfinite(k) and k + 1 == k:
         k = int(k)
     return f"Z({k}, {k + 1})"
 
@@ -284,11 +271,16 @@ def _band_sum(u: CylinderMap, k: float, term) -> float:
     """Sum of ``term(m, norm_sq)`` over the modes (m, v_m) of u on the band
     Z_k = Z(k, k+1); ``norm_sq()`` is |v_m|^2, read only by a term that needs it.
 
-    The band rule of every band norm: k < k + 1 in doubles, 0 <= k and
-    k + 1 <= l up to 1e-12 for the domain Z(0, l) of u, and each |v_m|^2 read
-    and the total are finite doubles, else DomainError.
+    The band rule of every band norm: k is a double or an int within the
+    double range, k < k + 1, 0 <= k and k + 1 <= l up to 1e-12 for the domain
+    Z(0, l) of u, and each |v_m|^2 read and the total are finite doubles, else
+    DomainError.
     """
-    if not (-1e-12 <= k < k + 1 and k + 1 - 1e-12 <= u.length):
+    try:
+        inside = -1e-12 <= k < k + 1 and k + 1 - 1e-12 <= u.length
+    except OverflowError:  # an int beyond the double range
+        inside = False
+    if not inside:
         raise DomainError(f"band {_band_name(k)} outside the map domain")
     total = 0.0
     for m, vec in u.modes:

@@ -1,18 +1,32 @@
 """Exception hierarchy shared by all modules, and the base of the value types."""
 
-from operator import attrgetter
+from operator import attrgetter, index
 
 _set_field = object.__setattr__
 
 
-class _Value:
-    """Shared methods of the package's value types.
+def _integer(value, what: str, error: type) -> int:
+    """The one integer rule: the int that ``__index__`` reads from ``value``; a
+    bool, or a value that ``__index__`` cannot read, raises ``error``."""
+    if type(value) is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
-    A subclass lists its fields, in constructor order, in ``__slots__`` and
-    sets them in its own ``__init__`` with ``_set_field`` (that is,
-    ``object.__setattr__``).  Fields cannot be assigned or deleted afterwards.  Two instances of one class
-    are equal iff their field tuples are, and the hash is the hash of the
-    field tuple; an instance of another class is never equal.
+
+class _Value:
+    """Shared constructor and methods of the package's value types.
+
+    A subclass lists its fields, in constructor order, in ``__slots__``.  The
+    shared constructor binds positional, then keyword arguments to them and
+    raises TypeError on a missing, extra, unknown or repeated field; a
+    validating subclass ends its own ``__init__`` with ``super().__init__``.
+    Integer arguments are read by :func:`_integer`, which refuses bools.
+    Fields cannot be assigned or deleted afterwards.  Two instances of one
+    class are equal iff their field tuples are, and the hash is the hash of
+    the field tuple; an instance of another class is never equal.
     """
 
     __slots__ = ()
@@ -24,6 +38,19 @@ class _Value:
             cls._values = staticmethod(lambda obj: (get(obj),))
         else:
             cls._values = get
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} fields")
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__qualname__} is missing field {name!r}")
+            _set_field(self, name, kwargs.pop(name))
+        if kwargs:  # the names left are unknown or were given by position too
+            raise TypeError(f"{type(self).__qualname__} got extra fields {list(kwargs)}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

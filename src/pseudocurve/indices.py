@@ -7,7 +7,7 @@ arithmetic on homological data; no operator is ever built.
 
 from __future__ import annotations
 
-from pseudocurve.errors import GenusFormulaInconsistent, _set_field, _Value
+from pseudocurve.errors import GenusFormulaInconsistent, _Value
 
 # Formula anchors quoted by the verify certificates and the CLI payloads.
 ANCHOR_FEASIBILITY = "max over splittings of sum d_i(d_i+3)/2 vs required 3d - 1"
@@ -35,10 +35,7 @@ class CurveData(_Value):
             raise ValueError("need one non-negative genus per component")
         if delta < 0:
             raise ValueError("delta must be non-negative")
-        _set_field(self, "mu", mu)
-        _set_field(self, "self_int", self_int)
-        _set_field(self, "genera", genera)
-        _set_field(self, "delta", delta)
+        super().__init__(mu, self_int, genera, delta)
 
     @property
     def components(self) -> int:
@@ -50,19 +47,12 @@ class CurveData(_Value):
 
 
 class ObstructionReport(_Value):
-    __slots__ = ("obstructed", "worst_count", "required", "worst_splitting")
+    """Fields, in order: obstructed (worst_count < required), worst_count
+    (the most generic points a splitting with a double component carries),
+    required (3d - 1) and worst_splitting (that splitting, as (degree,
+    multiplicity) pairs)."""
 
-    def __init__(
-        self,
-        obstructed: bool,
-        worst_count: int,
-        required: int,
-        worst_splitting: tuple[tuple[int, int], ...],
-    ) -> None:
-        _set_field(self, "obstructed", obstructed)
-        _set_field(self, "worst_count", worst_count)
-        _set_field(self, "required", required)
-        _set_field(self, "worst_splitting", worst_splitting)
+    __slots__ = ("obstructed", "worst_count", "required", "worst_splitting")
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +116,9 @@ def h1_stratum_codim(h0: int, h1: int) -> int:
 
 
 class CuspCountBounds(_Value):
-    __slots__ = ("lower", "upper")
+    """Fields, in order: lower and upper, the bounds on the number of cusps."""
 
-    def __init__(self, lower: int, upper: int) -> None:
-        _set_field(self, "lower", lower)
-        _set_field(self, "upper", upper)
+    __slots__ = ("lower", "upper")
 
     @property
     def contradictory(self) -> bool:

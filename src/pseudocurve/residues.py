@@ -38,13 +38,12 @@ nonzero off-diagonal pair.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
 
-from pseudocurve.errors import _set_field, _Value
+from pseudocurve.errors import _integer, _Value
 from pseudocurve.gaussian import GaussianRational
 
 GR = GaussianRational
@@ -61,10 +60,7 @@ class ResidueForm(_Value):
     __slots__ = ("k", "l", "coefficients")
 
     def __init__(self, k: int, l: int, coefficients: Sequence[object]) -> None:
-        try:
-            k, l = operator.index(k), operator.index(l)
-        except TypeError:
-            raise ValueError(f"k, l must be integers: {k!r}, {l!r}") from None
+        k, l = _integer(k, "k", ValueError), _integer(l, "l", ValueError)
         if k < 1:
             raise ValueError("cusp order k must be >= 1")
         if k > _MAX_K:
@@ -76,20 +72,14 @@ class ResidueForm(_Value):
             raise ValueError("P(0) = a_0 must be nonzero")
         if len(coeffs) - 1 > k - l - 1:
             raise ValueError("deg P must be <= k - l - 1")
-        _set_field(self, "k", k)
-        _set_field(self, "l", l)
-        _set_field(self, "coefficients", coeffs)
+        super().__init__(k, l, coeffs)
 
 
 class InertiaResult(_Value):
-    """Signature data of a real symmetric form."""
+    """Signature data of a real symmetric form.  Fields, in order: ind_plus,
+    ind_minus (the numbers of positive and negative squares) and nullity."""
 
     __slots__ = ("ind_plus", "ind_minus", "nullity")
-
-    def __init__(self, ind_plus: int, ind_minus: int, nullity: int) -> None:
-        _set_field(self, "ind_plus", ind_plus)
-        _set_field(self, "ind_minus", ind_minus)
-        _set_field(self, "nullity", nullity)
 
     @property
     def s_ind(self) -> int:

@@ -7,6 +7,7 @@ import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -57,6 +58,20 @@ def test_construction_validates():
         Branch.from_coordinates([{2: 1}, {3: 1}], 3.5)
     with pytest.raises(InvalidBranch, match="coefficient vector has wrong length"):
         Branch(2, ((2, x), (3, (GR.of(1),))), 3)
+    # the integer rule: a bool or a float is refused by name, a numpy int is read
+    for bad in (True, 2.0):
+        for what, args in (
+            ("ambient dimension", (bad, ((2, x), (3, y)), 3)),
+            ("exponent", (2, ((bad, x), (3, y)), 3)),
+            ("truncation order", (2, ((2, x), (3, y)), bad)),
+        ):
+            message = re.escape(f"{what} must be an integer, got {bad!r}")
+            with pytest.raises(InvalidBranch, match=f"^{message}$"):
+                Branch(*args)
+    z = (GR.of(0), GR.of(0), GR.of(1))
+    b = Branch(np.int64(3), ((2, x + (GR.of(0),)), (np.int64(3), z)), np.int64(3))
+    assert (b.ambient_dim, b.terms[1][0], b.truncation_order) == (3, 3, 3)
+    assert {type(b.ambient_dim), type(b.terms[1][0]), type(b.truncation_order)} == {int}
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Cusp-type combinatorics against small-instance oracles."""
 
 import heapq
+import re
 import time
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +102,13 @@ def test_invalid_type_raises():
     for exponents in [(2.5, 3.9), (2.0, 3), (2, "3")]:
         with pytest.raises(InvalidCuspType):
             CuspType(exponents)
+    # the integer rule: a bool or a float is refused by name, a numpy int is read
+    for bad in (True, 2.0):
+        message = re.escape(f"exponent must be an integer, got {bad!r}")
+        with pytest.raises(InvalidCuspType, match=f"^{message}$"):
+            CuspType((bad, 3))
+    p = CuspType((2, np.int64(3)))
+    assert p.exponents == (2, 3) and type(p.p_last) is int
 
 
 @pytest.mark.parametrize(

@@ -372,6 +372,16 @@ def test_band_at_two_to_the_53_is_outside_the_domain():
     for k in (math.inf, math.nan):
         with pytest.raises(DomainError, match=re.escape(f"band Z({k}, {k}) outside")):
             cylinders.band_energy(u, k)
+    # an int k beyond a double converts to none; the band keeps its exact ends
+    for k in (10**400, -(10**400)):
+        message = re.escape(f"band Z({k}, {k + 1}) outside the map domain")
+        for norm in (cylinders.band_energy, cylinders.l12_norm_sq, cylinders.three_band_ratio):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                norm(u, k)
+    # while a length beyond a double still answers a band inside the double range
+    huge, small = single(1, length=10**400), single(1)
+    for norm in (cylinders.band_energy, cylinders.l12_norm_sq, cylinders.three_band_ratio):
+        assert norm(huge, 5) == norm(small, 5)
 
 
 def test_band_norms_read_only_the_squares_they_need():
@@ -387,7 +397,8 @@ def test_cylinder_map_refuses_a_bad_length():
     for length in (0, -1):
         with pytest.raises(DomainError, match=f"^cylinder length must be >= 1, got {length}$"):
             single(1, length=length)
-    for length in (2.5, True):
+    # an array has __index__ but no single integer to give
+    for length in (2.5, 2.0, True, np.array([2, 3])):
         message = re.escape(f"cylinder length must be an integer, got {length!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             single(1, length=length)
@@ -402,11 +413,12 @@ def test_cylinder_map_validation():
         CylinderMap(((1, (1 + 0j,)), (1, (2 + 0j,))), LENGTH)  # duplicate mode
     with pytest.raises(ValueError):
         CylinderMap(((1, (1 + 0j,)), (2, (1 + 0j, 0j))), LENGTH)  # mixed lengths
-    for bad in (2.7, 2.0, "3", None):
-        with pytest.raises(ValueError):
+    for bad in (2.7, 2.0, "3", None, True):
+        message = re.escape(f"mode number must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             CylinderMap(((bad, (1 + 0j,)),), LENGTH)
-    u = CylinderMap(((np.int64(2), (1 + 0j,)), (np.int32(-1), (1j,))), LENGTH)
-    assert u.mode_numbers() == [-1, 2]
+    u = CylinderMap(((np.int64(3), (1 + 0j,)), (np.int32(-1), (1j,))), LENGTH)
+    assert u.mode_numbers() == [-1, 3]
     assert all(type(m) is int for m in u.mode_numbers())
 
 

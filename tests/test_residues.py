@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -33,7 +34,7 @@ def test_validation():
     assert ResidueForm(200, 0, (GR.of(1),)).k == 200
     with pytest.raises(ValueError, match="k must be <= 200"):
         ResidueForm(201, 0, (GR.of(1),))
-    # k and l are read through operator.index: no float or string slips in
+    # k and l are read by the integer rule: no float or string slips in
     with pytest.raises(ValueError):
         ResidueForm(3.7, 1, (GR.of(1),))
     with pytest.raises(ValueError):
@@ -42,6 +43,12 @@ def test_validation():
         ResidueForm("3", 1, (GR.of(1),))
     with pytest.raises(ValueError):
         ResidueForm(3, None, (GR.of(1),))
+    # the integer rule: a bool or a float is refused by name
+    for bad in (True, 2.0):
+        for name, args in (("k", (bad, 0)), ("l", (3, bad))):
+            message = re.escape(f"{name} must be an integer, got {bad!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ResidueForm(*args, (GR.of(1),))
     # integer-like values are accepted and stored as Python ints
     f = ResidueForm(np.int64(3), np.int8(1), (GR.of(1),))
     assert (type(f.k), type(f.l)) == (int, int)

@@ -1,10 +1,14 @@
 """Value semantics of the package's record types: construction by position
 or keyword with defaults, frozen fields, equality and hashing by the field
-tuple, and the ``Name(field=value, ...)`` repr."""
+tuple, and the ``Name(field=value, ...)`` repr.  Field stores and the integer
+rule each live in one place."""
 
+import ast
 import copy
 import pickle
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from pseudocurve.indices import CuspCountBounds, CurveData, ObstructionReport
 from pseudocurve.residues import InertiaResult, ResidueForm
 
 GR = GaussianRational
+SRC = Path(__file__).resolve().parents[1] / "src" / "pseudocurve"
 
 # (class, fields in constructor order, defaults of the omitted trailing fields)
 CASES = [
@@ -79,8 +84,94 @@ def test_value_semantics(cls, given, defaults):
     assert copy.deepcopy(by_position) == by_position
     assert pickle.loads(pickle.dumps(by_position)) == by_position
 
+    # binding errors: a validating __init__ raises Python's own TypeError, the
+    # shared constructor names the record and the field
+    shared, q = "__init__" not in vars(cls), cls.__qualname__
+    for args, kwargs, message in (
+        ((*fields.values(), None), {}, f"{q} takes {len(fields)} fields"),
+        ((), {**given, "not_a_field": None}, f"{q} got extra fields ['not_a_field']"),
+        (tuple(given.values()), {name: fields[name]}, f"{q} got extra fields [{name!r}]"),
+    ):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$" if shared else None):
+            cls(*args, **kwargs)
+    if shared:
+        last = list(fields)[-1]
+        with pytest.raises(TypeError, match=f"^{q} is missing field '{last}'$"):
+            cls(*list(fields.values())[:-1])
 
 def test_every_value_type_is_checked():
     import pseudocurve.verify  # noqa: F401  (loads every module)
 
     assert set(_Value.__subclasses__()) == {cls for cls, _, _ in CASES}
+
+
+def rule_breaches(src: Path = SRC) -> list:
+    """``file:line name`` of each reference to ``_set_field`` or
+    ``object.__setattr__`` outside ``errors.py`` and ``gaussian.py``, and of
+    each reference to ``operator.index`` (as an attribute, or as a name
+    imported from ``operator``) outside the integer rule ``errors._integer``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        index_names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "operator"
+            for alias in node.names
+            if alias.name == "index"
+        }
+        rule = set()
+        if path.name == "errors.py":
+            rule = {
+                id(sub)
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_integer"
+                for sub in ast.walk(node)
+            }
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            owner = getattr(getattr(node, "value", None), "id", None)
+            store = name == "_set_field" or (owner, name) == ("object", "__setattr__")
+            if store and path.name not in ("errors.py", "gaussian.py"):
+                found.append((path.name, node.lineno, "_set_field"))
+            index = (owner, name) == ("operator", "index") or (
+                isinstance(node, ast.Name) and node.id in index_names
+            )
+            if index and id(node) not in rule:
+                found.append((path.name, node.lineno, "operator.index"))
+    return [f"{file}:{line} {name}" for file, line, name in sorted(found)]
+
+
+def test_field_stores_and_the_integer_rule_live_in_one_place():
+    assert (SRC / "errors.py").is_file()  # the scan reads the package itself
+    assert rule_breaches() == []
+
+
+def test_the_rule_scan_finds_every_kind_of_breach(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "from operator import index\n"
+        "_set_field = object.__setattr__\n"
+        "def _integer(value):\n    return index(value)\n"
+        "def other(value):\n    return index(value)\n"
+    )
+    (tmp_path / "gaussian.py").write_text(
+        "from errors import _set_field\n_set_field(1, 'a', 2)\n"
+    )
+    (tmp_path / "a.py").write_text(
+        "import operator\n"
+        "from errors import _set_field\n"
+        "from operator import index as ix\n"
+        "x = tuple(map(operator.index, (1, 2)))\n"
+        "y = ix(3)\n"
+        "operator.indexOf((1,), 1)\n"
+        "object.__setattr__(x, 'a', y)\n"
+    )
+    assert rule_breaches(tmp_path) == [
+        "a.py:2 _set_field",
+        "a.py:4 operator.index",
+        "a.py:5 operator.index",
+        "a.py:7 _set_field",
+        "errors.py:6 operator.index",
+    ]
