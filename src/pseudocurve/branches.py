@@ -38,13 +38,14 @@ from pseudocurve.errors import (
     MultipleOrTruncatedBranch,
     NotPreparedBranch,
     TruncationTooShort,
+    WORK_LIMITS,
     _integer,
     _Value,
+    check_limit,
 )
 from pseudocurve.gaussian import ONE, ZERO, GaussianRational, json_int
 
 GR = GaussianRational
-_MAX_JET, _MAX_RING = 10**5, 500  # work ceilings: P2's length; the norm's n (n^2 products)
 
 # Formula anchors quoted by the verify certificates.
 ANCHOR_ROUNDTRIP = "cusp type of monomial model = original type; jet constraints"
@@ -251,7 +252,6 @@ def jet_normal_form(b: Branch) -> BranchJetNormalForm:
     l is read off from the lowest second-coordinate exponent q <= 2k+1 as
     ``l = q - k - 2``; if the second coordinate has no term of exponent
     <= 2k+1 then l = k and P2 = 0.  P1 is the prepared first term's coefficient.
-    A P2 longer than 10^5 is refused.
     """
     if b.ambient_dim != 2:
         raise InvalidBranch("jet normal form is defined for plane branches")
@@ -268,8 +268,7 @@ def jet_normal_form(b: Branch) -> BranchJetNormalForm:
     if not y:
         return BranchJetNormalForm(k, k, p1, ())
     q0, q1 = min(y), max(y)
-    if q1 - q0 >= _MAX_JET:
-        raise ValueError(f"P2 must hold at most {_MAX_JET} coefficients, got {q1 - q0 + 1}")
+    check_limit("jet P2 length", q1 - q0 + 1)
     p2 = tuple(y.get(q, ZERO) for q in range(q0, q1 + 1))
     return BranchJetNormalForm(k, q0 - k - 2, p1, p2)
 
@@ -529,11 +528,6 @@ def _characteristic_polynomial(g: dict[int, _Series], a: _Series, n: int) -> lis
     return coeffs
 
 
-# Working precision ceiling of the local norm, in powers of t: a contact
-# that the stored jets determine but that lies beyond it is refused.
-_MAX_PRECISION = 128
-
-
 def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
     """Local intersection multiplicity of two plane branch germs, as ord_t of
     the local norm (Wall, *Singular Points of Plane Curves*, ch. 2-4).
@@ -553,7 +547,7 @@ def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
     m = ord x1).  Otherwise IndeterminateWithinTruncation is raised, as it
     is for identical jets.  The working precision starts just above the
     valuation the leading terms give and doubles up to what these bounds
-    need (at most ``_MAX_PRECISION``), so terms beyond it are never read.
+    need (at most the ``WORK_LIMITS`` precision); no term beyond it is read.
     """
     if b1.ambient_dim != 2 or b2.ambient_dim != 2:
         raise InvalidBranch("intersection multiplicity needs plane branches")
@@ -565,8 +559,7 @@ def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
     if not x2 or (y2 and min(y2) < min(x2)):
         x1, y1, x2, y2 = y1, x1, y2, x2
     n = min(x2)
-    if n > _MAX_RING:
-        raise ValueError(f"the ring branch needs multiplicity <= {_MAX_RING}, got {n}")
+    check_limit("ring multiplicity", n)
     t1, t2 = other.truncation_order, ring.truncation_order
     # sigma_zeta has valuation m/n; an x1 that vanishes in the jet has
     # ord x1 >= T1 + 1 in every completion
@@ -591,11 +584,8 @@ def intersection_multiplicity(b1: Branch, b2: Branch) -> int:
                 f"the local norm vanishes to order {prec}: the branches agree "
                 "beyond what the stored jets determine"
             )
-        if prec >= _MAX_PRECISION:
-            raise IndeterminateWithinTruncation(
-                f"the local norm vanishes to order {prec}, the working precision"
-            )
-        prec = min(2 * prec, cap, _MAX_PRECISION)
+        check_limit("precision", prec + 1, order=prec)
+        prec = min(2 * prec, cap, WORK_LIMITS["precision"][0])
     for k in range(n):
         low = coeffs[k].ord()
         if low is None:

@@ -16,12 +16,10 @@ from itertools import accumulate
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from pseudocurve.errors import InvalidCuspType, _integer, _Value
+from pseudocurve.errors import InvalidCuspType, _integer, _Value, check_limit
 
 # Formula anchors quoted by the verify certificates and the CLI payloads.
 ANCHOR_DELTA = "sum (d_{i-1} - d_i)(p_i - 1) = 2 * (semigroup gap count)"
-
-_MAX_ADMISSIBLE = 10**5  # work ceiling: cusp prints each admissible exponent and divisor
 
 
 class CuspType(_Value):
@@ -80,14 +78,13 @@ def admissible_exponents(p: CuspType) -> tuple[int, ...]:
     ``floor((p_{i+1} - p_i) / d_i)`` non-critical admissible exponents; the
     final exponent ``p_l`` closes the list.  The result ``(p'_0, ..., p'_{l'})``
     has :func:`critical_mask` of its :func:`divisor_sequence` true exactly at
-    the original cusp type.  A list longer than 10^5 is refused.
+    the original cusp type.  A list beyond its work limit is refused.
     """
     ps = p.exponents
     ds = divisor_sequence(p)
     counts = [(ps[i + 1] - ps[i]) // ds[i] for i in range(len(ps) - 1)]
     length = sum(counts) + len(ps)
-    if length > _MAX_ADMISSIBLE:
-        raise ValueError(f"at most {_MAX_ADMISSIBLE} admissible exponents, got {length}")
+    check_limit("admissible exponents", length)
     exponents: list[int] = []
     for i, count in enumerate(counts):
         exponents.extend(ps[i] + j * ds[i] for j in range(count + 1))

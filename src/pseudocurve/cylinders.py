@@ -28,6 +28,7 @@ from pseudocurve.errors import (
     SingularPoint,
     _integer,
     _Value,
+    check_limit,
 )
 
 GAMMA_STAR = 1.0 / math.cosh(2.0)  # best three-band constant, mode 1
@@ -42,8 +43,6 @@ ANCHOR_DECAY = "e_k <= C(e^{-2k} E_head + e^{-2(l-k)} E_tail), high modes <= 1/c
 # Floating-point bound of the volume identity (the gluing one is gluing_tolerance);
 # node and verify read both, and a residual at the bound passes.
 VOLUME_TOLERANCE = 1e-10  # volume_identity_residual
-
-_MAX_GRID, _MAX_LENGTH = 10**5, 10**4  # work ceilings: grid + 1 points, l band energies
 
 
 class CylinderMap(_Value):
@@ -203,8 +202,7 @@ def volume_identity_residual(lam: complex, grid: int) -> float:
     m = _modulus(lam)
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if grid > _MAX_GRID:
-        raise DomainError(f"grid must be <= {_MAX_GRID}")
+    check_limit("grid", grid)
     constant = (1.0 - m * m) / 2.0
     lo = 1.0 / grid if m == 0 else -1.0
     worst = 0.0
@@ -236,8 +234,7 @@ def gluing_inverse_residual(lam: complex, grid: int) -> float:
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    if grid > _MAX_GRID:
-        raise DomainError(f"grid must be <= {_MAX_GRID}")
+    check_limit("grid", grid)
     if lam == 0:
         raise DomainError("gluing check needs lambda != 0")
     worst = 0.0
@@ -271,13 +268,14 @@ def _band_sum(u: CylinderMap, k: float, term) -> float:
     """Sum of ``term(m, norm_sq)`` over the modes (m, v_m) of u on the band
     Z_k = Z(k, k+1); ``norm_sq()`` is |v_m|^2, read only by a term that needs it.
 
-    The band rule of every band norm: k is a double or an int within the
-    double range, k < k + 1, 0 <= k and k + 1 <= l up to 1e-12 for the domain
-    Z(0, l) of u, and each |v_m|^2 read and the total are finite doubles, else
-    DomainError.
+    The band rule of every band norm: k read as a double (so an int k is
+    refused exactly where its double is) has k < k + 1, 0 <= k and k + 1 <= l
+    up to 1e-12 for the domain Z(0, l) of u, and each |v_m|^2 read and the
+    total are finite doubles, else DomainError.
     """
     try:
-        inside = -1e-12 <= k < k + 1 and k + 1 - 1e-12 <= u.length
+        x = float(k)
+        inside = -1e-12 <= x < x + 1 and x + 1 - 1e-12 <= u.length
     except OverflowError:  # an int beyond the double range
         inside = False
     if not inside:
@@ -343,8 +341,7 @@ def decay_estimate_check(u: CylinderMap) -> DecayReport:
     l = u.length
     if l < 3:
         raise DomainError("need l >= 3")
-    if l > _MAX_LENGTH:
-        raise DomainError(f"need l <= {_MAX_LENGTH}")
+    check_limit("cylinder length", l)
     energies = tuple(band_energy(u, k) for k in range(l))
     constants = {"shape": _decay_fit(energies, 2.0, 0, l)}
     passed = math.isfinite(constants["shape"])

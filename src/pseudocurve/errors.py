@@ -117,3 +117,26 @@ class DomainError(PseudocurveError):
 
 class DegenerateMap(PseudocurveError):
     """A ratio is undefined because the denominator bands carry no energy."""
+
+
+class WorkLimitExceeded(PseudocurveError, ValueError):
+    """An input needs more work than its row of ``WORK_LIMITS`` allows."""
+
+
+WORK_LIMITS = {  # name -> (bound, refusal text formatted by check_limit)
+    "admissible exponents": (10**5, "at most {bound} admissible exponents, got {size}"),
+    "jet P2 length": (10**5, "P2 must hold at most {bound} coefficients, got {size}"),
+    "ring multiplicity": (500, "the ring branch needs multiplicity <= {bound}, got {size}"),
+    "precision": (128, "the local norm vanishes to order {order}, the working precision"),
+    "saddle k": (64, "cusp order k must be <= {bound}"),
+    "all-splittings degree": (1000, "all splittings need degree <= {bound}"),
+    "grid": (10**5, "grid must be <= {bound}"),
+    "cylinder length": (10**4, "need l <= {bound}"),
+}
+
+
+def check_limit(name: str, size: int, **fields) -> None:
+    """The one work-limit check: WorkLimitExceeded if ``size`` exceeds row ``name``."""
+    bound, text = WORK_LIMITS[name]
+    if size > bound:
+        raise WorkLimitExceeded(text.format(bound=bound, size=size, **fields))

@@ -43,15 +43,13 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
 
-from pseudocurve.errors import _integer, _Value
+from pseudocurve.errors import _integer, _Value, check_limit
 from pseudocurve.gaussian import GaussianRational
 
 GR = GaussianRational
 
 # Formula anchors quoted by the verify certificates and the CLI payloads.
 ANCHOR_SADDLE = "inertia of Re Res_0 z^(l-k) P(z) (sum w_i z^i)^2: ind+ = ind- = k - l"
-
-_MAX_K = 200  # work ceiling: the (2k + 2)^2 matrix that saddle prints
 
 
 class ResidueForm(_Value):
@@ -63,8 +61,7 @@ class ResidueForm(_Value):
         k, l = _integer(k, "k", ValueError), _integer(l, "l", ValueError)
         if k < 1:
             raise ValueError("cusp order k must be >= 1")
-        if k > _MAX_K:
-            raise ValueError(f"cusp order k must be <= {_MAX_K}")
+        check_limit("saddle k", k)
         if not (0 <= l < k):
             raise ValueError("need 0 <= l < k")
         coeffs = tuple(GR.of(c) for c in coefficients)

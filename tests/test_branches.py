@@ -21,6 +21,7 @@ from pseudocurve.errors import (
     MultipleOrTruncatedBranch,
     NotPreparedBranch,
     TruncationTooShort,
+    WorkLimitExceeded,
 )
 from pseudocurve.gaussian import GaussianRational as GR
 
@@ -694,7 +695,7 @@ def test_working_precision_ceiling_refuses_in_time():
     b1 = mk({1: 1}, {2: 1}, 10**6)
     b2 = mk({1: 1}, {2: 1, 200: 1}, 10**6)
     for pair in ((b1, b2), (b2, b1)):
-        with pytest.raises(IndeterminateWithinTruncation, match="working precision"):
+        with pytest.raises(WorkLimitExceeded, match="working precision"):
             branches.intersection_multiplicity(*pair)
     assert time.perf_counter() - start < 1.0
 

@@ -5,6 +5,8 @@ import hashlib
 import inspect
 import json
 import math
+import random
+import re
 import shlex
 import time
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pseudocurve import cli, cusps
+from pseudocurve.errors import WORK_LIMITS
 
 
 def run(argv, capsys):
@@ -1200,48 +1203,96 @@ def test_one_output_path(argv, code, monkeypatch, tmp_path, capsys):
 # types, answers or refuses within seconds and 2 MB of output.  A row builds
 # the argv for a size v.  At the row's ceiling v answers (exit 0); just above
 # it, at 10^16 and at 401 digits it is refused (exit 1).  A row without a
-# ceiling costs the same at every v and answers at both large sizes.
+# ceiling costs the same at every v and answers at both large sizes.  Every
+# ceiling comes from WORK_LIMITS; a row that names a limit is refused just
+# above its ceiling with that limit's text.
+ADMISSIBLE, JET, RING, SADDLE_K, DEGREE, GRID, LENGTH = (
+    WORK_LIMITS[name][0]
+    for name in (
+        "admissible exponents", "jet P2 length", "ring multiplicity", "saddle k",
+        "all-splittings degree", "grid", "cylinder length",
+    )
+)
+
+
+def full_poly(n):
+    """``--poly=`` with n one-digit rationals: a full P, the worst input of
+    saddle's inertia kernel, since the coefficients' size has no ceiling."""
+    rng = random.Random(1)
+    return "--poly=" + ",".join(
+        f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/{rng.randint(1, 9)}" for _ in range(n)
+    )
+
+
 BOUNDED_WORK = [
-    ("cusp", "--n", lambda v: ["cusp", "--type", "2,3", "--n", str(v)], None),
+    ("cusp", "--n", lambda v: ["cusp", "--type", "2,3", "--n", str(v)], None, None),
     # (2, 2v - 1) has v admissible exponents
-    ("cusp", "--type", lambda v: ["cusp", "--type", f"2,{2 * v - 1}"], 10**5),
-    ("index", "--mu", lambda v: ["index", "--mu", str(v), "--genus", "1"], None),
-    ("index", "--n", lambda v: ["index", "--mu", "18", "--genus", "10", "--n", str(v)], None),
-    ("index", "--genus", lambda v: ["index", "--mu", "18", "--genus", str(v)], None),
+    ("cusp", "--type", lambda v: ["cusp", "--type", f"2,{2 * v - 1}"], ADMISSIBLE,
+     "admissible exponents"),
+    ("index", "--mu", lambda v: ["index", "--mu", str(v), "--genus", "1"], None, None),
+    ("index", "--n", lambda v: ["index", "--mu", "18", "--genus", "10", "--n", str(v)],
+     None, None),
+    ("index", "--genus", lambda v: ["index", "--mu", "18", "--genus", str(v)], None, None),
     ("index", "--marked",
-     lambda v: ["index", "--mu", "18", "--genus", "10", "--marked", str(v)], None),
+     lambda v: ["index", "--mu", "18", "--genus", "10", "--marked", str(v)], None, None),
     ("index", "--k-total",
-     lambda v: ["index", "--mu", "18", "--genus", "10", "--h1", "0", "--k-total", str(v)], None),
-    ("index", "--h1", lambda v: ["index", "--mu", "18", "--genus", "10", "--h1", str(v)], None),
-    ("saddle", "--k", lambda v: ["saddle", "--k", str(v), "--l", "0", "--poly", "1"], 200),
-    ("saddle", "--l", lambda v: ["saddle", "--k", "200", "--l", str(v), "--poly", "1"], 199),
+     lambda v: ["index", "--mu", "18", "--genus", "10", "--h1", "0", "--k-total", str(v)],
+     None, None),
+    ("index", "--h1", lambda v: ["index", "--mu", "18", "--genus", "10", "--h1", str(v)],
+     None, None),
+    # P has k coefficients up to k = SADDLE_K + 1, and k - l below it
+    ("saddle", "--k",
+     lambda v: ["saddle", "--k", str(v), "--l", "0", full_poly(min(v, SADDLE_K + 1))],
+     SADDLE_K, "saddle k"),
+    ("saddle", "--l",
+     lambda v: ["saddle", "--k", str(SADDLE_K), "--l", str(v), full_poly(max(SADDLE_K - v, 1))],
+     SADDLE_K - 1, None),
     ("saddle", "--nu",
-     lambda v: ["saddle", "--k", "6", "--l", "1", "--poly=2,0,0,0,-1", "--nu", str(v)], None),
+     lambda v: ["saddle", "--k", "6", "--l", "1", "--poly=2,0,0,0,-1", "--nu", str(v)],
+     None, None),
     ("node", "--grid",
-     lambda v: ["node", "--lambda", "0.1", "--check", "gluing", "--grid", str(v)], 10**5),
+     lambda v: ["node", "--lambda", "0.1", "--check", "gluing", "--grid", str(v)],
+     GRID, "grid"),
     ("node", "--grid",
-     lambda v: ["node", "--lambda", "0.1", "--check", "volume", "--grid", str(v)], 10**5),
-    ("decay", "--length", lambda v: ["decay", "--modes", "1:1,0", "--length", str(v)], 10**4),
+     lambda v: ["node", "--lambda", "0.1", "--check", "volume", "--grid", str(v)],
+     GRID, "grid"),
+    ("decay", "--length", lambda v: ["decay", "--modes", "1:1,0", "--length", str(v)],
+     LENGTH, "cylinder length"),
     ("decay", "--k",
-     lambda v: ["decay", "--modes", "1:1,0", "--length", "10000", "--k", str(v)], 9999),
+     lambda v: ["decay", "--modes", "1:1,0", "--length", str(LENGTH), "--k", str(v)],
+     LENGTH - 1, None),
     # (2v, 2v + 2, 4v - 1): the jet's P2 has 2v - 2 coefficients
     ("branch", "--type", lambda v: ["branch", "--type", f"{2 * v},{2 * v + 2},{4 * v - 1}"],
-     50001),
+     JET // 2 + 1, "jet P2 length"),
     # the norm's ring has multiplicity v
     ("branch", "--other-type",
-     lambda v: ["branch", "--type", f"{v + 2},{v + 3}", "--other-type", f"{v},{v + 1}"], 500),
+     lambda v: ["branch", "--type", f"{v + 2},{v + 3}", "--other-type", f"{v},{v + 1}"],
+     RING, "ring multiplicity"),
     ("feasibility", "--cp2-degree",
-     lambda v: ["feasibility", "--cp2-degree", str(v), "--all-splittings"], 1000),
-    ("feasibility", "--cp2-degree", lambda v: ["feasibility", "--cp2-degree", str(v)], None),
-    ("verify", "--seed", lambda v: ["verify", "--suite", "intersection", "--seed", str(v)], None),
+     lambda v: ["feasibility", "--cp2-degree", str(v), "--all-splittings"],
+     DEGREE, "all-splittings degree"),
+    ("feasibility", "--cp2-degree", lambda v: ["feasibility", "--cp2-degree", str(v)],
+     None, None),
+    ("verify", "--seed", lambda v: ["verify", "--suite", "intersection", "--seed", str(v)],
+     None, None),
 ]
 
 
+def refusal_pattern(limit):
+    """The refusal text of a WORK_LIMITS row, with its bound, as a regex."""
+    bound, text = WORK_LIMITS[limit]
+    parts = re.split(r"\{\w+\}", text.replace("{bound}", str(bound)))
+    return r"\d+".join(map(re.escape, parts))
+
+
 @pytest.mark.parametrize(
-    "argv_of,ceiling", [row[2:] for row in BOUNDED_WORK],
-    ids=[" ".join(row[2](row[3] or 7)) for row in BOUNDED_WORK],  # the call at the ceiling
+    "argv_of,ceiling,limit", [row[2:] for row in BOUNDED_WORK],
+    ids=[  # the call at the ceiling
+        " ".join(row[2](row[3] or 7)).replace(full_poly(SADDLE_K), f"--poly=<{SADDLE_K} rationals>")
+        for row in BOUNDED_WORK
+    ],
 )
-def test_work_is_bounded_at_every_size(argv_of, ceiling, capsys):
+def test_work_is_bounded_at_every_size(argv_of, ceiling, limit, capsys):
     refused = 0 if ceiling is None else 1
     sizes = [(10**16, refused), (int(HUGE), refused)]
     if ceiling is not None:
@@ -1252,6 +1303,14 @@ def test_work_is_bounded_at_every_size(argv_of, ceiling, capsys):
         assert time.perf_counter() - start < 5.0
         assert len(out) + len(err) <= 2 * 10**6
         assert got == code, (v, err)
+        if limit is not None and v == ceiling + 1:
+            assert re.fullmatch(refusal_pattern(limit), json.loads(err)["error"]), err
+
+
+def test_every_work_limit_has_a_bounded_work_row():
+    # the working precision is no CLI size: it is pinned by
+    # test_branches.py::test_working_precision_ceiling_refuses_in_time
+    assert {row[4] for row in BOUNDED_WORK} - {None} == set(WORK_LIMITS) - {"precision"}
 
 
 def test_every_int_option_has_a_bounded_work_row():

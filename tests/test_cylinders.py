@@ -12,7 +12,7 @@ import pytest
 
 from pseudocurve import cylinders
 from pseudocurve.cylinders import CylinderMap
-from pseudocurve.errors import DegenerateMap, DomainError, SingularPoint
+from pseudocurve.errors import DegenerateMap, DomainError, SingularPoint, WorkLimitExceeded
 
 LENGTH = 10  # the maps below live on Z(0, 10) unless they say otherwise
 
@@ -174,7 +174,7 @@ def test_grid_checks_refuse_a_grid_above_the_ceiling(check):
     # the work is linear in the grid: 10^5 points take a fraction of a second
     assert check(0.1, 10**5) < 1e-10
     for grid in (10**5 + 1, 10**16):
-        with pytest.raises(DomainError, match="grid must be <= 100000"):
+        with pytest.raises(WorkLimitExceeded, match="grid must be <= 100000"):
             check(0.1, grid)
 
 
@@ -365,8 +365,11 @@ def test_band_at_two_to_the_53_is_outside_the_domain():
     # there k + 1 == k in doubles, so the band is named by its exact integer ends
     u = single(1, length=2**60)
     message = re.escape("band Z(9007199254740992, 9007199254740993) outside the map domain")
-    with pytest.raises(DomainError, match=message):
-        cylinders.band_energy(u, 2.0**53)
+    for k in (2.0**53, 2**53):  # an int k is refused where its double is
+        with pytest.raises(DomainError, match=message):
+            cylinders.band_energy(u, k)
+    with pytest.raises(DomainError, match=re.escape("band Z(9007199254740993, 9007199254740994)")):
+        cylinders.band_energy(u, 2**53 + 1)
     with pytest.raises(DomainError, match=re.escape("band Z(-18014398509481984, -18014398509481983)")):
         cylinders.band_energy(u, -(2.0**54))
     for k in (math.inf, math.nan):
@@ -504,7 +507,7 @@ def test_decay_refuses_a_length_above_the_ceiling():
     # one band energy per unit of length is computed and reported
     report = cylinders.decay_estimate_check(single(1, length=10**4))
     assert len(report.band_energies) == 10**4
-    with pytest.raises(DomainError, match="need l <= 10000"):
+    with pytest.raises(WorkLimitExceeded, match="need l <= 10000"):
         cylinders.decay_estimate_check(single(1, length=10**4 + 1))
 
 

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudocurve import residues, verify
+from pseudocurve.errors import WorkLimitExceeded
 from pseudocurve.gaussian import GaussianRational as GR
 from pseudocurve.residues import InertiaResult, ResidueForm
 
@@ -30,10 +31,10 @@ def test_validation():
         ResidueForm(2, 0, (GR.of(0), GR.of(1)))  # a_0 = 0
     with pytest.raises(ValueError):
         ResidueForm(2, 1, (GR.of(1), GR.of(1)))  # deg P too big
-    # the work ceiling: saddle prints the (2k + 2)^2 matrix, 0.8 MB at k = 200
-    assert ResidueForm(200, 0, (GR.of(1),)).k == 200
-    with pytest.raises(ValueError, match="k must be <= 200"):
-        ResidueForm(201, 0, (GR.of(1),))
+    # the work ceiling: with a full P the inertia kernel takes about 0.7 s at k = 64
+    assert ResidueForm(64, 0, (GR.of(1),) * 64).k == 64
+    with pytest.raises(WorkLimitExceeded, match="^cusp order k must be <= 64$"):
+        ResidueForm(65, 0, (GR.of(1),))
     # k and l are read by the integer rule: no float or string slips in
     with pytest.raises(ValueError):
         ResidueForm(3.7, 1, (GR.of(1),))
